@@ -23,13 +23,11 @@ from .errors import (
     BadFrequency,
     BadInput,
     BadParams,
-    CyclicHierarchy,
     InexactDivision,
     InternalInterpolationError,
     SchemaViolation,
     ToomRequiresInteger,
     UncheckedIR,
-    UnresolvedInstance,
     XmlSyntax,
 )
 from .generators import (
@@ -44,7 +42,7 @@ from .generators import (
     top_name,
 )
 from .interp import Simulator, compile_sim
-from .ir import RtlModule, check, expr_width, flatten_hierarchy
+from .ir import RtlModule, check, expr_width
 from .models import (
     ArchKind,
     RunTrace,
@@ -77,7 +75,6 @@ __all__ = [
     "BadInput",
     "BadParams",
     "BatchResult",
-    "CyclicHierarchy",
     "GenParams",
     "InexactDivision",
     "InternalInterpolationError",
@@ -93,7 +90,6 @@ __all__ = [
     "TestbenchArtifact",
     "ToomRequiresInteger",
     "UncheckedIR",
-    "UnresolvedInstance",
     "VerilogArtifact",
     "XmlSyntax",
     "billed_cycles",
@@ -106,7 +102,6 @@ __all__ = [
     "emit_testbench",
     "emit_verilog",
     "expr_width",
-    "flatten_hierarchy",
     "fom_area",
     "fom_power",
     "gen_digit_serial",

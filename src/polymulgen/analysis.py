@@ -11,8 +11,8 @@ import csv
 import dataclasses
 import io
 
-from .errors import BadFrequency, BadInput, BadParams
-from .models import ArchKind, _ceil_div
+from .errors import BadFrequency, BadInput
+from .models import ArchKind
 
 CSV_INPUT_COLUMNS = ("label", "m", "n", "d", "freq_mhz", "cycles", "area", "power")
 CSV_OUTPUT_COLUMNS = CSV_INPUT_COLUMNS + (
@@ -88,21 +88,8 @@ def billed_cycles(kind: ArchKind, m: int, n: int | None = None) -> int:
     sub-products is excluded here; use models.cycle_contract for the exact
     number of cycles until the product port is valid.
     """
-    if isinstance(kind, str):
-        kind = ArchKind(kind)
-    if kind is ArchKind.SBM:
-        return m
-    if kind is ArchKind.KARATSUBA2:
-        return _ceil_div(m, 2)
-    if kind is ArchKind.TOOM3:
-        return _ceil_div(m, 3)
-    if kind is ArchKind.TOOM4:
-        return _ceil_div(m, 4)
-    if kind is ArchKind.DIGIT_SERIAL:
-        if n is None:
-            raise BadParams("digit-serial accounting needs n")
-        return _ceil_div(m, n) * n
-    raise BadParams(f"unknown kind {kind}")
+    arch = ArchKind(kind).arch
+    return arch.billed(m, arch.digit(n))
 
 
 # --- CSV input --------------------------------------------------------------

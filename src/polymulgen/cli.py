@@ -15,9 +15,10 @@ Config schema (version 1):
     </config>
 
 job attributes: method (sbm|karatsuba2|toom3|toom4|wrapper), width (bits),
-digit + inner (wrapper only), mode (integer|gf2, default integer), tb,
-tb-vectors, tb-seed.  synth attributes: tool (genus|dc), clock-ns,
-lib (optional library path), report-dir (optional, default "reports").
+digit + inner (wrapper only; inner is optional and must be sbm, the one core
+the wrapper has), mode (integer|gf2, default integer), tb, tb-vectors,
+tb-seed.  synth attributes: tool (genus|dc), clock-ns, lib (optional library
+path), report-dir (optional, default "reports").
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class JobSpec:
     m: int
     mode: ArithMode = ArithMode.INTEGER
     n: int | None = None
-    inner: ArchKind = ArchKind.SBM
     synth: SynthParams | None = None
     emit_tb: bool = False
     tb_vectors: int = 20
@@ -169,22 +169,19 @@ def _job_from_element(el, where: str, default_synth: tuple | None) -> JobSpec:
         mode = ArithMode(raw_mode)
     except ValueError:
         raise SchemaViolation(f"{where}: unknown mode {raw_mode!r}") from None
-    if method in (ArchKind.TOOM3, ArchKind.TOOM4) and mode is not ArithMode.INTEGER:
+    arch = method.arch
+    if mode is not ArithMode.INTEGER and not arch.gf2:
         raise ToomRequiresInteger(f"{where}: {method.value} supports integer mode only")
 
     n = None
-    inner = ArchKind.SBM
-    if method is ArchKind.DIGIT_SERIAL:
+    if arch.needs_digit:
         n = _int_attr(el, "digit", where)
         if n is None:
             raise BadDigit(f"{where}: wrapper jobs need a digit attribute")
         if not (1 <= n <= m):
             raise BadDigit(f"{where}: digit {n} out of range 1..{m}")
-        raw_inner = el.get("inner", ArchKind.SBM.value)
-        try:
-            inner = ArchKind(raw_inner)
-        except ValueError:
-            raise SchemaViolation(f"{where}: unknown inner {raw_inner!r}") from None
+        if el.get("inner", "sbm") != "sbm":
+            raise SchemaViolation(f"{where}: inner={el.get('inner')!r}; the wrapper core is sbm")
     else:
         for attr in ("digit", "inner"):
             if el.get(attr) is not None:
@@ -206,7 +203,6 @@ def _job_from_element(el, where: str, default_synth: tuple | None) -> JobSpec:
         m=m,
         mode=mode,
         n=n,
-        inner=inner,
         synth=_synth_for(proto, top),
         emit_tb=emit_tb,
         tb_vectors=tb_vectors,
@@ -257,21 +253,19 @@ def parse_config(text: str) -> list:
 
 def serialize_config(jobs) -> str:
     """Inverse of parse_config: parse_config(serialize_config(jobs)) == jobs."""
-    defaults = JobSpec(method=ArchKind.SBM, m=8)
+    defaults = {f.name: f.default for f in dataclasses.fields(JobSpec)}
     lines = [f'<config version="{CONFIG_VERSION}">']
     for job in jobs:
         attrs = [f'method="{job.method.value}"', f'width="{job.m}"']
         if job.n is not None:
             attrs.append(f'digit="{job.n}"')
-            if job.inner is not ArchKind.SBM:
-                attrs.append(f'inner="{job.inner.value}"')
         if job.mode is not ArithMode.INTEGER:
             attrs.append(f'mode="{job.mode.value}"')
         if job.emit_tb:
             attrs.append('tb="true"')
-        if job.tb_vectors != defaults.tb_vectors:
+        if job.tb_vectors != defaults["tb_vectors"]:
             attrs.append(f'tb-vectors="{job.tb_vectors}"')
-        if job.tb_seed != defaults.tb_seed:
+        if job.tb_seed != defaults["tb_seed"]:
             attrs.append(f'tb-seed="{job.tb_seed}"')
         head = f"  <job {' '.join(attrs)}"
         if job.synth is None:
@@ -294,22 +288,7 @@ def serialize_config(jobs) -> str:
 
 
 def _gen_params(job: JobSpec) -> GenParams:
-    if job.method is ArchKind.DIGIT_SERIAL:
-        return GenParams(kind=job.method, m=job.m, mode=job.mode, n=job.n, inner=job.inner)
-    return GenParams(kind=job.method, m=job.m, mode=job.mode)
-
-
-def _module_list(top) -> list:
-    """Children before parents, duplicates collapsed by name."""
-    ordered = {}
-
-    def visit(mod):
-        for child in mod.children:
-            visit(child)
-        ordered.setdefault(mod.name, mod)
-
-    visit(top)
-    return list(ordered.values())
+    return GenParams(kind=job.method, m=job.m, mode=job.mode, n=job.n)
 
 
 def _write_text(path: Path, text: str):
@@ -332,7 +311,7 @@ def run_batch(jobs, out_dir) -> BatchResult:
     for job in jobs:
         try:
             top = generate(_gen_params(job))
-            artifact = emit_verilog(_module_list(top))
+            artifact = emit_verilog(list(design_library(top).values()))
             relpaths = [f"vlog/{artifact.file_name}"]
             _write_text(out / relpaths[0], artifact.text)
             if job.emit_tb:
@@ -378,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--method", required=True, choices=_METHODS)
     mo.add_argument("--m", required=True, type=int, help="operand width in bits")
     mo.add_argument("--digit", type=int, help="digit size (wrapper only)")
-    mo.add_argument("--inner", default="sbm", choices=_METHODS, help="wrapper inner method")
     mo.add_argument("--mode", default="integer", choices=_MODES)
     mo.add_argument("--a", required=True, help="first operand, hex")
     mo.add_argument("--b", required=True, help="second operand, hex")
@@ -387,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--method", required=True, choices=_METHODS)
     ve.add_argument("--m", required=True, type=int)
     ve.add_argument("--digit", type=int)
-    ve.add_argument("--inner", default="sbm", choices=_METHODS)
     ve.add_argument("--mode", default="integer", choices=_MODES)
     ve.add_argument("--vectors", type=int, default=200)
     ve.add_argument("--seed", type=int, default=1)
@@ -427,7 +404,6 @@ def _cmd_model(args) -> int:
         args.m,
         ArithMode(args.mode),
         n=args.digit,
-        inner=ArchKind(args.inner),
     )
     print(f"product=0x{trace.product:X}")
     print(f"cycles={trace.cycles}")
@@ -435,14 +411,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    method = ArchKind(args.method)
     mode = ArithMode(args.mode)
-    if method is ArchKind.DIGIT_SERIAL:
-        params = GenParams(kind=method, m=args.m, mode=mode, n=args.digit,
-                           inner=ArchKind(args.inner))
-    else:
-        params = GenParams(kind=method, m=args.m, mode=mode)
-    top = generate(params)
+    top = generate(GenParams(kind=ArchKind(args.method), m=args.m, mode=mode, n=args.digit))
     sim = compile_sim(top, design_library(top))
     rng = random.Random(args.seed)
     for i in range(args.vectors):
@@ -488,10 +458,21 @@ def _retarget_freq_column(text: str, col: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_digit_arg(parser, args) -> None:
+    """--digit is required for the wrapper and refused for every other method."""
+    if ArchKind(args.method).arch.needs_digit:
+        if args.digit is None:
+            parser.error(f"--method {args.method} needs --digit")
+    elif args.digit is not None:
+        parser.error(f"--digit is only valid with a digit-serial method, not {args.method}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cmd in ("model", "verify"):
+            _check_digit_arg(parser, args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

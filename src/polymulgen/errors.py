@@ -21,14 +21,6 @@ class BadDigit(ValueError):
     """Digit size outside 1..m for a digit-serial configuration."""
 
 
-class UnresolvedInstance(ValueError):
-    """An instance references a module name missing from the library."""
-
-
-class CyclicHierarchy(ValueError):
-    """Module instantiation graph contains a cycle."""
-
-
 class UncheckedIR(ValueError):
     """Emission was attempted on IR that still has check() diagnostics."""
 

@@ -15,40 +15,28 @@ shift-add ladders.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from .errors import BadDigit, BadParams
 from .ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not,
-                 Port, Ref, RegDef, RtlModule, Repl, Shl, Slice, Sub, Xor,
-                 expr_width)
-from .models import ArchKind
-from .numeric import INF, ArithMode
+                 Port, Ref, RegDef, RtlModule, Repl, Shl, Slice, Sub, Xor)
+from .numeric import INF, TOOM3_POINTS, TOOM4_POINTS, ArithMode
+
+if TYPE_CHECKING:  # models imports this module for the architecture table
+    from .models import ArchKind
 
 
 @dataclasses.dataclass(frozen=True)
 class GenParams:
-    """Validated parameter bundle for one generated design."""
+    """Parameter bundle for one generated design, validated by its kind's record."""
 
     kind: ArchKind
     m: int
     mode: ArithMode = ArithMode.INTEGER
     n: int | None = None
-    inner: ArchKind | None = None
 
     def __post_init__(self):
-        if self.m < 4:
-            raise BadParams(f"operand width {self.m} < 4")
-        if self.kind in (ArchKind.TOOM3, ArchKind.TOOM4) and self.mode is not ArithMode.INTEGER:
-            raise BadParams(f"{self.kind.value} supports integer mode only")
-        if self.kind is ArchKind.DIGIT_SERIAL:
-            if self.n is None or not 1 <= self.n <= self.m:
-                raise BadDigit(f"digit width {self.n} outside 1..{self.m}")
-            inner = self.inner if self.inner is not None else ArchKind.SBM
-            if inner is not ArchKind.SBM:
-                raise BadParams("digit-serial inner core must be sbm")
-            object.__setattr__(self, "inner", inner)
-        else:
-            if self.n is not None or self.inner is not None:
-                raise BadParams(f"n/inner are digit-serial parameters, not {self.kind.value}")
+        self.kind.validate(self.m, self.mode, self.n)
 
 
 class _Builder:
@@ -72,10 +60,9 @@ class _Builder:
         return Ref("a", wa), Ref("b", wb)
 
     def net(self, name: str, expr) -> Ref:
-        w = expr_width(expr)
-        self._nets.append(Net(name, w))
+        self._nets.append(Net(name, expr.width))
         self._assigns.append(Assign(name, expr))
-        return Ref(name, w)
+        return Ref(name, expr.width)
 
     def tmp(self, expr) -> Ref:
         self._ntmp += 1
@@ -116,7 +103,7 @@ def _ceil_div(x: int, y: int) -> int:
 
 
 def _zext(e, width: int):
-    w = expr_width(e)
+    w = e.width
     if w == width:
         return e
     if w > width:
@@ -126,8 +113,7 @@ def _zext(e, width: int):
 
 def _fit(b: _Builder, e, width: int):
     """Zero-extend or truncate to `width` (truncation is mod 2^width)."""
-    w = expr_width(e)
-    if w <= width:
+    if e.width <= width:
         return _zext(e, width)
     return Slice(b.ref(e), 0, width)
 
@@ -278,11 +264,6 @@ def gen_karatsuba2(m: int, mode: ArithMode = ArithMode.INTEGER) -> RtlModule:
     return b.build(children=(child,))
 
 
-# Toom evaluation points; INF denotes the degree-top coefficient product.
-_TC3_POINTS = (0, 1, -1, 2, INF)
-_TC4_POINTS = (0, 1, -1, 2, -2, 3, INF)
-
-
 def _point_rows(points: tuple, k: int) -> list:
     rows = []
     for p in points:
@@ -415,7 +396,7 @@ def gen_toom3(m: int) -> RtlModule:
     stem = f"mul_tc3_{m}"
     b = _Builder(stem, lat, meta)
     a, bp = b.std_ports(m, m, 2 * m)
-    children, w, sched = _toom_frame(b, a, bp, m, 3, h, lat, _TC3_POINTS, stem, meta)
+    children, w, sched = _toom_frame(b, a, bp, m, 3, h, lat, TOOM3_POINTS, stem, meta)
 
     # Interpolation on a signed window wide enough for every intermediate:
     # the largest magnitude is the divide-by-3 numerator, below 78 * 2^(2h).
@@ -446,7 +427,7 @@ def gen_toom4(m: int) -> RtlModule:
     stem = f"mul_tc4_{m}"
     b = _Builder(stem, lat, meta)
     a, bp = b.std_ports(m, m, 2 * m)
-    children, w, sched = _toom_frame(b, a, bp, m, 4, h, lat, _TC4_POINTS, stem, meta)
+    children, w, sched = _toom_frame(b, a, bp, m, 4, h, lat, TOOM4_POINTS, stem, meta)
 
     # Window sized for the worst intermediate (the w(3) residue, < 2690*2^(2h)).
     W = 2 * h + 14
@@ -510,15 +491,12 @@ def _dsbm_core(name: str, m: int, n: int, mode: ArithMode, meta: tuple) -> RtlMo
     return b.build()
 
 
-def gen_digit_serial(m: int, n: int, inner: ArchKind = ArchKind.SBM,
-                     mode: ArithMode = ArithMode.INTEGER) -> RtlModule:
+def gen_digit_serial(m: int, n: int, mode: ArithMode = ArithMode.INTEGER) -> RtlModule:
     """Digit-serial wrapper: d = ceil(m/n) digits of b, MSB-first, d*n cycles."""
     if m < 4:
         raise BadParams(f"digit-serial needs m >= 4, got {m}")
     if not 1 <= n <= m:
         raise BadDigit(f"digit width {n} outside 1..{m}")
-    if inner is not ArchKind.SBM:
-        raise BadParams("digit-serial inner core must be sbm")
     d = _ceil_div(m, n)
     lat = d * n
     cl = mode is ArithMode.CARRYLESS
@@ -557,41 +535,25 @@ def gen_digit_serial(m: int, n: int, inner: ArchKind = ArchKind.SBM,
 
 
 def generate(params: GenParams) -> RtlModule:
-    """Dispatch one GenParams bundle to its generator."""
-    if params.kind is ArchKind.SBM:
-        return gen_sbm(params.m, params.mode)
-    if params.kind is ArchKind.KARATSUBA2:
-        return gen_karatsuba2(params.m, params.mode)
-    if params.kind is ArchKind.TOOM3:
-        return gen_toom3(params.m)
-    if params.kind is ArchKind.TOOM4:
-        return gen_toom4(params.m)
-    if params.kind is ArchKind.DIGIT_SERIAL:
-        return gen_digit_serial(params.m, params.n, params.inner, params.mode)
-    raise BadParams(f"unknown architecture {params.kind!r}")
+    """Build the design one GenParams bundle describes."""
+    return params.kind.arch.generator(params.m, params.mode, params.n)
 
 
 def top_name(kind: ArchKind, m: int, mode: ArithMode = ArithMode.INTEGER,
              n: int | None = None) -> str:
     """Top module name for a parameter bundle, without generating it."""
-    cl = mode is ArithMode.CARRYLESS
-    if kind is ArchKind.SBM:
-        return f"mul_sbm_cl_{m}" if cl else f"mul_sbm_{m}"
-    if kind is ArchKind.KARATSUBA2:
-        return f"mul_km2_cl_{m}" if cl else f"mul_km2_{m}"
-    if kind is ArchKind.TOOM3:
-        return f"mul_tc3_{m}"
-    if kind is ArchKind.TOOM4:
-        return f"mul_tc4_{m}"
-    if kind is ArchKind.DIGIT_SERIAL:
-        if n is None:
-            raise BadParams("digit-serial name needs n")
-        return f"mul_serial_cl_{m}_{n}" if cl else f"mul_serial_{m}_{n}"
-    raise BadParams(f"unknown architecture {kind!r}")
+    return kind.arch.name(m, mode, n)
 
 
 def design_library(top: RtlModule) -> dict:
-    """name -> module map for a generated design (top plus its children)."""
-    lib = {child.name: child for child in top.children}
-    lib[top.name] = top
+    """name -> module for top and every module below it: children before
+    parents, each name once. Emission and simulation both walk this."""
+    lib = {}
+
+    def visit(mod: RtlModule):
+        for child in mod.children:
+            visit(child)
+        lib.setdefault(mod.name, mod)
+
+    visit(top)
     return lib

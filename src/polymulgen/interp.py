@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .ir import (Add, And, Concat, Const, Mux, Not, Ref, RegDef, Repl, RtlModule,
-                 Shl, Slice, Sub, Xor, expr_refs)
+from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
+                 Slice, Sub, Xor, children, expr_refs, rebuild)
 
 
 @dataclasses.dataclass
@@ -34,29 +34,7 @@ def _subst(e, env: dict):
         if repl is None:
             raise KeyError(f"unbound reference {e.name}")
         return repl
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Slice):
-        return Slice(_subst(e.base, env), e.lo, e.width)
-    if isinstance(e, Concat):
-        return Concat(tuple(_subst(p, env) for p in e.parts))
-    if isinstance(e, Repl):
-        return Repl(e.count, _subst(e.base, env))
-    if isinstance(e, Add):
-        return Add(_subst(e.a, env), _subst(e.b, env))
-    if isinstance(e, Sub):
-        return Sub(_subst(e.a, env), _subst(e.b, env))
-    if isinstance(e, And):
-        return And(_subst(e.a, env), _subst(e.b, env))
-    if isinstance(e, Xor):
-        return Xor(_subst(e.a, env), _subst(e.b, env))
-    if isinstance(e, Not):
-        return Not(_subst(e.base, env))
-    if isinstance(e, Mux):
-        return Mux(_subst(e.cond, env), _subst(e.t, env), _subst(e.f, env))
-    if isinstance(e, Shl):
-        return Shl(_subst(e.base, env), e.amount)
-    raise TypeError(f"unknown expression node {e!r}")
+    return rebuild(e, [_subst(k, env) for k in children(e)])
 
 
 def _flatten(mod: RtlModule, prefix: str, bindings: dict, library: dict,
@@ -99,26 +77,21 @@ def _pysrc(e, names: dict) -> str:
             return f"(({_pysrc(e.base, names)}) & {hex(mask)})"
         return f"((({_pysrc(e.base, names)}) >> {e.lo}) & {hex(mask)})"
     if isinstance(e, Concat):
-        parts = list(e.parts)
         terms = []
         offset = 0
-        from .ir import expr_width
-        for p in reversed(parts):  # LSB side last in the tuple
-            w = expr_width(p)
+        for p in reversed(e.parts):  # LSB side last in the tuple
             if offset:
                 terms.append(f"(({_pysrc(p, names)}) << {offset})")
             else:
                 terms.append(f"({_pysrc(p, names)})")
-            offset += w
+            offset += p.width
         return "(" + " | ".join(terms) + ")"
     if isinstance(e, Repl):
-        from .ir import expr_width
-        w = expr_width(e.base)
+        w = e.base.width
         factor = sum(1 << (i * w) for i in range(e.count))
         return f"(({_pysrc(e.base, names)}) * {hex(factor)})"
     if isinstance(e, (Add, Sub)):
-        from .ir import expr_width
-        mask = (1 << expr_width(e)) - 1
+        mask = (1 << e.width) - 1
         op = "+" if isinstance(e, Add) else "-"
         return f"((({_pysrc(e.a, names)}) {op} ({_pysrc(e.b, names)})) & {hex(mask)})"
     if isinstance(e, And):
@@ -126,8 +99,7 @@ def _pysrc(e, names: dict) -> str:
     if isinstance(e, Xor):
         return f"(({_pysrc(e.a, names)}) ^ ({_pysrc(e.b, names)}))"
     if isinstance(e, Not):
-        from .ir import expr_width
-        mask = (1 << expr_width(e.base)) - 1
+        mask = (1 << e.width) - 1
         return f"(({_pysrc(e.base, names)}) ^ {hex(mask)})"
     if isinstance(e, Mux):
         return (f"(({_pysrc(e.t, names)}) if ({_pysrc(e.cond, names)}) "

@@ -1,8 +1,9 @@
 """Structural RTL intermediate representation.
 
 A module is ports + nets + registers + continuous assigns + child instances.
-Expressions form a width-checked operator tree; there is no implicit
-truncation or extension anywhere, so every width change is an explicit
+Expressions form an operator tree whose nodes check and record their width
+when built; `children`/`rebuild` are the one traversal over it. There is no
+implicit truncation or extension anywhere, so every width change is an explicit
 Slice/Concat/Repl. Registers are posedge-clocked with synchronous active-high
 reset to a constant.
 
@@ -15,9 +16,11 @@ from __future__ import annotations
 import dataclasses
 import re
 
-from .errors import CyclicHierarchy, UnresolvedInstance
-
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+def _set_width(node, width: int) -> None:
+    object.__setattr__(node, "width", width)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,11 +28,21 @@ class Const:
     width: int
     value: int
 
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"const width {self.width} < 1")
+        if not 0 <= self.value < (1 << self.width):
+            raise ValueError(f"const value {self.value} does not fit {self.width} bits")
+
 
 @dataclasses.dataclass(frozen=True)
 class Ref:
     name: str
     width: int
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError(f"ref {self.name} width {self.width} < 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,45 +51,77 @@ class Slice:
     lo: int
     width: int
 
+    def __post_init__(self):
+        bw = self.base.width
+        if self.lo < 0 or self.width < 1 or self.lo + self.width > bw:
+            raise ValueError(f"slice [{self.lo}+:{self.width}] out of {bw}-bit operand")
+
 
 @dataclasses.dataclass(frozen=True)
 class Concat:
     parts: tuple  # most significant part first, as in Verilog {a, b}
+    width: int = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("empty concat")
+        _set_width(self, sum(p.width for p in self.parts))
 
 
 @dataclasses.dataclass(frozen=True)
 class Repl:
     count: int
     base: "Expr"
+    width: int = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"repl count {self.count} < 1")
+        _set_width(self, self.count * self.base.width)
 
 
 @dataclasses.dataclass(frozen=True)
-class Add:
+class _Binary:
+    """Two equal-width operands; the result has their width."""
+
     a: "Expr"
     b: "Expr"
+    width: int = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        wa, wb = self.a.width, self.b.width
+        if wa != wb:
+            raise ValueError(f"{type(self).__name__} operand widths {wa} != {wb}")
+        _set_width(self, wa)
 
 
 @dataclasses.dataclass(frozen=True)
-class Sub:
-    a: "Expr"
-    b: "Expr"
+class Add(_Binary):
+    pass
 
 
 @dataclasses.dataclass(frozen=True)
-class And:
-    a: "Expr"
-    b: "Expr"
+class Sub(_Binary):
+    pass
 
 
 @dataclasses.dataclass(frozen=True)
-class Xor:
-    a: "Expr"
-    b: "Expr"
+class And(_Binary):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class Xor(_Binary):
+    pass
 
 
 @dataclasses.dataclass(frozen=True)
 class Not:
     base: "Expr"
+    width: int = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        _set_width(self, self.base.width)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +129,15 @@ class Mux:
     cond: "Expr"
     t: "Expr"
     f: "Expr"
+    width: int = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.cond.width != 1:
+            raise ValueError("mux condition must be 1 bit")
+        wt, wf = self.t.width, self.f.width
+        if wt != wf:
+            raise ValueError(f"mux arm widths {wt} != {wf}")
+        _set_width(self, wt)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +146,12 @@ class Shl:
 
     base: "Expr"
     amount: int
+    width: int = dataclasses.field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.amount < 0:
+            raise ValueError(f"shift amount {self.amount} < 0")
+        _set_width(self, self.base.width + self.amount)
 
 
 Expr = (Const, Ref, Slice, Concat, Repl, Add, Sub, And, Xor, Not, Mux, Shl)
@@ -155,78 +215,56 @@ class Diagnostic:
 
 
 def expr_width(e) -> int:
-    """Width of an expression, validating every structural constraint on the way.
+    """Width of an expression; every node validates its own width when built."""
+    return e.width
 
-    Raises ValueError with a description on any malformed node.
-    """
-    if isinstance(e, Const):
-        if e.width < 1:
-            raise ValueError(f"const width {e.width} < 1")
-        if not 0 <= e.value < (1 << e.width):
-            raise ValueError(f"const value {e.value} does not fit {e.width} bits")
-        return e.width
-    if isinstance(e, Ref):
-        if e.width < 1:
-            raise ValueError(f"ref {e.name} width {e.width} < 1")
-        return e.width
-    if isinstance(e, Slice):
-        bw = expr_width(e.base)
-        if e.lo < 0 or e.width < 1 or e.lo + e.width > bw:
-            raise ValueError(f"slice [{e.lo}+:{e.width}] out of {bw}-bit operand")
-        return e.width
-    if isinstance(e, Concat):
-        if not e.parts:
-            raise ValueError("empty concat")
-        return sum(expr_width(p) for p in e.parts)
-    if isinstance(e, Repl):
-        if e.count < 1:
-            raise ValueError(f"repl count {e.count} < 1")
-        return e.count * expr_width(e.base)
-    if isinstance(e, (Add, Sub, And, Xor)):
-        wa, wb = expr_width(e.a), expr_width(e.b)
-        if wa != wb:
-            raise ValueError(f"{type(e).__name__} operand widths {wa} != {wb}")
-        return wa
-    if isinstance(e, Not):
-        return expr_width(e.base)
-    if isinstance(e, Mux):
-        if expr_width(e.cond) != 1:
-            raise ValueError("mux condition must be 1 bit")
-        wt, wf = expr_width(e.t), expr_width(e.f)
-        if wt != wf:
-            raise ValueError(f"mux arm widths {wt} != {wf}")
-        return wt
-    if isinstance(e, Shl):
-        if e.amount < 0:
-            raise ValueError(f"shift amount {e.amount} < 0")
-        return expr_width(e.base) + e.amount
-    raise ValueError(f"unknown expression node {e!r}")
+
+def children(e) -> tuple:
+    """The direct sub-expressions of a node, in field order."""
+    t = type(e)
+    if t is Const or t is Ref:
+        return ()
+    if t is Concat:
+        return e.parts
+    if t is Mux:
+        return (e.cond, e.t, e.f)
+    if isinstance(e, _Binary):
+        return (e.a, e.b)
+    return (e.base,)  # Slice, Repl, Not, Shl
+
+
+def rebuild(e, kids):
+    """A node like e whose sub-expressions are kids; its width is derived anew."""
+    t = type(e)
+    if t is Const or t is Ref:
+        return e
+    if t is Concat:
+        return Concat(tuple(kids))
+    if t is Slice:
+        return Slice(kids[0], e.lo, e.width)
+    if t is Repl:
+        return Repl(e.count, kids[0])
+    if t is Shl:
+        return Shl(kids[0], e.amount)
+    return t(*kids)  # Add, Sub, And, Xor, Not, Mux
+
+
+def _ref_nodes(e) -> set:
+    """Every distinct Ref in an expression tree."""
+    refs = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Ref:
+            refs.add(node)
+        else:
+            stack.extend(children(node))
+    return refs
 
 
 def expr_refs(e, out: set) -> set:
     """Collect names of all Refs in an expression tree."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Ref):
-            out.add(node.name)
-        elif isinstance(node, (Const,)):
-            pass
-        elif isinstance(node, Slice):
-            stack.append(node.base)
-        elif isinstance(node, Concat):
-            stack.extend(node.parts)
-        elif isinstance(node, Repl):
-            stack.append(node.base)
-        elif isinstance(node, (Add, Sub, And, Xor)):
-            stack.append(node.a)
-            stack.append(node.b)
-        elif isinstance(node, Not):
-            stack.append(node.base)
-        elif isinstance(node, Mux):
-            stack.extend((node.cond, node.t, node.f))
-        elif isinstance(node, Shl):
-            stack.append(node.base)
+    out.update(r.name for r in _ref_nodes(e))
     return out
 
 
@@ -263,21 +301,16 @@ def check(module: RtlModule, library: dict | None = None) -> list:
               for it, name in ((i, i.name) for i in items)}
 
     def check_expr(item, e, want=None):
-        try:
-            w = expr_width(e)
-        except ValueError as exc:
-            bad("WidthMismatch", item, str(exc))
-            return
-        refs = expr_refs(e, set())
-        for r in sorted(refs):
-            if r not in decls:
-                bad("UnknownRef", item, f"reference to undeclared name {r}")
-            elif decls[r] == "port" and _port(module, r).direction == "out":
-                bad("OutputRead", item, f"output port {r} read inside module")
-        # Ref widths must agree with declarations.
-        _check_ref_widths(e, widths, bad, item)
-        if want is not None and w != want:
-            bad("WidthMismatch", item, f"expression width {w} != target width {want}")
+        for r in sorted(_ref_nodes(e), key=lambda r: (r.name, r.width)):
+            if r.name not in decls:
+                bad("UnknownRef", item, f"reference to undeclared name {r.name}")
+            elif decls[r.name] == "port" and _port(module, r.name).direction == "out":
+                bad("OutputRead", item, f"output port {r.name} read inside module")
+            elif widths[r.name] != r.width:
+                bad("WidthMismatch", item,
+                    f"ref {r.name} width {r.width} != declared {widths[r.name]}")
+        if want is not None and e.width != want:
+            bad("WidthMismatch", item, f"expression width {e.width} != target width {want}")
 
     # Drivers: assigns and instance output bindings; exactly one per net/output.
     drivers = {}
@@ -350,57 +383,3 @@ def _port(module: RtlModule, name: str):
         if p.name == name:
             return p
     return None
-
-
-def _check_ref_widths(e, widths, bad, item):
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Ref):
-            if node.name in widths and widths[node.name] != node.width:
-                bad("WidthMismatch", item,
-                    f"ref {node.name} width {node.width} != declared {widths[node.name]}")
-        elif isinstance(node, Slice):
-            stack.append(node.base)
-        elif isinstance(node, Concat):
-            stack.extend(node.parts)
-        elif isinstance(node, Repl):
-            stack.append(node.base)
-        elif isinstance(node, (Add, Sub, And, Xor)):
-            stack.extend((node.a, node.b))
-        elif isinstance(node, Not):
-            stack.append(node.base)
-        elif isinstance(node, Mux):
-            stack.extend((node.cond, node.t, node.f))
-        elif isinstance(node, Shl):
-            stack.append(node.base)
-
-
-def flatten_hierarchy(top: RtlModule, library: dict) -> list:
-    """Topologically ordered module list: children before parents, duplicates
-    removed, lexicographic visiting order for determinism.
-
-    Raises UnresolvedInstance for a missing child and CyclicHierarchy when the
-    instantiation graph loops.
-    """
-    order = []
-    done = set()
-    in_progress = set()
-
-    def visit(mod: RtlModule):
-        if mod.name in done:
-            return
-        if mod.name in in_progress:
-            raise CyclicHierarchy(f"instantiation cycle through {mod.name}")
-        in_progress.add(mod.name)
-        for child_name in sorted({i.module_name for i in mod.instances}):
-            child = library.get(child_name)
-            if child is None:
-                raise UnresolvedInstance(f"{mod.name} instantiates unknown {child_name}")
-            visit(child)
-        in_progress.discard(mod.name)
-        done.add(mod.name)
-        order.append(mod)
-
-    visit(top)
-    return order

@@ -12,15 +12,22 @@ cycle count of the corresponding RTL. Cycle counts are data-independent:
 
 The +1/+2/+3 constants are the operand-sum bit growth (Karatsuba) and the
 evaluation/recombination register stages (Toom).
+
+`ARCHES` is the architecture table: one record per ArchKind with its name,
+generator, model, latency and validity rules. Code elsewhere reads the record
+instead of branching on the kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+from typing import Callable
 
 from .errors import BadDigit, BadParams, InexactDivision, InternalInterpolationError
-from .numeric import INF, ArithMode, exact_div, fits, join, oracle_mul, signed_eval, split
+from .generators import gen_digit_serial, gen_karatsuba2, gen_sbm, gen_toom3, gen_toom4
+from .numeric import (TOOM3_POINTS, TOOM4_POINTS, ArithMode, exact_div, fits, join,
+                      oracle_mul, signed_eval, split)
 
 
 class ArchKind(enum.Enum):
@@ -30,16 +37,31 @@ class ArchKind(enum.Enum):
     TOOM4 = "toom4"
     DIGIT_SERIAL = "wrapper"
 
+    @property
+    def arch(self) -> "Arch":
+        """This kind's record in the architecture table."""
+        return ARCHES[self]
+
+    def validate(self, m: int, mode: ArithMode, n: int | None) -> "Arch":
+        """Validate one design's parameters against the table; returns the record."""
+        arch = self.arch
+        if m < arch.min_m:
+            raise BadParams(f"{self.value} needs m >= {arch.min_m}, got {m}")
+        if mode is not ArithMode.INTEGER and not arch.gf2:
+            raise BadParams(f"{self.value} supports integer mode only")
+        if not arch.needs_digit:
+            if n is not None:
+                raise BadParams(f"digit width n is a wrapper parameter, not {self.value}")
+        elif n is None or not 1 <= n <= m:
+            raise BadDigit(f"digit width {n} outside 1..{m}")
+        return arch
+
 
 @dataclasses.dataclass(frozen=True)
 class RunTrace:
     product: int
     cycles: int
     sub_mults: int
-
-
-TOOM3_POINTS = (0, 1, -1, 2, INF)
-TOOM4_POINTS = (0, 1, -1, 2, -2, 3, INF)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -55,19 +77,8 @@ def _check_operands(a: int, b: int, m: int) -> None:
 
 def cycle_contract(kind: ArchKind, m: int, n: int | None = None) -> int:
     """Exact latency in clock cycles for a generated (kind, m[, n]) multiplier."""
-    if kind is ArchKind.SBM:
-        return m
-    if kind is ArchKind.KARATSUBA2:
-        return _ceil_div(m, 2) + 1
-    if kind is ArchKind.TOOM3:
-        return _ceil_div(m, 3) + 2
-    if kind is ArchKind.TOOM4:
-        return _ceil_div(m, 4) + 3
-    if kind is ArchKind.DIGIT_SERIAL:
-        if n is None:
-            raise BadParams("digit-serial contract needs n")
-        return _ceil_div(m, n) * n
-    raise BadParams(f"unknown kind {kind}")
+    arch = kind.arch
+    return arch.latency(m, arch.digit(n))
 
 
 def run_sbm(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunTrace:
@@ -162,14 +173,8 @@ def run_toom4(a: int, b: int, m: int) -> RunTrace:
     return RunTrace(product, h + 3, 7)
 
 
-def run_digit_serial(
-    a: int,
-    b: int,
-    m: int,
-    n: int,
-    inner: ArchKind = ArchKind.SBM,
-    mode: ArithMode = ArithMode.INTEGER,
-) -> RunTrace:
+def run_digit_serial(a: int, b: int, m: int, n: int,
+                     mode: ArithMode = ArithMode.INTEGER) -> RunTrace:
     """Digit-serial wrapper: d = ceil(m/n) digits of b, one m-by-n inner SBM.
 
     Each digit product costs n cycles; the total is d*n. With n == m this
@@ -178,8 +183,6 @@ def run_digit_serial(
     _check_operands(a, b, m)
     if n < 1 or n > m:
         raise BadDigit(f"digit size must be in 1..{m}, got {n}")
-    if inner is not ArchKind.SBM:
-        raise BadParams(f"inner method {inner.value} is not supported; use sbm")
     d = _ceil_div(m, n)
     digits = split(b, d, n)
     acc = 0
@@ -192,30 +195,67 @@ def run_digit_serial(
     return RunTrace(acc, d * n, d)
 
 
-def run_model(
-    kind: ArchKind,
-    a: int,
-    b: int,
-    m: int,
-    mode: ArithMode = ArithMode.INTEGER,
-    n: int | None = None,
-    inner: ArchKind = ArchKind.SBM,
-) -> RunTrace:
-    """Dispatch to the architecture model named by kind."""
-    if kind is ArchKind.SBM:
-        return run_sbm(a, b, m, mode)
-    if kind is ArchKind.KARATSUBA2:
-        return run_karatsuba2(a, b, m, mode)
-    if kind is ArchKind.TOOM3:
-        if mode is not ArithMode.INTEGER:
-            raise BadParams("toom3 supports integer mode only")
-        return run_toom3(a, b, m)
-    if kind is ArchKind.TOOM4:
-        if mode is not ArithMode.INTEGER:
-            raise BadParams("toom4 supports integer mode only")
-        return run_toom4(a, b, m)
-    if kind is ArchKind.DIGIT_SERIAL:
-        if n is None:
-            raise BadParams("digit-serial model needs n")
-        return run_digit_serial(a, b, m, n, inner, mode)
-    raise BadParams(f"unknown kind {kind}")
+def run_model(kind: ArchKind, a: int, b: int, m: int,
+              mode: ArithMode = ArithMode.INTEGER, n: int | None = None) -> RunTrace:
+    """Run the behavioural model of kind, for parameters its generator accepts."""
+    return kind.validate(m, mode, n).model(a, b, m, mode, n)
+
+
+@dataclasses.dataclass(frozen=True)
+class Arch:
+    """Every per-architecture fact; the table below holds one per ArchKind."""
+
+    stem: str  # top module name: mul_<stem>[_cl]_<m>[_<n>]
+    min_m: int
+    gf2: bool  # carry-less mode supported
+    needs_digit: bool  # takes a digit width n (the wrapper)
+    latency: Callable  # (m, n) -> exact cycles until c is valid
+    billed: Callable  # (m, n) -> cycles of the serial operand-scanning phase
+    model: Callable  # (a, b, m, mode, n) -> RunTrace
+    generator: Callable  # (m, mode, n) -> RtlModule
+
+    def digit(self, n: int | None) -> int | None:
+        """n, which a digit-serial architecture cannot do without."""
+        if self.needs_digit and n is None:
+            raise BadParams(f"mul_{self.stem} designs need a digit width n")
+        return n
+
+    def name(self, m: int, mode: ArithMode, n: int | None) -> str:
+        """Top module name, without generating the design."""
+        cl = "_cl" if mode is ArithMode.CARRYLESS else ""
+        tail = f"_{self.digit(n)}" if self.needs_digit else ""
+        return f"mul_{self.stem}{cl}_{m}{tail}"
+
+
+ARCHES = {
+    ArchKind.SBM: Arch(
+        "sbm", min_m=4, gf2=True, needs_digit=False,
+        latency=lambda m, n: m,
+        billed=lambda m, n: m,
+        model=lambda a, b, m, mode, n: run_sbm(a, b, m, mode),
+        generator=lambda m, mode, n: gen_sbm(m, mode)),
+    ArchKind.KARATSUBA2: Arch(
+        "km2", min_m=4, gf2=True, needs_digit=False,
+        latency=lambda m, n: _ceil_div(m, 2) + 1,
+        billed=lambda m, n: _ceil_div(m, 2),
+        model=lambda a, b, m, mode, n: run_karatsuba2(a, b, m, mode),
+        generator=lambda m, mode, n: gen_karatsuba2(m, mode)),
+    ArchKind.TOOM3: Arch(
+        "tc3", min_m=6, gf2=False, needs_digit=False,
+        latency=lambda m, n: _ceil_div(m, 3) + 2,
+        billed=lambda m, n: _ceil_div(m, 3),
+        model=lambda a, b, m, mode, n: run_toom3(a, b, m),
+        generator=lambda m, mode, n: gen_toom3(m)),
+    ArchKind.TOOM4: Arch(
+        "tc4", min_m=8, gf2=False, needs_digit=False,
+        latency=lambda m, n: _ceil_div(m, 4) + 3,
+        billed=lambda m, n: _ceil_div(m, 4),
+        model=lambda a, b, m, mode, n: run_toom4(a, b, m),
+        generator=lambda m, mode, n: gen_toom4(m)),
+    ArchKind.DIGIT_SERIAL: Arch(
+        "serial", min_m=4, gf2=True, needs_digit=True,
+        latency=lambda m, n: _ceil_div(m, n) * n,
+        billed=lambda m, n: _ceil_div(m, n) * n,
+        model=lambda a, b, m, mode, n: run_digit_serial(a, b, m, n, mode),
+        generator=lambda m, mode, n: gen_digit_serial(m, n, mode)),
+}

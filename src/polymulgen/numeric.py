@@ -15,6 +15,11 @@ from .errors import InexactDivision
 # Evaluation point "infinity" for split-operand evaluation: selects the top limb.
 INF = float("inf")
 
+# Toom-Cook evaluation points, shared by the generators and the behavioural
+# models; both interpolate for exactly these points, in this order.
+TOOM3_POINTS = (0, 1, -1, 2, INF)
+TOOM4_POINTS = (0, 1, -1, 2, -2, 3, INF)
+
 
 class ArithMode(enum.Enum):
     INTEGER = "integer"

@@ -42,8 +42,14 @@ def test_wrapper_config():
     assert job.method is ArchKind.DIGIT_SERIAL
     assert job.m == 1024
     assert job.n == 64
-    assert job.inner is ArchKind.SBM
     assert job.top_name() == "mul_serial_1024_64"
+
+
+def test_wrapper_inner_must_be_sbm():
+    with pytest.raises(SchemaViolation):
+        parse_config(
+            '<config><job method="wrapper" width="64" digit="8" inner="toom3"/></config>'
+        )
 
 
 def test_toom_gf2_rejected():
@@ -213,6 +219,19 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_design_parameter_errors(capsys):
+    # a width no generator accepts fails like verify and gen do for it
+    assert main(["model", "--method", "toom4", "--m", "5", "--a", "1", "--b", "1"]) == 1
+    # --digit missing for the wrapper, or given to another method: usage errors
+    assert main(["model", "--method", "wrapper", "--m", "16", "--a", "1", "--b", "1"]) == 2
+    assert main(["verify", "--method", "wrapper", "--m", "16", "--vectors", "1"]) == 2
+    assert main(["model", "--method", "sbm", "--m", "16", "--digit", "4",
+                 "--a", "1", "--b", "1"]) == 2
+    assert main(["verify", "--method", "sbm", "--m", "16", "--digit", "4",
+                 "--vectors", "1"]) == 2
+    capsys.readouterr()
+
+
 def test_cli_analyze(tmp_path, capsys):
     src = pathlib.Path(__file__).parent / "fixtures" / "table2.csv"
     out_csv = tmp_path / "report.csv"
@@ -242,3 +261,14 @@ def test_example_config_parses():
     assert ArchKind.DIGIT_SERIAL in methods
     assert any(j.mode is ArithMode.CARRYLESS for j in jobs)
     assert all(j.synth is not None for j in jobs)
+
+
+def test_example_config_manifest_is_unchanged(tmp_path):
+    jobs = parse_config((ROOT / "config.example.xml").read_text())
+    batch = run_batch(jobs, tmp_path)
+    assert batch.fail_count == 0
+    manifest = (tmp_path / "manifest").read_bytes()
+    assert len(manifest.splitlines()) == 15
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "5f27989ef9e0e0f97fd36ee812dd9fb3d9d9f5fe6cd6b88fe394eee7c2f1ac11"
+    )

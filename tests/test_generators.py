@@ -130,8 +130,6 @@ def test_genparams_validation():
         GenParams(ArchKind.DIGIT_SERIAL, 16, n=0)
     with pytest.raises(BadDigit):
         GenParams(ArchKind.DIGIT_SERIAL, 16, n=17)
-    with pytest.raises(BadParams):
-        GenParams(ArchKind.DIGIT_SERIAL, 16, n=4, inner=ArchKind.TOOM3)
 
 
 def test_generator_minimum_widths():

@@ -1,17 +1,17 @@
-"""IR structure, width checking, and hierarchy flattening tests."""
+"""IR structure, width checking, traversal and hierarchy walk tests."""
 
 import pytest
 
-from polymulgen.errors import CyclicHierarchy, UnresolvedInstance
 from polymulgen.generators import design_library, gen_karatsuba2, gen_sbm
 from polymulgen.ir import (
     Add,
+    And,
     Assign,
     Concat,
     Const,
-    Instance,
     Mux,
     Net,
+    Not,
     Port,
     Ref,
     RegDef,
@@ -19,9 +19,12 @@ from polymulgen.ir import (
     RtlModule,
     Shl,
     Slice,
+    Sub,
+    Xor,
     check,
+    children,
     expr_width,
-    flatten_hierarchy,
+    rebuild,
 )
 
 
@@ -210,45 +213,34 @@ def test_identifier_rules():
 
 def test_flatten_hierarchy_children_first():
     top = gen_karatsuba2(16)
-    flat = flatten_hierarchy(top, design_library(top))
-    names = [m.name for m in flat]
+    names = list(design_library(top))
     assert names[-1] == top.name
     assert names[0].startswith("mul_sbm_")
     assert len(names) == 2  # one shared sbm child + top
 
 
-def test_flatten_unresolved_instance():
-    top = gen_karatsuba2(16)
-    with pytest.raises(UnresolvedInstance):
-        flatten_hierarchy(top, {top.name: top})
-
-
-def test_flatten_cyclic_hierarchy():
-    mod = _passthrough()
-    loop = RtlModule(
-        name="loopy",
-        ports=mod.ports,
-        nets=(),
-        regs=(),
-        assigns=mod.assigns,
-        instances=(
-            Instance(
-                "u0",
-                "loopy",
-                (
-                    ("clk", Ref("clk", 1)),
-                    ("rst", Ref("rst", 1)),
-                    ("a", Ref("a", 4)),
-                    ("b", Ref("b", 4)),
-                    ("c", Ref("c", 8)),
-                ),
-            ),
-        ),
-        latency_cycles=1,
-        meta=mod.meta,
-    )
-    with pytest.raises(CyclicHierarchy):
-        flatten_hierarchy(loop, {"loopy": loop})
+def test_rebuild_from_children_is_identity():
+    a, b, bit = Ref("a", 8), Ref("b", 8), Ref("s", 1)
+    nodes = [
+        Const(4, 9),
+        a,
+        Slice(a, 2, 3),
+        Concat((a, Const(2, 0), bit)),
+        Repl(3, bit),
+        Add(a, b),
+        Sub(a, b),
+        And(a, b),
+        Xor(a, b),
+        Not(a),
+        Mux(bit, a, b),
+        Shl(a, 4),
+    ]
+    assert len({type(e) for e in nodes}) == 12  # every node type
+    for e in nodes:
+        again = rebuild(e, children(e))
+        assert again == e
+        assert type(again) is type(e)
+        assert again.width == e.width
 
 
 def test_sbm_module_is_clean():
