@@ -113,18 +113,27 @@ def _opt_bool(text: str | None) -> bool:
     return text.strip() not in ("0", "false", "False")
 
 
-def read_rows(text: str) -> list:
+def read_rows(text: str, freq_col: str | None = None) -> list:
     """Parse report rows from CSV text.
 
     Lines starting with '#' are comments.  Required columns: label, m,
     freq_mhz, cycles.  Optional: n, d, area, power, plus the derived output
     columns.  Any other columns (e.g. ref_* reference values) are kept in
-    row.extras.
+    row.extras.  With freq_col, that column is read as freq_mhz and a
+    freq_mhz column, if any, is kept as the extra ref_freq_mhz.
     """
     lines = [ln for ln in text.splitlines() if not ln.lstrip().startswith("#") and ln.strip()]
     reader = csv.DictReader(lines)
     if reader.fieldnames is None:
         raise BadInput("empty CSV")
+    if freq_col is not None:
+        names = [c.strip() for c in reader.fieldnames]
+        if freq_col not in names:
+            raise BadInput(f"column {freq_col!r} not in CSV header {names}")
+        i = names.index(freq_col)
+        names = ["ref_freq_mhz" if c == "freq_mhz" else c for c in names]
+        names[i] = "freq_mhz"
+        reader.fieldnames = names
     known = set(CSV_OUTPUT_COLUMNS)
     missing = {"label", "m", "freq_mhz", "cycles"} - set(reader.fieldnames)
     if missing:

@@ -31,13 +31,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from .errors import (
-    BadDigit,
-    BadInput,
-    SchemaViolation,
-    ToomRequiresInteger,
-    XmlSyntax,
-)
+from .errors import BadDigit, BadParams, SchemaViolation, XmlSyntax
 from .generators import GenParams, design_library, generate, top_name
 from .interp import compile_sim
 from .models import ArchKind, run_model
@@ -169,26 +163,23 @@ def _job_from_element(el, where: str, default_synth: tuple | None) -> JobSpec:
         mode = ArithMode(raw_mode)
     except ValueError:
         raise SchemaViolation(f"{where}: unknown mode {raw_mode!r}") from None
-    arch = method.arch
-    if mode is not ArithMode.INTEGER and not arch.gf2:
-        raise ToomRequiresInteger(f"{where}: {method.value} supports integer mode only")
-
-    n = None
-    if arch.needs_digit:
-        n = _int_attr(el, "digit", where)
-        if n is None:
-            raise BadDigit(f"{where}: wrapper jobs need a digit attribute")
-        if not (1 <= n <= m):
-            raise BadDigit(f"{where}: digit {n} out of range 1..{m}")
-        if el.get("inner", "sbm") != "sbm":
-            raise SchemaViolation(f"{where}: inner={el.get('inner')!r}; the wrapper core is sbm")
-    else:
-        for attr in ("digit", "inner"):
-            if el.get(attr) is not None:
-                raise SchemaViolation(f"{where}: {attr} is only valid for method=wrapper")
+    n = _int_attr(el, "digit", where)
+    try:
+        arch = method.validate(m, mode, n)
+    except (SchemaViolation, BadDigit) as e:
+        raise type(e)(f"{where}: {e}") from None
+    except BadParams as e:
+        raise SchemaViolation(f"{where}: {e}") from None
+    inner = el.get("inner")
+    if inner is not None and not arch.needs_digit:
+        raise SchemaViolation(f"{where}: inner is only valid for method=wrapper")
+    if inner not in (None, "sbm"):
+        raise SchemaViolation(f"{where}: inner={inner!r}; the wrapper core is sbm")
 
     emit_tb = _bool_attr(el, "tb", where)
     tb_vectors = _int_attr(el, "tb-vectors", where, 20)
+    if tb_vectors < 1:
+        raise SchemaViolation(f"{where}: tb-vectors must be at least 1, got {tb_vectors}")
     tb_seed = _int_attr(el, "tb-seed", where, 1)
 
     proto = default_synth
@@ -342,6 +333,19 @@ _METHODS = tuple(k.value for k in ArchKind)
 _MODES = tuple(mo.value for mo in ArithMode)
 
 
+def _hex_operand(text: str) -> int:
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a hexadecimal number") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymulgen",
@@ -358,15 +362,15 @@ def _build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--m", required=True, type=int, help="operand width in bits")
     mo.add_argument("--digit", type=int, help="digit size (wrapper only)")
     mo.add_argument("--mode", default="integer", choices=_MODES)
-    mo.add_argument("--a", required=True, help="first operand, hex")
-    mo.add_argument("--b", required=True, help="second operand, hex")
+    mo.add_argument("--a", required=True, type=_hex_operand, help="first operand, hex")
+    mo.add_argument("--b", required=True, type=_hex_operand, help="second operand, hex")
 
     ve = sub.add_parser("verify", help="check generated RTL against the arithmetic oracle")
     ve.add_argument("--method", required=True, choices=_METHODS)
     ve.add_argument("--m", required=True, type=int)
     ve.add_argument("--digit", type=int)
     ve.add_argument("--mode", default="integer", choices=_MODES)
-    ve.add_argument("--vectors", type=int, default=200)
+    ve.add_argument("--vectors", type=_positive_int, default=200)
     ve.add_argument("--seed", type=int, default=1)
 
     an = sub.add_parser("analyze", help="latency / figure-of-merit sweep report from CSV")
@@ -399,8 +403,8 @@ def _cmd_gen(args) -> int:
 def _cmd_model(args) -> int:
     trace = run_model(
         ArchKind(args.method),
-        int(args.a, 16),
-        int(args.b, 16),
+        args.a,
+        args.b,
         args.m,
         ArithMode(args.mode),
         n=args.digit,
@@ -434,9 +438,7 @@ def _cmd_analyze(args) -> int:
     except OSError as e:
         print(f"cannot read csv: {e}", file=sys.stderr)
         return 2
-    if args.freq_col:
-        text = _retarget_freq_column(text, args.freq_col)
-    rows = analysis.read_rows(text)
+    rows = analysis.read_rows(text, freq_col=args.freq_col)
     report = analysis.sweep_report(rows)
     sys.stdout.write(report.table_text)
     if args.out:
@@ -444,35 +446,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _retarget_freq_column(text: str, col: str) -> str:
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.strip() and not line.lstrip().startswith("#"):
-            names = [c.strip() for c in line.split(",")]
-            if col not in names:
-                raise BadInput(f"column {col!r} not in CSV header {names}")
-            names = ["ref_freq_mhz" if c == "freq_mhz" else c for c in names]
-            names[names.index(col)] = "freq_mhz"
-            lines[i] = ",".join(names)
-            break
-    return "\n".join(lines) + "\n"
-
-
-def _check_digit_arg(parser, args) -> None:
-    """--digit is required for the wrapper and refused for every other method."""
-    if ArchKind(args.method).arch.needs_digit:
-        if args.digit is None:
-            parser.error(f"--method {args.method} needs --digit")
-    elif args.digit is not None:
-        parser.error(f"--digit is only valid with a digit-serial method, not {args.method}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd in ("model", "verify"):
-            _check_digit_arg(parser, args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
@@ -484,7 +461,10 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.cmd == "analyze":
             return _cmd_analyze(args)
-    except (ValueError, OSError) as e:
+    except (BadParams, BadDigit) as e:  # a design parameter outside the table
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except (ValueError, OverflowError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 2

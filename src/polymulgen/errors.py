@@ -33,8 +33,8 @@ class SchemaViolation(ValueError):
     """Config XML is well-formed but violates the job schema."""
 
 
-class ToomRequiresInteger(SchemaViolation):
-    """A Toom method was configured with the carry-less mode."""
+class ToomRequiresInteger(SchemaViolation, BadParams):
+    """A Toom method was asked for the carry-less mode (in a config or a call)."""
 
 
 class BadFrequency(ValueError):

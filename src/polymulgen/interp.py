@@ -1,9 +1,11 @@
 """Reference interpreter for the RTL IR.
 
-The instance tree is flattened into one combinational netlist plus a register
-set, then compiled to a pair of Python functions (one clock step, one output
-read). Semantics per posedge: evaluate every net from pre-edge register state
-and the held inputs, then commit all registers at once; a register whose
+The instance tree is flattened by renaming: each net of each module instance
+gets a fresh Python identifier, each register a slot S[i] of the state list,
+and a child port bound to a parent net reuses that net's identifier. The
+netlist is rendered once, in topological order, into one step function.
+Semantics per posedge: evaluate every net from pre-edge register state and
+the held inputs, then commit all registers at once; a register whose
 module-level rst input evaluates to 1 commits its reset constant instead.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
@@ -12,58 +14,44 @@ A transaction is: registers at reset values (the one-cycle rst pulse), then
 
 from __future__ import annotations
 
-import dataclasses
+import graphlib
+import itertools
 
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
-                 Slice, Sub, Xor, children, expr_refs, rebuild)
+                 Slice, Sub, Xor, expr_refs)
 
 
-@dataclasses.dataclass
-class _FlatReg:
-    name: str
-    width: int
-    reset: int
-    next: object
-    rst: object  # expression for this register's module rst input
+def _net(e, names: dict) -> tuple:
+    """(Python source, flat identifiers read) of one expression."""
+    return _pysrc(e, names), {names[r] for r in expr_refs(e)}
 
 
-def _subst(e, env: dict):
-    """Rewrite every Ref through env (name -> replacement expression)."""
-    if isinstance(e, Ref):
-        repl = env.get(e.name)
-        if repl is None:
-            raise KeyError(f"unbound reference {e.name}")
-        return repl
-    return rebuild(e, [_subst(k, env) for k in children(e)])
+def _flatten(mod: RtlModule, names: dict, library: dict, fresh, nets: dict,
+             regs: list) -> None:
+    """Add mod and the instances below it to the flat netlist.
 
-
-def _flatten(mod: RtlModule, prefix: str, bindings: dict, library: dict,
-             regs: list, assigns: list) -> None:
-    env = dict(bindings)
+    `names` maps mod's ports to the identifiers the caller bound them to.
+    `nets` maps each flat net identifier to `_net` of its driver; `regs`
+    collects (reset, rst identifier, Python source of next).
+    """
+    names = dict(names)
     for n in mod.nets:
-        env[n.name] = Ref(prefix + n.name, n.width)
-    for r in mod.regs:
-        env[r.name] = Ref(prefix + r.name, r.width)
-
+        names[n.name] = next(fresh)
+    for i, r in enumerate(mod.regs, len(regs)):
+        names[r.name] = f"S[{i}]"
     for a in mod.assigns:
-        if any(p.name == a.target and p.direction == "out" for p in mod.ports):
-            target = bindings[a.target]  # parent net ref the output is bound to
-        else:
-            target = env[a.target]
-        assigns.append((target.name, target.width, _subst(a.expr, env)))
-
-    rst_expr = bindings["rst"]
+        nets[names[a.target]] = _net(a.expr, names)
     for r in mod.regs:
-        regs.append(_FlatReg(prefix + r.name, r.width, r.reset,
-                             _subst(r.next, env), rst_expr))
-
+        regs.append((r.reset, names["rst"], _pysrc(r.next, names)))
     for inst in mod.instances:
-        child = library[inst.module_name]
-        child_bindings = {}
-        for pname, expr in inst.bindings:
-            child_bindings[pname] = _subst(expr, env)
-        _flatten(child, prefix + inst.name + "__", child_bindings, library,
-                 regs, assigns)
+        bound = {}
+        for port, e in inst.bindings:
+            if type(e) is Ref:
+                bound[port] = names[e.name]
+            else:
+                bound[port] = next(fresh)
+                nets[bound[port]] = _net(e, names)
+        _flatten(library[inst.module_name], bound, library, fresh, nets, regs)
 
 
 def _pysrc(e, names: dict) -> str:
@@ -118,82 +106,26 @@ class Simulator:
         self._aw = top.ports[2].width
         self._bw = top.ports[3].width
 
+        nets: dict = {}
         regs: list = []
-        assigns: list = []
-        bindings = {
-            "clk": Ref("clk", 1),
-            "rst": Ref("rst", 1),
-            "a": Ref("a", self._aw),
-            "b": Ref("b", self._bw),
-            "c": Ref("c", top.ports[4].width),
-        }
-        _flatten(top, "", bindings, library, regs, assigns)
-        self._regs = regs
-
-        # Deterministic Python identifiers for every flat name.
-        names = {"a": "a", "b": "b", "rst": "rst", "clk": "clk"}
-        for i, (target, _, _) in enumerate(assigns):
-            names.setdefault(target, f"n{i}")
-        for i, r in enumerate(regs):
-            names[r.name] = f"S[{i}]"
-
-        order = self._topo(assigns, {r.name for r in regs})
-
-        lines = ["def _step(S, a, b, rst):"]
-        for idx in order:
-            target, _, expr = assigns[idx]
-            lines.append(f"    {names[target]} = {_pysrc(expr, names)}")
-        for i, r in enumerate(regs):
-            lines.append(f"    t{i} = {hex(r.reset)} if ({_pysrc(r.rst, names)}) "
-                         f"else ({_pysrc(r.next, names)})")
-        for i in range(len(regs)):
-            lines.append(f"    S[{i}] = t{i}")
-        lines.append("    return S")
-        lines.append("def _out(S, a, b, rst):")
-        out_var = None
-        for idx in order:
-            target, _, expr = assigns[idx]
-            lines.append(f"    {names[target]} = {_pysrc(expr, names)}")
-            if target == "c":
-                out_var = names[target]
-        if out_var is None:
+        ports = {p.name: p.name for p in top.ports}
+        fresh = (f"n{i}" for i in itertools.count())
+        _flatten(top, ports, library, fresh, nets, regs)
+        if "c" not in nets:
             raise ValueError("top output c is never driven")
-        lines.append(f"    return {out_var}")
+        self._resets = [reset for reset, _, _ in regs]
+
+        # A CycleError (a ValueError) here is a combinational loop.
+        graph = {t: sorted(refs & nets.keys()) for t, (_, refs) in nets.items()}
+        lines = ["def _step(S, a, b, rst):"]
+        for t in graphlib.TopologicalSorter(graph).static_order():
+            lines.append(f"    {t} = {nets[t][0]}")
+        commits = ", ".join(f"{hex(reset)} if {rst} else {nxt}" for reset, rst, nxt in regs)
+        lines.append(f"    S[:] = [{commits}]")
+        lines.append("    return c")
         ns: dict = {}
         exec("\n".join(lines), ns)  # compiled once per configuration
         self._step = ns["_step"]
-        self._read = ns["_out"]
-
-    def _topo(self, assigns, reg_names) -> list:
-        """Topological order of assign indices; raises on combinational loops."""
-        by_target = {t: i for i, (t, _, _) in enumerate(assigns)}
-        deps = []
-        for _, _, expr in assigns:
-            refs = expr_refs(expr, set())
-            deps.append(sorted(by_target[r] for r in refs
-                               if r in by_target))
-        order: list = []
-        state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
-        for root in range(len(assigns)):
-            if state[root]:
-                continue
-            stack = [(root, 0)]
-            state[root] = 1
-            while stack:
-                node, di = stack[-1]
-                if di < len(deps[node]):
-                    stack[-1] = (node, di + 1)
-                    nxt = deps[node][di]
-                    if state[nxt] == 1:
-                        raise ValueError("combinational loop in netlist")
-                    if state[nxt] == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, 0))
-                else:
-                    state[node] = 2
-                    order.append(node)
-                    stack.pop()
-        return order
 
     def run(self, a: int, b: int, cycles: int | None = None) -> int:
         """One full transaction: reset, apply operands for `cycles` posedges,
@@ -202,11 +134,11 @@ class Simulator:
             raise OverflowError("operands do not fit the module ports")
         if cycles is None:
             cycles = self.latency
-        state = [r.reset for r in self._regs]
+        state = list(self._resets)
         step = self._step
         for _ in range(cycles):
             step(state, a, b, 0)
-        return self._read(state, a, b, 0)
+        return step(state, a, b, 0)  # c before this edge; the commit is discarded
 
 
 def compile_sim(top: RtlModule, library: dict) -> Simulator:

@@ -2,8 +2,8 @@
 
 A module is ports + nets + registers + continuous assigns + child instances.
 Expressions form an operator tree whose nodes check and record their width
-when built; `children`/`rebuild` are the one traversal over it. There is no
-implicit truncation or extension anywhere, so every width change is an explicit
+when built; `children` is the one traversal over it. There is no implicit
+truncation or extension anywhere, so every width change is an explicit
 Slice/Concat/Repl. Registers are posedge-clocked with synchronous active-high
 reset to a constant.
 
@@ -233,22 +233,6 @@ def children(e) -> tuple:
     return (e.base,)  # Slice, Repl, Not, Shl
 
 
-def rebuild(e, kids):
-    """A node like e whose sub-expressions are kids; its width is derived anew."""
-    t = type(e)
-    if t is Const or t is Ref:
-        return e
-    if t is Concat:
-        return Concat(tuple(kids))
-    if t is Slice:
-        return Slice(kids[0], e.lo, e.width)
-    if t is Repl:
-        return Repl(e.count, kids[0])
-    if t is Shl:
-        return Shl(kids[0], e.amount)
-    return t(*kids)  # Add, Sub, And, Xor, Not, Mux
-
-
 def _ref_nodes(e) -> set:
     """Every distinct Ref in an expression tree."""
     refs = set()
@@ -262,10 +246,9 @@ def _ref_nodes(e) -> set:
     return refs
 
 
-def expr_refs(e, out: set) -> set:
-    """Collect names of all Refs in an expression tree."""
-    out.update(r.name for r in _ref_nodes(e))
-    return out
+def expr_refs(e) -> set:
+    """Names of all Refs in an expression tree."""
+    return {r.name for r in _ref_nodes(e)}
 
 
 def check(module: RtlModule, library: dict | None = None) -> list:

@@ -24,7 +24,8 @@ import dataclasses
 import enum
 from typing import Callable
 
-from .errors import BadDigit, BadParams, InexactDivision, InternalInterpolationError
+from .errors import (BadDigit, BadParams, InexactDivision, InternalInterpolationError,
+                     ToomRequiresInteger)
 from .generators import gen_digit_serial, gen_karatsuba2, gen_sbm, gen_toom3, gen_toom4
 from .numeric import (TOOM3_POINTS, TOOM4_POINTS, ArithMode, exact_div, fits, join,
                       oracle_mul, signed_eval, split)
@@ -48,12 +49,12 @@ class ArchKind(enum.Enum):
         if m < arch.min_m:
             raise BadParams(f"{self.value} needs m >= {arch.min_m}, got {m}")
         if mode is not ArithMode.INTEGER and not arch.gf2:
-            raise BadParams(f"{self.value} supports integer mode only")
+            raise ToomRequiresInteger(f"{self.value} supports integer mode only")
         if not arch.needs_digit:
             if n is not None:
                 raise BadParams(f"digit width n is a wrapper parameter, not {self.value}")
         elif n is None or not 1 <= n <= m:
-            raise BadDigit(f"digit width {n} outside 1..{m}")
+            raise BadDigit(f"{self.value} needs a digit width n in 1..{m}, got {n}")
         return arch
 
 

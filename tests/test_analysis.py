@@ -85,6 +85,17 @@ def test_read_rows_comments_and_extras():
     assert float(first.extra("ref_latency_us")) == pytest.approx(0.382)
 
 
+def test_read_rows_freq_col():
+    text = "label,m,n,d,freq_mhz,mhz,cycles,area,power\nx,16,,,250,100,16,5,2\n"
+    (row,) = read_rows(text, freq_col="mhz")
+    assert row.freq_mhz == 100.0
+    assert ("ref_freq_mhz", "250") in row.extras
+    (row,) = read_rows(text, freq_col="freq_mhz")
+    assert row.freq_mhz == 250.0
+    with pytest.raises(BadInput):
+        read_rows(text, freq_col="ghz")
+
+
 def test_read_rows_missing_columns():
     with pytest.raises(BadInput):
         read_rows("label,m\nx,8\n")

@@ -151,9 +151,8 @@ def test_run_batch_layout_and_manifest(tmp_path):
 
 
 def test_run_batch_isolates_failures(tmp_path):
-    jobs = parse_config(
-        '<config><job method="sbm" width="3"/><job method="sbm" width="16"/></config>'
-    )
+    # parse_config refuses width 3, so the failing job is built directly
+    jobs = [JobSpec(method=ArchKind.SBM, m=3), JobSpec(method=ArchKind.SBM, m=16)]
     batch = run_batch(jobs, tmp_path)
     assert len(batch.results) == 2
     assert batch.fail_count == 1
@@ -202,9 +201,15 @@ def test_cli_gen_and_exit_codes(tmp_path, capsys):
     cfg.write_text('<config><job method="sbm" width="8"/></config>')
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
+    # a width below the table's minimum is a config error, caught at parse time
     cfg.write_text('<config><job method="sbm" width="3"/></config>')
-    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 1
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 2
     capsys.readouterr()
+    # a job that fails while writing is a job failure
+    cfg.write_text('<config><job method="sbm" width="8"/><job method="sbm" width="16"/></config>')
+    (tmp_path / "o4" / "vlog" / "mul_sbm_8.v").mkdir(parents=True)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o4")]) == 1
+    assert "1 ok, 1 failed" in capsys.readouterr().out
     cfg.write_text("<config><job")
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 2
     capsys.readouterr()
@@ -220,9 +225,18 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_design_parameter_errors(capsys):
-    # a width no generator accepts fails like verify and gen do for it
-    assert main(["model", "--method", "toom4", "--m", "5", "--a", "1", "--b", "1"]) == 1
-    # --digit missing for the wrapper, or given to another method: usage errors
+    # every design parameter outside the architecture table is exit 2
+    assert main(["model", "--method", "toom4", "--m", "5", "--a", "1", "--b", "1"]) == 2
+    assert main(["verify", "--method", "toom4", "--m", "5", "--vectors", "1"]) == 2
+    assert main(["model", "--method", "toom3", "--m", "16", "--mode", "gf2",
+                 "--a", "1", "--b", "1"]) == 2
+    assert main(["verify", "--method", "toom3", "--m", "16", "--mode", "gf2",
+                 "--vectors", "1"]) == 2
+    assert main(["model", "--method", "wrapper", "--m", "16", "--digit", "20",
+                 "--a", "1", "--b", "1"]) == 2
+    assert main(["verify", "--method", "wrapper", "--m", "16", "--digit", "0",
+                 "--vectors", "1"]) == 2
+    # --digit missing for the wrapper, or given to another method
     assert main(["model", "--method", "wrapper", "--m", "16", "--a", "1", "--b", "1"]) == 2
     assert main(["verify", "--method", "wrapper", "--m", "16", "--vectors", "1"]) == 2
     assert main(["model", "--method", "sbm", "--m", "16", "--digit", "4",
@@ -230,6 +244,47 @@ def test_cli_design_parameter_errors(capsys):
     assert main(["verify", "--method", "sbm", "--m", "16", "--digit", "4",
                  "--vectors", "1"]) == 2
     capsys.readouterr()
+
+
+def test_config_design_parameter_errors():
+    # the same rules as the CLI, reported with the job's location
+    with pytest.raises(SchemaViolation) as exc:
+        parse_config('<config><job method="sbm" width="8"/>'
+                     '<job method="toom4" width="5"/></config>')
+    assert "config/job[1]" in str(exc.value)
+    with pytest.raises(ToomRequiresInteger) as exc:
+        parse_config('<config><job method="toom3" width="192" mode="gf2"/></config>')
+    assert "config/job[0]" in str(exc.value)
+    with pytest.raises(BadDigit) as exc:
+        parse_config('<config><job method="wrapper" width="64" digit="0"/></config>')
+    assert "config/job[0]" in str(exc.value)
+    with pytest.raises(SchemaViolation):
+        parse_config('<config><job method="sbm" width="64" inner="sbm"/></config>')
+
+
+def test_config_tb_vectors_must_be_positive():
+    for count in ("0", "-2"):
+        with pytest.raises(SchemaViolation) as exc:
+            parse_config(f'<config><job method="sbm" width="8" tb="true" '
+                         f'tb-vectors="{count}"/></config>')
+        assert "tb-vectors" in str(exc.value)
+
+
+def test_cli_operand_errors(capsys):
+    # an operand wider than --m is a domain error: exit 1 with an error line
+    assert main(["model", "--method", "sbm", "--m", "8", "--a", "1FF", "--b", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+    # an operand that is not hex is a usage error
+    assert main(["model", "--method", "sbm", "--m", "8", "--a", "zz", "--b", "1"]) == 2
+    assert "hexadecimal" in capsys.readouterr().err
+
+
+def test_cli_verify_needs_a_vector(capsys):
+    for count in ("0", "-3", "x"):
+        assert main(["verify", "--method", "sbm", "--m", "8", "--vectors", count]) == 2
+        captured = capsys.readouterr()
+        assert "ok" not in captured.out
+        assert "positive integer" in captured.err
 
 
 def test_cli_analyze(tmp_path, capsys):

@@ -23,8 +23,8 @@ from polymulgen.ir import (
     Xor,
     check,
     children,
+    expr_refs,
     expr_width,
-    rebuild,
 )
 
 
@@ -219,28 +219,27 @@ def test_flatten_hierarchy_children_first():
     assert len(names) == 2  # one shared sbm child + top
 
 
-def test_rebuild_from_children_is_identity():
+def test_children_of_every_node_type():
     a, b, bit = Ref("a", 8), Ref("b", 8), Ref("s", 1)
-    nodes = [
-        Const(4, 9),
-        a,
-        Slice(a, 2, 3),
-        Concat((a, Const(2, 0), bit)),
-        Repl(3, bit),
-        Add(a, b),
-        Sub(a, b),
-        And(a, b),
-        Xor(a, b),
-        Not(a),
-        Mux(bit, a, b),
-        Shl(a, 4),
+    cases = [
+        (Const(4, 9), ()),
+        (a, ()),
+        (Slice(a, 2, 3), (a,)),
+        (Concat((a, Const(2, 0), bit)), (a, Const(2, 0), bit)),
+        (Repl(3, bit), (bit,)),
+        (Add(a, b), (a, b)),
+        (Sub(a, b), (a, b)),
+        (And(a, b), (a, b)),
+        (Xor(a, b), (a, b)),
+        (Not(a), (a,)),
+        (Mux(bit, a, b), (bit, a, b)),
+        (Shl(a, 4), (a,)),
     ]
-    assert len({type(e) for e in nodes}) == 12  # every node type
-    for e in nodes:
-        again = rebuild(e, children(e))
-        assert again == e
-        assert type(again) is type(e)
-        assert again.width == e.width
+    assert len({type(e) for e, _ in cases}) == 12  # every node type
+    for e, kids in cases:
+        assert children(e) == kids
+    tree = Mux(bit, Add(a, Shl(Slice(b, 0, 4), 4)), Not(Concat((bit, Repl(7, bit)))))
+    assert expr_refs(tree) == {"a", "b", "s"}
 
 
 def test_sbm_module_is_clean():
