@@ -17,7 +17,6 @@ from .analysis import (
     read_rows,
     sweep_report,
 )
-from .cli import BatchResult, JobResult, JobSpec, main, parse_config, run_batch, serialize_config
 from .errors import (
     BadDigit,
     BadFrequency,
@@ -66,6 +65,19 @@ from .verilog import (
 )
 
 __version__ = "0.1.0"
+
+# The command-line module loads on first use, so `python -m polymulgen.cli`
+# does not find it imported already (runpy warns when it does).
+_CLI_NAMES = ("BatchResult", "JobResult", "JobSpec", "main", "parse_config", "run_batch",
+              "serialize_config")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArchKind",

@@ -1,12 +1,25 @@
 """Reference interpreter for the RTL IR.
 
 The instance tree is flattened by renaming: each net of each module instance
-gets a fresh Python identifier, each register a slot S[i] of the state list,
-and a child port bound to a parent net reuses that net's identifier. The
-netlist is rendered once, in topological order, into one step function.
-Semantics per posedge: evaluate every net from pre-edge register state and
-the held inputs, then commit all registers at once; a register whose
-module-level rst input evaluates to 1 commits its reset constant instead.
+gets a fresh Python identifier n<i>, each register a local r<i>, and a child
+port bound to a parent net reuses that net's identifier. The netlist is then
+rendered once into one kernel per design, `_run(a, b, cycles)`, which runs a
+whole transaction in four parts:
+
+- hoist: nets that read only the operands a/b, constants and other such nets
+  are computed once, above the cycle loop;
+- loop: each cycle evaluates, from the pre-edge state, the nets the
+  registers need, then commits every register at once with one tuple
+  assignment. rst is the constant 0 during a run, so only a register whose
+  module-level rst is a net (toom's `crst = rst | ld`) keeps its reset mux;
+- gated blocks: a register whose next is Mux(g, X, itself) or
+  Mux(g, itself, X) reads X only when it loads. Every net that only such
+  arms read, under one guard g and polarity, is evaluated inside one
+  `if g:` (or `if not g:`) block, and the register commits `X if g else
+  itself` (or `itself if g else X`);
+- output cone: c's cone is evaluated once, after the loop, from the final
+  state, so `run(a, b, cycles=k)` returns what c shows after k posedges for
+  every k.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -15,10 +28,11 @@ A transaction is: registers at reset values (the one-cycle rst pulse), then
 from __future__ import annotations
 
 import graphlib
-import itertools
 
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
                  Slice, Sub, Xor, expr_refs)
+
+_LOOP = "loop"  # placement of a net evaluated every cycle, outside any gated block
 
 
 def _net(e, names: dict) -> tuple:
@@ -26,32 +40,46 @@ def _net(e, names: dict) -> tuple:
     return _pysrc(e, names), {names[r] for r in expr_refs(e)}
 
 
-def _flatten(mod: RtlModule, names: dict, library: dict, fresh, nets: dict,
+def _fresh(origin: dict, where: tuple) -> str:
+    ident = f"n{len(origin)}"
+    origin[ident] = where
+    return ident
+
+
+def _flatten(mod: RtlModule, names: dict, library: dict, origin: dict, nets: dict,
              regs: list) -> None:
     """Add mod and the instances below it to the flat netlist.
 
     `names` maps mod's ports to the identifiers the caller bound them to.
-    `nets` maps each flat net identifier to `_net` of its driver; `regs`
-    collects (reset, rst identifier, Python source of next).
+    `origin` maps each fresh net identifier to its (module, net) name,
+    `nets` each driven one to `_net` of its driver; `regs` collects
+    (identifier, reset, rst identifier, guard, polarity, `_net` of the
+    loaded value). A hold-mux register loads only when its guard
+    identifier equals the polarity; any other register has guard None.
     """
     names = dict(names)
     for n in mod.nets:
-        names[n.name] = next(fresh)
+        names[n.name] = _fresh(origin, (mod.name, n.name))
     for i, r in enumerate(mod.regs, len(regs)):
-        names[r.name] = f"S[{i}]"
+        names[r.name] = f"r{i}"
     for a in mod.assigns:
         nets[names[a.target]] = _net(a.expr, names)
     for r in mod.regs:
-        regs.append((r.reset, names["rst"], _pysrc(r.next, names)))
+        load, guard, polarity = r.next, None, True
+        itself = Ref(r.name, r.width)
+        if type(load) is Mux and type(load.cond) is Ref and itself in (load.t, load.f):
+            guard, polarity = names[load.cond.name], load.f == itself
+            load = load.t if polarity else load.f
+        regs.append((names[r.name], r.reset, names["rst"], guard, polarity, _net(load, names)))
     for inst in mod.instances:
         bound = {}
         for port, e in inst.bindings:
             if type(e) is Ref:
                 bound[port] = names[e.name]
             else:
-                bound[port] = next(fresh)
+                bound[port] = _fresh(origin, (mod.name, f"{inst.name}.{port}"))
                 nets[bound[port]] = _net(e, names)
-        _flatten(library[inst.module_name], bound, library, fresh, nets, regs)
+        _flatten(library[inst.module_name], bound, library, origin, nets, regs)
 
 
 def _pysrc(e, names: dict) -> str:
@@ -97,6 +125,73 @@ def _pysrc(e, names: dict) -> str:
     raise TypeError(f"unknown expression node {e!r}")
 
 
+def _commit(reg: tuple) -> str:
+    """Python source of one register's value after the edge."""
+    ident, reset, rst, guard, polarity, (load, _) = reg
+    if guard is not None:
+        load = f"{load} if {guard} else {ident}" if polarity else f"{ident} if {guard} else {load}"
+    if rst != "0":
+        load = f"{hex(reset)} if {rst} else ({load})"
+    return load
+
+
+def _kernel(nets: dict, regs: list) -> str:
+    """Source of `_run(a, b, cycles)` for a flat netlist that drives c."""
+    # A CycleError (a ValueError) here is a combinational loop.
+    graph = {t: sorted(refs & nets.keys()) for t, (_, refs) in nets.items()}
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+
+    hoisted = {"a", "b", "0"}
+    for t in order:
+        if nets[t][1] <= hoisted:
+            hoisted.add(t)
+
+    # Where each register input is read: the commit reads guards, rst nets
+    # and ungated loads every cycle; a gated load only under its guard.
+    uses = {t: set() for t in nets}
+    for _, _, rst, guard, polarity, (_, refs) in regs:
+        for r in refs & nets.keys():
+            uses[r].add(_LOOP if guard is None else (guard, polarity))
+        for r in {rst, guard} & nets.keys():
+            uses[r].add(_LOOP)
+    # A net goes into a gated block when all its readers sit under one guard;
+    # readers come later in topological order, so walk it backwards.
+    place = {}
+    for t in reversed(order):
+        if uses[t]:
+            place[t] = uses[t].pop() if len(uses[t]) == 1 else _LOOP
+            for r in nets[t][1] & nets.keys():
+                uses[r].add(place[t])
+    cone = {"c"}
+    for t in reversed(order):
+        if t in cone:
+            cone |= nets[t][1] & nets.keys()
+
+    def assign(t: str, indent: int) -> str:
+        return f"{' ' * indent}{t} = {nets[t][0]}"
+
+    lines = ["def _run(a, b, cycles):"]
+    lines += [assign(t, 4) for t in order if t in hoisted and (t in place or t in cone)]
+    if regs:
+        idents = ", ".join(r[0] for r in regs) + ","
+        lines.append(f"    {idents} = {', '.join(hex(r[1]) for r in regs)},")
+        lines.append("    for _ in range(cycles):")
+        blocks: dict = {}
+        for t in order:
+            if t in place and t not in hoisted:
+                if place[t] == _LOOP:
+                    lines.append(assign(t, 8))
+                else:
+                    blocks.setdefault(place[t], []).append(t)
+        for (guard, polarity), ts in blocks.items():
+            lines.append(f"        if {'' if polarity else 'not '}{guard}:")
+            lines += [assign(t, 12) for t in ts]
+        lines.append(f"        {idents} = {', '.join(_commit(r) for r in regs)},")
+    lines += [assign(t, 4) for t in order if t in cone and t not in hoisted]
+    lines.append("    return c")
+    return "\n".join(lines) + "\n"
+
+
 class Simulator:
     """Compiled simulator for one top module and its library."""
 
@@ -108,37 +203,35 @@ class Simulator:
 
         nets: dict = {}
         regs: list = []
+        origin: dict = {}
         ports = {p.name: p.name for p in top.ports}
-        fresh = (f"n{i}" for i in itertools.count())
-        _flatten(top, ports, library, fresh, nets, regs)
+        ports["rst"] = "0"
+        _flatten(top, ports, library, origin, nets, regs)
         if "c" not in nets:
             raise ValueError("top output c is never driven")
-        self._resets = [reset for reset, _, _ in regs]
+        read = set().union(*(refs for _, refs in nets.values()),
+                           *({rst, guard} | refs for _, _, rst, guard, _, (_, refs) in regs))
+        undriven = [t for t in origin if t in read and t not in nets]
+        if undriven:
+            mod, net = origin[undriven[0]]
+            raise ValueError(f"net {net} of module {mod} is read but never driven")
 
-        # A CycleError (a ValueError) here is a combinational loop.
-        graph = {t: sorted(refs & nets.keys()) for t, (_, refs) in nets.items()}
-        lines = ["def _step(S, a, b, rst):"]
-        for t in graphlib.TopologicalSorter(graph).static_order():
-            lines.append(f"    {t} = {nets[t][0]}")
-        commits = ", ".join(f"{hex(reset)} if {rst} else {nxt}" for reset, rst, nxt in regs)
-        lines.append(f"    S[:] = [{commits}]")
-        lines.append("    return c")
+        self._source = _kernel(nets, regs)
         ns: dict = {}
-        exec("\n".join(lines), ns)  # compiled once per configuration
-        self._step = ns["_step"]
+        exec(self._source, ns)  # compiled once per configuration
+        self._run = ns["_run"]
+
+    @property
+    def source(self) -> str:
+        """The generated kernel's Python source, for debugging."""
+        return self._source
 
     def run(self, a: int, b: int, cycles: int | None = None) -> int:
         """One full transaction: reset, apply operands for `cycles` posedges,
         return the value on c."""
         if not 0 <= a < (1 << self._aw) or not 0 <= b < (1 << self._bw):
             raise OverflowError("operands do not fit the module ports")
-        if cycles is None:
-            cycles = self.latency
-        state = list(self._resets)
-        step = self._step
-        for _ in range(cycles):
-            step(state, a, b, 0)
-        return step(state, a, b, 0)  # c before this edge; the commit is discarded
+        return self._run(a, b, self.latency if cycles is None else cycles)
 
 
 def compile_sim(top: RtlModule, library: dict) -> Simulator:

@@ -175,14 +175,17 @@ def emit_testbench(mod: RtlModule, vectors: int, seed: int,
 
     Each transaction holds rst across one posedge, drops it, waits
     latency_cycles posedges, then compares c; prints TB_PASS or TB_FAIL <i>.
+    `vectors` must be at least 1.
     """
+    if vectors < 1:
+        raise ValueError(f"a testbench needs at least one vector, got {vectors}")
     wa = mod.ports[2].width
     wb = mod.ports[3].width
     wc = mod.ports[4].width
     mode = ArithMode(dict(mod.meta).get("mode", "integer"))
     rng = random.Random(seed)
     vecs = []
-    for _ in range(max(0, vectors)):
+    for _ in range(vectors):
         a = rng.getrandbits(wa)
         b = rng.getrandbits(wb)
         vecs.append((a, b, oracle_mul(a, b, mode)))

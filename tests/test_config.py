@@ -1,7 +1,10 @@
 """Config parsing, batch orchestration, and CLI tests."""
 
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -327,3 +330,16 @@ def test_example_config_manifest_is_unchanged(tmp_path):
     assert hashlib.sha256(manifest).hexdigest() == (
         "5f27989ef9e0e0f97fd36ee812dd9fb3d9d9f5fe6cd6b88fe394eee7c2f1ac11"
     )
+
+
+@pytest.mark.parametrize("module", ["polymulgen", "polymulgen.cli"])
+def test_python_dash_m_runs_quietly(module):
+    # runpy warns on stderr when the package has already imported the module it runs
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", module, "model", "--method", "sbm", "--m", "8",
+                          "--a", "3", "--b", "5"], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "product=0xF" in run.stdout

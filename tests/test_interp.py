@@ -1,7 +1,11 @@
 """IR interpreter tests: compiled simulation semantics."""
 
 import functools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,8 @@ from hypothesis import strategies as st
 
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
 from polymulgen.interp import Simulator, compile_sim
-from polymulgen.ir import Assign, Net, Port, Ref, RtlModule
+from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
+                           Ref, RegDef, RtlModule, Slice, Xor)
 from polymulgen.models import ArchKind
 from polymulgen.numeric import ArithMode, oracle_mul
 
@@ -141,23 +146,127 @@ def test_sim_rejects_oversized_operands():
         sim.run(1 << 8, 0)
 
 
-def test_combinational_loop_detected():
-    ports = (
-        Port("clk", "in", 1),
-        Port("rst", "in", 1),
-        Port("a", "in", 4),
-        Port("b", "in", 4),
-        Port("c", "out", 8),
-    )
-    loop = RtlModule(
-        name="looper",
+def _module(name, nets, regs=(), instances=(), latency=1, children=(), wc=8, bare=()):
+    """A hand-built module with the standard ports; `nets` is ((name, expr), ...)
+    and `bare` declares nets that no assign drives."""
+    ports = (Port("clk", "in", 1), Port("rst", "in", 1), Port("a", "in", 4),
+             Port("b", "in", 4), Port("c", "out", wc))
+    return RtlModule(
+        name=name,
         ports=ports,
-        nets=(Net("x", 8),),
-        regs=(),
-        assigns=(Assign("x", Ref("x", 8)), Assign("c", Ref("x", 8))),
-        instances=(),
-        latency_cycles=1,
-        meta=(("method", "loop"), ("m", "4"), ("n", "4"), ("mode", "integer")),
+        nets=tuple(Net(n, e.width) for n, e in nets if n != "c") + bare,
+        regs=regs,
+        assigns=tuple(Assign(n, e) for n, e in nets),
+        instances=instances,
+        latency_cycles=latency,
+        meta=(("method", "hand"), ("m", "4"), ("n", "4"), ("mode", "integer")),
+        children=children,
     )
+
+
+def _zext8(e):
+    return Concat((Const(8 - e.width, 0), e))
+
+
+def test_combinational_loop_detected():
+    loop = _module("looper", (("x", Ref("x", 8)), ("c", Ref("x", 8))))
     with pytest.raises(ValueError):
         Simulator(loop, {"looper": loop})
+
+
+def test_undriven_net_named_at_build():
+    mod = _module("holey", (("c", Add(Ref("x", 8), _zext8(Ref("a", 4)))),), bare=(Net("x", 8),))
+    with pytest.raises(ValueError, match="net x of module holey is read but never driven"):
+        Simulator(mod, {"holey": mod})
+
+
+def test_gated_registers_exact_every_cycle():
+    # cnt counts edges; odd is its low bit before the edge. acc and acc2 share
+    # the guard (odd, load when 1); hold loads when odd is 0; tick is read by
+    # hold's gated arm, by the ungated trace register and by c, so it must be
+    # evaluated every cycle; sums and mix are read only by c.
+    cnt, acc, acc2 = Ref("cnt", 3), Ref("acc", 8), Ref("acc2", 8)
+    hold, trace = Ref("hold", 8), Ref("trace", 8)
+    odd, tick = Ref("odd", 1), Ref("tick", 8)
+    nets = (
+        ("odd", Slice(cnt, 0, 1)),
+        ("tick", _zext8(cnt)),
+        ("inc", Add(acc, _zext8(Ref("a", 4)))),
+        ("inc2", Add(acc2, _zext8(Ref("b", 4)))),
+        ("inv", Add(hold, tick)),
+        ("sums", Add(acc, acc2)),
+        ("mix", Xor(Xor(hold, trace), tick)),
+        ("c", Add(Ref("sums", 8), Ref("mix", 8))),
+    )
+    regs = (
+        RegDef("cnt", 3, 0, Add(cnt, Const(3, 1))),
+        RegDef("acc", 8, 0, Mux(odd, Ref("inc", 8), acc)),
+        RegDef("acc2", 8, 0, Mux(odd, Ref("inc2", 8), acc2)),
+        RegDef("hold", 8, 0, Mux(odd, hold, Ref("inv", 8))),
+        RegDef("trace", 8, 0, Xor(trace, tick)),
+    )
+    mod = _module("gates", nets, regs, latency=4)
+    sim = Simulator(mod, {"gates": mod})
+    # After k edges with a=3, b=5: acc = 3*(k//2), acc2 = 5*(k//2),
+    # hold = sum of the even counts below k, trace = xor of 0..k-1;
+    # c = acc + acc2 + (hold ^ trace ^ (k mod 8)).
+    want = [0, 1, 11, 10, 22, 23, 25, 36]
+    assert [sim.run(3, 5, cycles=k) for k in range(sim.latency + 4)] == want
+    # odd is the first net, n0: acc and acc2 share one block, hold has its own
+    blocks = [line.strip() for line in sim.source.splitlines() if line.lstrip().startswith("if ")]
+    assert blocks == ["if n0:", "if not n0:"]
+
+
+def test_child_reset_net_exact_every_cycle():
+    # The child counter k resets to 5 whenever the top's crst = rst | wrap is
+    # high, and wrap is high before every 4th edge.
+    k = Ref("k", 4)
+    child = _module("kid", (("c", k),),
+                    (RegDef("k", 4, 5, Add(k, Const(4, 1))),), wc=4)
+    ph = Ref("ph", 2)
+    nets = (
+        ("wrap", And(Slice(ph, 0, 1), Slice(ph, 1, 1))),
+        ("crst", Not(And(Not(Ref("rst", 1)), Not(Ref("wrap", 1))))),
+        ("kc", Concat((Const(4, 0), Ref("kout", 4)))),
+        ("c", Ref("kc", 8)),
+    )
+    top = _module("resetter", nets, (RegDef("ph", 2, 0, Add(ph, Const(2, 1))),),
+                  instances=(Instance("u_kid", "kid", (
+                      ("clk", Ref("clk", 1)), ("rst", Ref("crst", 1)),
+                      ("a", Ref("a", 4)), ("b", Ref("b", 4)), ("c", Ref("kout", 4)))),),
+                  latency=5, children=(child,), bare=(Net("kout", 4),))
+    sim = compile_sim(top, design_library(top))
+    assert [sim.run(0, 0, cycles=j) for j in range(sim.latency + 4)] == [5, 6, 7, 8, 5, 6, 7, 8, 5]
+
+
+@pytest.mark.parametrize("params", [GenParams(ArchKind.TOOM3, 1024), GenParams(ArchKind.TOOM4, 1024),
+                                    GenParams(ArchKind.DIGIT_SERIAL, 1024, n=64)],
+                         ids=["toom3", "toom4", "wrapper64"])
+def test_gated_designs_on_corner_operands(params):
+    # the designs whose interpolation and accumulate cones the kernel gates
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    m = params.m
+    ones = (1 << m) - 1
+    alt = int("01" * m, 2) & ones
+    corners = (0, 1, ones, 1 << (m - 1), alt, ones ^ alt)
+    for a in corners:
+        for b in corners:
+            assert sim.run(a, b) == oracle_mul(a, b), (hex(a), hex(b))
+
+
+def test_kernel_source_is_independent_of_hash_seed():
+    code = ("from polymulgen import *\n"
+            "for p in (GenParams(ArchKind.TOOM4, 64), GenParams(ArchKind.DIGIT_SERIAL, 64, n=8)):\n"
+            "    top = generate(p)\n"
+            "    print(compile_sim(top, design_library(top)).source)\n")
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             check=True, timeout=120)
+        outs.append(run.stdout)
+    assert b"def _run(a, b, cycles):" in outs[0]
+    assert outs[0] == outs[1]

@@ -165,10 +165,11 @@ def test_testbench_oracle_values_embedded():
     assert t1 != t3
 
 
-def test_vacuous_testbench_passes():
-    tb = emit_testbench(gen_sbm(8), vectors=0, seed=1)
-    assert tb.vector_count == 0
-    assert "TB_PASS" in tb.text
+def test_empty_testbench_rejected():
+    # a testbench with no vectors would print TB_PASS without checking anything
+    for vectors in (0, -3):
+        with pytest.raises(ValueError, match="at least one vector"):
+            emit_testbench(gen_sbm(8), vectors=vectors, seed=1)
 
 
 def test_empty_module_list_rejected():
