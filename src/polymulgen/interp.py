@@ -12,11 +12,14 @@ whole transaction in four parts:
   registers need, then commits every register at once with one tuple
   assignment. rst is the constant 0 during a run, so only a register whose
   module-level rst is a net (toom's `crst = rst | ld`) keeps its reset mux;
-- gated blocks: a register whose next is Mux(g, X, itself) or
-  Mux(g, itself, X) reads X only when it loads. Every net that only such
-  arms read, under one guard g and polarity, is evaluated inside one
-  `if g:` (or `if not g:`) block, and the register commits `X if g else
-  itself` (or `itself if g else X`);
+- gated blocks: a read under one arm of a Mux whose condition is a Ref g
+  happens only when g selects that arm. A net that all its readers read
+  under the same arm (g, polarity) is evaluated inside an `if g:` (or
+  `if not g:`) block, just before the first per-cycle net that reads it,
+  or else before the commit; a read by a gated net counts as one under
+  that net's arm, so blocks never nest. So the digit-serial wrapper's
+  digit select runs once per window, and a hold-mux register
+  (`Mux(g, X, itself)`) evaluates X's cone only on the cycles it loads;
 - output cone: c's cone is evaluated once, after the loop, from the final
   state, so `run(a, b, cycles=k)` returns what c shows after k posedges for
   every k.
@@ -30,14 +33,28 @@ from __future__ import annotations
 import graphlib
 
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
-                 Slice, Sub, Xor, expr_refs)
+                 Slice, Sub, Xor, children)
 
-_LOOP = "loop"  # placement of a net evaluated every cycle, outside any gated block
+_LOOP = "loop"  # a read, or a net's placement, on every cycle, outside any gated block
 
 
 def _net(e, names: dict) -> tuple:
-    """(Python source, flat identifiers read) of one expression."""
-    return _pysrc(e, names), {names[r] for r in expr_refs(e)}
+    """(Python source, read map) of one expression. The map takes each flat
+    identifier read to the arm (guard, polarity) of the outermost Mux on a
+    Ref condition that every read of it sits under, else to _LOOP."""
+    reads: dict = {}
+    stack = [(e, _LOOP)]
+    while stack:
+        node, arm = stack.pop()
+        if type(node) is Ref:
+            ident = names[node.name]
+            reads[ident] = arm if reads.get(ident, arm) == arm else _LOOP
+        elif type(node) is Mux and arm is _LOOP and type(node.cond) is Ref:
+            guard = names[node.cond.name]
+            stack += [(node.cond, _LOOP), (node.t, (guard, True)), (node.f, (guard, False))]
+        else:
+            stack += [(c, arm) for c in children(node)]
+    return _pysrc(e, names), reads
 
 
 def _fresh(origin: dict, where: tuple) -> str:
@@ -53,9 +70,7 @@ def _flatten(mod: RtlModule, names: dict, library: dict, origin: dict, nets: dic
     `names` maps mod's ports to the identifiers the caller bound them to.
     `origin` maps each fresh net identifier to its (module, net) name,
     `nets` each driven one to `_net` of its driver; `regs` collects
-    (identifier, reset, rst identifier, guard, polarity, `_net` of the
-    loaded value). A hold-mux register loads only when its guard
-    identifier equals the polarity; any other register has guard None.
+    (identifier, reset, rst identifier, `_net` of next).
     """
     names = dict(names)
     for n in mod.nets:
@@ -65,12 +80,7 @@ def _flatten(mod: RtlModule, names: dict, library: dict, origin: dict, nets: dic
     for a in mod.assigns:
         nets[names[a.target]] = _net(a.expr, names)
     for r in mod.regs:
-        load, guard, polarity = r.next, None, True
-        itself = Ref(r.name, r.width)
-        if type(load) is Mux and type(load.cond) is Ref and itself in (load.t, load.f):
-            guard, polarity = names[load.cond.name], load.f == itself
-            load = load.t if polarity else load.f
-        regs.append((names[r.name], r.reset, names["rst"], guard, polarity, _net(load, names)))
+        regs.append((names[r.name], r.reset, names["rst"], _net(r.next, names)))
     for inst in mod.instances:
         bound = {}
         for port, e in inst.bindings:
@@ -127,45 +137,44 @@ def _pysrc(e, names: dict) -> str:
 
 def _commit(reg: tuple) -> str:
     """Python source of one register's value after the edge."""
-    ident, reset, rst, guard, polarity, (load, _) = reg
-    if guard is not None:
-        load = f"{load} if {guard} else {ident}" if polarity else f"{ident} if {guard} else {load}"
-    if rst != "0":
-        load = f"{hex(reset)} if {rst} else ({load})"
-    return load
+    _, reset, rst, (load, _) = reg
+    return load if rst == "0" else f"{hex(reset)} if {rst} else ({load})"
 
 
 def _kernel(nets: dict, regs: list) -> str:
     """Source of `_run(a, b, cycles)` for a flat netlist that drives c."""
     # A CycleError (a ValueError) here is a combinational loop.
-    graph = {t: sorted(refs & nets.keys()) for t, (_, refs) in nets.items()}
+    graph = {t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()}
     order = list(graphlib.TopologicalSorter(graph).static_order())
 
     hoisted = {"a", "b", "0"}
     for t in order:
-        if nets[t][1] <= hoisted:
+        if nets[t][1].keys() <= hoisted:
             hoisted.add(t)
 
-    # Where each register input is read: the commit reads guards, rst nets
-    # and ungated loads every cycle; a gated load only under its guard.
+    # Where each net is read: the commit reads rst nets every cycle and each
+    # register's next as its read map says.
     uses = {t: set() for t in nets}
-    for _, _, rst, guard, polarity, (_, refs) in regs:
-        for r in refs & nets.keys():
-            uses[r].add(_LOOP if guard is None else (guard, polarity))
-        for r in {rst, guard} & nets.keys():
-            uses[r].add(_LOOP)
-    # A net goes into a gated block when all its readers sit under one guard;
-    # readers come later in topological order, so walk it backwards.
+    for _, _, rst, (_, reads) in regs:
+        for r, where in reads.items():
+            if r in uses:
+                uses[r].add(where)
+        if rst in uses:
+            uses[rst].add(_LOOP)
+    # A net goes under one arm when all its readers read it there, and a net
+    # read by a gated net into that net's block; readers come later in
+    # topological order, so walk it backwards.
     place = {}
     for t in reversed(order):
         if uses[t]:
             place[t] = uses[t].pop() if len(uses[t]) == 1 else _LOOP
-            for r in nets[t][1] & nets.keys():
-                uses[r].add(place[t])
+            for r, where in nets[t][1].items():
+                if r in uses:
+                    uses[r].add(where if place[t] is _LOOP else place[t])
     cone = {"c"}
     for t in reversed(order):
         if t in cone:
-            cone |= nets[t][1] & nets.keys()
+            cone |= nets[t][1].keys() & nets.keys()
 
     def assign(t: str, indent: int) -> str:
         return f"{' ' * indent}{t} = {nets[t][0]}"
@@ -176,16 +185,25 @@ def _kernel(nets: dict, regs: list) -> str:
         idents = ", ".join(r[0] for r in regs) + ","
         lines.append(f"    {idents} = {', '.join(hex(r[1]) for r in regs)},")
         lines.append("    for _ in range(cycles):")
-        blocks: dict = {}
+        pending: dict = {}  # arm -> gated nets not yet emitted, in topological order
+        waiting = set()  # the nets in pending
+
+        def emit(arms) -> None:
+            for guard, polarity in [arm for arm in pending if arm in arms]:
+                ts = pending.pop((guard, polarity))
+                waiting.difference_update(ts)
+                lines.append(f"        if {'' if polarity else 'not '}{guard}:")
+                lines.extend(assign(t, 12) for t in ts)
+
         for t in order:
             if t in place and t not in hoisted:
-                if place[t] == _LOOP:
+                if place[t] is _LOOP:
+                    emit({place[r] for r in nets[t][1].keys() & waiting})
                     lines.append(assign(t, 8))
                 else:
-                    blocks.setdefault(place[t], []).append(t)
-        for (guard, polarity), ts in blocks.items():
-            lines.append(f"        if {'' if polarity else 'not '}{guard}:")
-            lines += [assign(t, 12) for t in ts]
+                    pending.setdefault(place[t], []).append(t)
+                    waiting.add(t)
+        emit(set(pending))
         lines.append(f"        {idents} = {', '.join(_commit(r) for r in regs)},")
     lines += [assign(t, 4) for t in order if t in cone and t not in hoisted]
     lines.append("    return c")
@@ -209,8 +227,8 @@ class Simulator:
         _flatten(top, ports, library, origin, nets, regs)
         if "c" not in nets:
             raise ValueError("top output c is never driven")
-        read = set().union(*(refs for _, refs in nets.values()),
-                           *({rst, guard} | refs for _, _, rst, guard, _, (_, refs) in regs))
+        read = set().union(*(reads for _, reads in nets.values()),
+                           *(reads for *_, (_, reads) in regs), (reg[2] for reg in regs))
         undriven = [t for t in origin if t in read and t not in nets]
         if undriven:
             mod, net = origin[undriven[0]]
@@ -231,7 +249,10 @@ class Simulator:
         return the value on c."""
         if not 0 <= a < (1 << self._aw) or not 0 <= b < (1 << self._bw):
             raise OverflowError("operands do not fit the module ports")
-        return self._run(a, b, self.latency if cycles is None else cycles)
+        cycles = self.latency if cycles is None else cycles
+        if cycles < 0:
+            raise ValueError(f"cycles {cycles} < 0")
+        return self._run(a, b, cycles)
 
 
 def compile_sim(top: RtlModule, library: dict) -> Simulator:

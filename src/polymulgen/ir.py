@@ -246,11 +246,6 @@ def _ref_nodes(e) -> set:
     return refs
 
 
-def expr_refs(e) -> set:
-    """Names of all Refs in an expression tree."""
-    return {r.name for r in _ref_nodes(e)}
-
-
 def check(module: RtlModule, library: dict | None = None) -> list:
     """Validate a module; returns a list of Diagnostics (empty when clean)."""
     diags = []

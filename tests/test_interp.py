@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
 from polymulgen.interp import Simulator, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
-                           Ref, RegDef, RtlModule, Slice, Xor)
+                           Ref, RegDef, RtlModule, Slice, Sub, Xor)
 from polymulgen.models import ArchKind
 from polymulgen.numeric import ArithMode, oracle_mul
 
@@ -146,6 +146,14 @@ def test_sim_rejects_oversized_operands():
         sim.run(1 << 8, 0)
 
 
+def test_sim_rejects_negative_cycle_counts():
+    sim = _sim(ArchKind.SBM, 8)
+    for cycles in (-1, -4):
+        with pytest.raises(ValueError, match="cycles"):
+            sim.run(0xAB, 0xCD, cycles=cycles)
+    assert sim.run(0xAB, 0xCD, cycles=0) == 0
+
+
 def _module(name, nets, regs=(), instances=(), latency=1, children=(), wc=8, bare=()):
     """A hand-built module with the standard ports; `nets` is ((name, expr), ...)
     and `bare` declares nets that no assign drives."""
@@ -217,6 +225,122 @@ def test_gated_registers_exact_every_cycle():
     assert blocks == ["if n0:", "if not n0:"]
 
 
+def _loop(sim: Simulator, mod: RtlModule) -> list:
+    """The cycle loop of a kernel for a module without instances, by net and
+    register name: a per-cycle net as its name, a gated block as its `if`
+    line followed by its nets indented by two. The commit is left out."""
+    names = {f"n{i}": n.name for i, n in enumerate(mod.nets)}
+    names.update({f"r{i}": r.name for i, r in enumerate(mod.regs)})
+    body = sim.source.split("    for _ in range(cycles):\n")[1].splitlines()
+    body = body[:[line.startswith(" " * 8) for line in body].index(False) - 1]
+    out = []
+    for line in body:
+        words = line.split()
+        if words[0] == "if":
+            guard = words[-1].rstrip(":")
+            out.append(" ".join(words[:-1] + [names.get(guard, guard)]) + ":")
+        else:
+            out.append(" " * ((len(line) - len(line.lstrip()) - 8) // 2) + names[words[0]])
+    return out
+
+
+def test_mux_arm_gating_rule():
+    # pick reads `only` and the nested mux's hi/deep under its odd arm, `both`
+    # under both arms and `mixed` under its other arm; qacc also reads mixed
+    # every cycle. acc loads p2 = q + p1 on odd cycles, and the per-cycle q
+    # reads p1 under the odd arm, so the odd block splits around q.
+    cnt, acc, qacc, pacc = Ref("cnt", 3), Ref("acc", 8), Ref("qacc", 8), Ref("pacc", 8)
+    odd, tick = Ref("odd", 1), Ref("tick", 8)
+    za, zb = _zext8(Ref("a", 4)), _zext8(Ref("b", 4))
+    nets = (
+        ("odd", Slice(cnt, 0, 1)),
+        ("hi", Slice(cnt, 2, 1)),
+        ("tick", _zext8(cnt)),
+        ("only", Add(tick, za)),
+        ("both", Xor(tick, zb)),
+        ("mixed", Xor(tick, Const(8, 0x5A))),
+        ("deep", Sub(tick, zb)),
+        ("pick", Mux(odd, Add(Mux(Ref("hi", 1), Ref("only", 8), Ref("deep", 8)), Ref("both", 8)),
+                     Xor(Ref("both", 8), Ref("mixed", 8)))),
+        ("p1", Add(tick, zb)),
+        ("q", Mux(odd, Ref("p1", 8), za)),
+        ("p2", Add(Ref("q", 8), Ref("p1", 8))),
+        ("c", Add(Add(acc, qacc), pacc)),
+    )
+    regs = (
+        RegDef("cnt", 3, 0, Add(cnt, Const(3, 1))),
+        RegDef("acc", 8, 0, Mux(odd, Ref("p2", 8), acc)),
+        RegDef("qacc", 8, 0, Xor(Xor(qacc, Ref("q", 8)), Ref("mixed", 8))),
+        RegDef("pacc", 8, 0, Add(pacc, Ref("pick", 8))),
+    )
+    mod = _module("arms", nets, regs, latency=8)
+    sim = Simulator(mod, {"arms": mod})
+
+    def model(a, b, k):
+        cnt = acc = qacc = pacc = 0
+        for _ in range(k):
+            tick = cnt
+            only, both, mixed, deep = (tick + a) & 255, tick ^ b, tick ^ 0x5A, (tick - b) & 255
+            if cnt & 1:
+                pick = ((only if cnt >> 2 else deep) + both) & 255
+            else:
+                pick = both ^ mixed
+            p1 = (tick + b) & 255
+            q = p1 if cnt & 1 else a
+            acc = (q + p1) & 255 if cnt & 1 else acc
+            cnt, qacc, pacc = (cnt + 1) & 7, qacc ^ q ^ mixed, (pacc + pick) & 255
+        return (acc + qacc + pacc) & 255
+
+    for a, b in ((3, 5), (15, 15), (0, 9), (10, 0)):
+        assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
+            [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
+    assert _loop(sim, mod) == ["odd", "tick", "both", "mixed",
+                               "if odd:", "  hi", "  only", "  deep", "  p1",
+                               "pick", "q",
+                               "if odd:", "  p2"]
+
+
+def test_mux_arm_guards():
+    # The guard of an arm may be a register (flag), a net hoisted above the
+    # loop (ha, the low bit of a) or the top's rst, which is 0 during a run.
+    cnt, flag = Ref("cnt", 3), Ref("flag", 1)
+    facc, hacc, racc = Ref("facc", 8), Ref("hacc", 8), Ref("racc", 8)
+    tick = Ref("tick", 8)
+    nets = (
+        ("tick", _zext8(cnt)),
+        ("fx", Add(facc, tick)),
+        ("fsel", Mux(flag, Ref("fx", 8), _zext8(Ref("b", 4)))),
+        ("ha", Slice(Ref("a", 4), 0, 1)),
+        ("hx", Add(hacc, tick)),
+        ("rx", Add(racc, Const(8, 1))),
+        ("ry", Add(racc, _zext8(Ref("b", 4)))),
+        ("c", Add(Add(facc, hacc), racc)),
+    )
+    regs = (
+        RegDef("cnt", 3, 0, Add(cnt, Const(3, 1))),
+        RegDef("flag", 1, 0, Not(flag)),
+        RegDef("facc", 8, 0, Xor(facc, Ref("fsel", 8))),
+        RegDef("hacc", 8, 0, Mux(Ref("ha", 1), Ref("hx", 8), hacc)),
+        RegDef("racc", 8, 0, Mux(Ref("rst", 1), Ref("rx", 8), Ref("ry", 8))),
+    )
+    mod = _module("guards", nets, regs, latency=6)
+    sim = Simulator(mod, {"guards": mod})
+
+    def model(a, b, k):
+        cnt = flag = facc = hacc = racc = 0
+        for _ in range(k):
+            fsel = (facc + cnt) & 255 if flag else b
+            hacc = (hacc + cnt) & 255 if a & 1 else hacc
+            cnt, flag, facc, racc = (cnt + 1) & 7, flag ^ 1, facc ^ fsel, (racc + b) & 255
+        return (facc + hacc + racc) & 255
+
+    for a, b in ((3, 5), (4, 9), (15, 15), (0, 0)):
+        assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
+            [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
+    assert _loop(sim, mod) == ["tick", "if flag:", "  fx", "fsel",
+                               "if 0:", "  rx", "if not 0:", "  ry", "if ha:", "  hx"]
+
+
 def test_child_reset_net_exact_every_cycle():
     # The child counter k resets to 5 whenever the top's crst = rst | wrap is
     # high, and wrap is high before every 4th edge.
@@ -239,20 +363,48 @@ def test_child_reset_net_exact_every_cycle():
     assert [sim.run(0, 0, cycles=j) for j in range(sim.latency + 4)] == [5, 6, 7, 8, 5, 6, 7, 8, 5]
 
 
-@pytest.mark.parametrize("params", [GenParams(ArchKind.TOOM3, 1024), GenParams(ArchKind.TOOM4, 1024),
-                                    GenParams(ArchKind.DIGIT_SERIAL, 1024, n=64)],
-                         ids=["toom3", "toom4", "wrapper64"])
-def test_gated_designs_on_corner_operands(params):
-    # the designs whose interpolation and accumulate cones the kernel gates
-    top = generate(params)
-    sim = compile_sim(top, design_library(top))
-    m = params.m
+def _corners(m: int) -> tuple:
     ones = (1 << m) - 1
     alt = int("01" * m, 2) & ones
-    corners = (0, 1, ones, 1 << (m - 1), alt, ones ^ alt)
+    return (0, 1, ones, 1 << (m - 1), alt, ones ^ alt)
+
+
+@pytest.mark.parametrize("params", [GenParams(ArchKind.TOOM3, 1024), GenParams(ArchKind.TOOM4, 1024),
+                                    GenParams(ArchKind.DIGIT_SERIAL, 1024, n=64),
+                                    GenParams(ArchKind.DIGIT_SERIAL, 521, n=32),
+                                    GenParams(ArchKind.DIGIT_SERIAL, 571, ArithMode.CARRYLESS, n=32)],
+                         ids=["toom3", "toom4", "wrapper64", "wrapper521_32", "wrapper_gf2_571_32"])
+def test_gated_designs_on_corner_operands(params):
+    # the designs whose interpolation, accumulate and digit-select cones the
+    # kernel gates; 521/32 and 571/32 pad b to d*n > m bits
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    corners = _corners(params.m)
     for a in corners:
         for b in corners:
-            assert sim.run(a, b) == oracle_mul(a, b), (hex(a), hex(b))
+            assert sim.run(a, b) == oracle_mul(a, b, params.mode), (hex(a), hex(b))
+
+
+def test_wrapper_digit_select_runs_once_per_window():
+    # The digit select (d masked digits of b, XOR-reduced) is read only when
+    # the core loads a digit, so the per-cycle work does not grow with d.
+    def per_cycle(n, m=1024):
+        lines = _sim(ArchKind.DIGIT_SERIAL, m, n=n).source.splitlines()
+        return sum(1 for line in lines if line.startswith(" " * 8) and line[8] != " "
+                   and not line.lstrip().startswith("if "))
+    assert per_cycle(64) == per_cycle(8) == per_cycle(32, m=521)
+
+
+@pytest.mark.parametrize("mode", list(ArithMode))
+def test_wrapper_single_bit_and_single_digit(mode):
+    # n=1 (d=m one-bit digits) and n=m (d=1: no digit shift, one window)
+    rng = random.Random(13)
+    vectors = [(a, b) for a in _corners(13) for b in _corners(13)]
+    vectors += [(rng.getrandbits(13), rng.getrandbits(13)) for _ in range(20)]
+    for n in (1, 13):
+        sim = _sim(ArchKind.DIGIT_SERIAL, 13, mode, n)
+        for a, b in vectors:
+            assert sim.run(a, b) == oracle_mul(a, b, mode), (n, hex(a), hex(b))
 
 
 def test_kernel_source_is_independent_of_hash_seed():
