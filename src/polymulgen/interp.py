@@ -10,8 +10,7 @@ whole transaction in four parts:
   are computed once, above the cycle loop;
 - loop: each cycle evaluates, from the pre-edge state, the nets the
   registers need, then commits every register at once with one tuple
-  assignment. rst is the constant 0 during a run, so only a register whose
-  module-level rst is a net (toom's `crst = rst | ld`) keeps its reset mux;
+  assignment;
 - gated blocks: a read under one arm of a Mux whose condition is a Ref g
   happens only when g selects that arm. A net that all its readers read
   under the same arm (g, polarity) is evaluated inside an `if g:` (or
@@ -24,6 +23,15 @@ whole transaction in four parts:
   state, so `run(a, b, cycles=k)` returns what c shows after k posedges for
   every k.
 
+Rendering folds constants in the same pass. rst is the constant 0 during a
+run, so the top's rst folds away: a register's reset mux survives only where
+its module's rst is a net (toom's child reset `crst = rst | ld`, which folds
+to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
+`x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...) drop
+their operator, zero Concat parts vanish, and a Slice that reaches its
+base's top keeps no mask. A read that folds away is not a read, so hoisting
+and gating see only what the text reads.
+
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
 """
@@ -33,28 +41,121 @@ from __future__ import annotations
 import graphlib
 
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
-                 Slice, Sub, Xor, children)
+                 Slice, Sub, Xor, ref_nodes)
 
 _LOOP = "loop"  # a read, or a net's placement, on every cycle, outside any gated block
 
 
+class _Not(str):
+    """The text of Not(base): `(base ^ mask)`, keeping base and mask so that a
+    Not of the same width folds back to base."""
+
+    def __new__(cls, base: str, mask: int):
+        text = super().__new__(cls, f"({base} ^ {hex(mask)})")
+        text.base, text.mask = base, mask
+        return text
+
+
+def _lit(v) -> str:
+    return hex(v) if type(v) is int else v
+
+
+def _pysrc(e, names: dict, reads: list, arm=_LOOP):
+    """Python source of e with constants folded: an int when e is constant,
+    else text. Appends (identifier, arm) to `reads` for each flat identifier
+    the text reads; arm is that of the outermost Mux on a Ref condition
+    around the read, (guard, polarity), else _LOOP. An int reads nothing."""
+    t = type(e)
+    if t is Ref:
+        v = names[e.name]
+        if type(v) is str:
+            reads.append((v, arm))
+        return v
+    if t is Const:
+        return e.value
+    if t is Mux:
+        mark = len(reads)
+        cond = _pysrc(e.cond, names, reads, arm)
+        if type(cond) is int:
+            return _pysrc(e.t if cond else e.f, names, reads, arm)
+        gate = arm is _LOOP and type(e.cond) is Ref
+        tv = _pysrc(e.t, names, reads, (cond, True) if gate else arm)
+        fv = _pysrc(e.f, names, reads, (cond, False) if gate else arm)
+        if tv == fv:  # neither cond nor the arms' guard is read: render the arm alone
+            del reads[mark:]
+            return _pysrc(e.t, names, reads, arm)
+        return f"({_lit(tv)} if {cond} else {_lit(fv)})"
+    if t is Concat:
+        const, terms, offset = 0, [], 0
+        for p in reversed(e.parts):  # LSB side last in the tuple
+            v = _pysrc(p, names, reads, arm)
+            if type(v) is int:
+                const |= v << offset
+            else:
+                terms.append(f"({v} << {offset})" if offset else v)
+            offset += p.width
+        if not terms:
+            return const
+        if const:
+            terms.append(hex(const))
+        return terms[0] if len(terms) == 1 else f"({' | '.join(terms)})"
+    mask = (1 << e.width) - 1
+    if t is Slice:
+        v = _pysrc(e.base, names, reads, arm)
+        if type(v) is int:
+            return (v >> e.lo) & mask
+        if e.lo:
+            v = f"({v} >> {e.lo})"
+        return v if e.lo + e.width == e.base.width else f"({v} & {hex(mask)})"
+    if t is Not:
+        v = _pysrc(e.base, names, reads, arm)
+        if type(v) is int:
+            return v ^ mask
+        return v.base if type(v) is _Not and v.mask == mask else _Not(v, mask)
+    if t is Shl:
+        v = _pysrc(e.base, names, reads, arm)
+        if type(v) is int:
+            return v << e.amount
+        return f"({v} << {e.amount})" if e.amount else v
+    if t is Repl:
+        v = _pysrc(e.base, names, reads, arm)
+        if e.count == 1:
+            return v
+        factor = sum(1 << (i * e.base.width) for i in range(e.count))
+        return v * factor if type(v) is int else f"({v} * {hex(factor)})"
+    if t not in (Add, Sub, And, Xor):
+        raise TypeError(f"unknown expression node {e!r}")
+    mark = len(reads)
+    x = _pysrc(e.a, names, reads, arm)
+    y = _pysrc(e.b, names, reads, arm)
+    if type(x) is int and type(y) is int:
+        return {Add: x + y, Sub: x - y, And: x & y, Xor: x ^ y}[t] & mask
+    if t is And:
+        if x == 0 or y == 0:
+            del reads[mark:]
+            return 0
+        if x == mask or y == mask:
+            return y if x == mask else x
+        return f"({_lit(x)} & {_lit(y)})"
+    if y == 0:
+        return x
+    if x == 0 and t is not Sub:
+        return y
+    if t is Xor:
+        return f"({_lit(x)} ^ {_lit(y)})"
+    return f"(({_lit(x)} {'+' if t is Add else '-'} {_lit(y)}) & {hex(mask)})"
+
+
 def _net(e, names: dict) -> tuple:
-    """(Python source, read map) of one expression. The map takes each flat
-    identifier read to the arm (guard, polarity) of the outermost Mux on a
-    Ref condition that every read of it sits under, else to _LOOP."""
+    """(folded source, read map) of one expression. The map takes each flat
+    identifier the source reads to the arm (guard, polarity) every read of it
+    sits under, else to _LOOP."""
+    log: list = []
+    src = _pysrc(e, names, log)
     reads: dict = {}
-    stack = [(e, _LOOP)]
-    while stack:
-        node, arm = stack.pop()
-        if type(node) is Ref:
-            ident = names[node.name]
-            reads[ident] = arm if reads.get(ident, arm) == arm else _LOOP
-        elif type(node) is Mux and arm is _LOOP and type(node.cond) is Ref:
-            guard = names[node.cond.name]
-            stack += [(node.cond, _LOOP), (node.t, (guard, True)), (node.f, (guard, False))]
-        else:
-            stack += [(c, arm) for c in children(node)]
-    return _pysrc(e, names), reads
+    for ident, arm in log:
+        reads[ident] = arm if reads.get(ident, arm) == arm else _LOOP
+    return src, reads
 
 
 def _fresh(origin: dict, where: tuple) -> str:
@@ -63,82 +164,41 @@ def _fresh(origin: dict, where: tuple) -> str:
     return ident
 
 
-def _flatten(mod: RtlModule, names: dict, library: dict, origin: dict, nets: dict,
-             regs: list) -> None:
+def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list) -> None:
     """Add mod and the instances below it to the flat netlist.
 
-    `names` maps mod's ports to the identifiers the caller bound them to.
-    `origin` maps each fresh net identifier to its (module, net) name,
-    `nets` each driven one to `_net` of its driver; `regs` collects
-    (identifier, reset, rst identifier, `_net` of next).
+    `names` maps mod's ports to the identifiers the caller bound them to, or
+    to 0 for the top's rst. `origin` maps each fresh net identifier to its
+    (module, net name), `nets` each driven one to `_net` of its driver;
+    `regs` collects (identifier, reset, `_net` of the value after the edge).
     """
     names = dict(names)
     for n in mod.nets:
-        names[n.name] = _fresh(origin, (mod.name, n.name))
+        names[n.name] = _fresh(origin, (mod, n.name))
     for i, r in enumerate(mod.regs, len(regs)):
         names[r.name] = f"r{i}"
     for a in mod.assigns:
         nets[names[a.target]] = _net(a.expr, names)
-    for r in mod.regs:
-        regs.append((names[r.name], r.reset, names["rst"], _net(r.next, names)))
+    for r in mod.regs:  # the top's rst folds to 0, so only a child reset net keeps this mux
+        after = Mux(Ref("rst", 1), Const(r.width, r.reset), r.next)
+        regs.append((names[r.name], r.reset, _net(after, names)))
+    kids = {child.name: child for child in mod.children}
     for inst in mod.instances:
         bound = {}
         for port, e in inst.bindings:
             if type(e) is Ref:
                 bound[port] = names[e.name]
             else:
-                bound[port] = _fresh(origin, (mod.name, f"{inst.name}.{port}"))
+                bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
                 nets[bound[port]] = _net(e, names)
-        _flatten(library[inst.module_name], bound, library, origin, nets, regs)
+        _flatten(kids[inst.module_name], bound, origin, nets, regs)
 
 
-def _pysrc(e, names: dict) -> str:
-    if isinstance(e, Const):
-        return hex(e.value)
-    if isinstance(e, Ref):
-        return names[e.name]
-    if isinstance(e, Slice):
-        mask = (1 << e.width) - 1
-        if e.lo == 0:
-            return f"(({_pysrc(e.base, names)}) & {hex(mask)})"
-        return f"((({_pysrc(e.base, names)}) >> {e.lo}) & {hex(mask)})"
-    if isinstance(e, Concat):
-        terms = []
-        offset = 0
-        for p in reversed(e.parts):  # LSB side last in the tuple
-            if offset:
-                terms.append(f"(({_pysrc(p, names)}) << {offset})")
-            else:
-                terms.append(f"({_pysrc(p, names)})")
-            offset += p.width
-        return "(" + " | ".join(terms) + ")"
-    if isinstance(e, Repl):
-        w = e.base.width
-        factor = sum(1 << (i * w) for i in range(e.count))
-        return f"(({_pysrc(e.base, names)}) * {hex(factor)})"
-    if isinstance(e, (Add, Sub)):
-        mask = (1 << e.width) - 1
-        op = "+" if isinstance(e, Add) else "-"
-        return f"((({_pysrc(e.a, names)}) {op} ({_pysrc(e.b, names)})) & {hex(mask)})"
-    if isinstance(e, And):
-        return f"(({_pysrc(e.a, names)}) & ({_pysrc(e.b, names)}))"
-    if isinstance(e, Xor):
-        return f"(({_pysrc(e.a, names)}) ^ ({_pysrc(e.b, names)}))"
-    if isinstance(e, Not):
-        mask = (1 << e.width) - 1
-        return f"(({_pysrc(e.base, names)}) ^ {hex(mask)})"
-    if isinstance(e, Mux):
-        return (f"(({_pysrc(e.t, names)}) if ({_pysrc(e.cond, names)}) "
-                f"else ({_pysrc(e.f, names)}))")
-    if isinstance(e, Shl):
-        return f"(({_pysrc(e.base, names)}) << {e.amount})"
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def _commit(reg: tuple) -> str:
-    """Python source of one register's value after the edge."""
-    _, reset, rst, (load, _) = reg
-    return load if rst == "0" else f"{hex(reset)} if {rst} else ({load})"
+def _names_read(mod: RtlModule) -> set:
+    """The names mod's expressions refer to."""
+    exprs = [a.expr for a in mod.assigns] + [r.next for r in mod.regs]
+    exprs += [e for inst in mod.instances for _, e in inst.bindings]
+    return {r.name for e in exprs for r in ref_nodes(e)}
 
 
 def _kernel(nets: dict, regs: list) -> str:
@@ -147,20 +207,17 @@ def _kernel(nets: dict, regs: list) -> str:
     graph = {t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()}
     order = list(graphlib.TopologicalSorter(graph).static_order())
 
-    hoisted = {"a", "b", "0"}
+    hoisted = {"a", "b"}
     for t in order:
         if nets[t][1].keys() <= hoisted:
             hoisted.add(t)
 
-    # Where each net is read: the commit reads rst nets every cycle and each
-    # register's next as its read map says.
+    # Where each net is read: each register's commit reads as its read map says.
     uses = {t: set() for t in nets}
-    for _, _, rst, (_, reads) in regs:
+    for _, _, (_, reads) in regs:
         for r, where in reads.items():
             if r in uses:
                 uses[r].add(where)
-        if rst in uses:
-            uses[rst].add(_LOOP)
     # A net goes under one arm when all its readers read it there, and a net
     # read by a gated net into that net's block; readers come later in
     # topological order, so walk it backwards.
@@ -177,7 +234,7 @@ def _kernel(nets: dict, regs: list) -> str:
             cone |= nets[t][1].keys() & nets.keys()
 
     def assign(t: str, indent: int) -> str:
-        return f"{' ' * indent}{t} = {nets[t][0]}"
+        return f"{' ' * indent}{t} = {_lit(nets[t][0])}"
 
     lines = ["def _run(a, b, cycles):"]
     lines += [assign(t, 4) for t in order if t in hoisted and (t in place or t in cone)]
@@ -204,14 +261,17 @@ def _kernel(nets: dict, regs: list) -> str:
                     pending.setdefault(place[t], []).append(t)
                     waiting.add(t)
         emit(set(pending))
-        lines.append(f"        {idents} = {', '.join(_commit(r) for r in regs)},")
+        lines.append(f"        {idents} = {', '.join(_lit(r[2][0]) for r in regs)},")
     lines += [assign(t, 4) for t in order if t in cone and t not in hoisted]
     lines.append("    return c")
     return "\n".join(lines) + "\n"
 
 
 class Simulator:
-    """Compiled simulator for one top module and its library."""
+    """Compiled simulator for one top module and the modules below it.
+
+    The instance tree is walked through each module's `children`; `library`
+    is accepted for the callers that pass one and is not read."""
 
     def __init__(self, top: RtlModule, library: dict):
         self.top = top
@@ -223,16 +283,13 @@ class Simulator:
         regs: list = []
         origin: dict = {}
         ports = {p.name: p.name for p in top.ports}
-        ports["rst"] = "0"
-        _flatten(top, ports, library, origin, nets, regs)
+        ports["rst"] = 0
+        _flatten(top, ports, origin, nets, regs)
         if "c" not in nets:
             raise ValueError("top output c is never driven")
-        read = set().union(*(reads for _, reads in nets.values()),
-                           *(reads for *_, (_, reads) in regs), (reg[2] for reg in regs))
-        undriven = [t for t in origin if t in read and t not in nets]
-        if undriven:
-            mod, net = origin[undriven[0]]
-            raise ValueError(f"net {net} of module {mod} is read but never driven")
+        for t, (mod, net) in origin.items():
+            if t not in nets and net in _names_read(mod):  # folded-away reads count
+                raise ValueError(f"net {net} of module {mod.name} is read but never driven")
 
         self._source = _kernel(nets, regs)
         ns: dict = {}

@@ -233,7 +233,7 @@ def children(e) -> tuple:
     return (e.base,)  # Slice, Repl, Not, Shl
 
 
-def _ref_nodes(e) -> set:
+def ref_nodes(e) -> set:
     """Every distinct Ref in an expression tree."""
     refs = set()
     stack = [e]
@@ -279,7 +279,7 @@ def check(module: RtlModule, library: dict | None = None) -> list:
               for it, name in ((i, i.name) for i in items)}
 
     def check_expr(item, e, want=None):
-        for r in sorted(_ref_nodes(e), key=lambda r: (r.name, r.width)):
+        for r in sorted(ref_nodes(e), key=lambda r: (r.name, r.width)):
             if r.name not in decls:
                 bad("UnknownRef", item, f"reference to undeclared name {r.name}")
             elif decls[r.name] == "port" and _port(module, r.name).direction == "out":

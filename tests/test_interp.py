@@ -1,5 +1,6 @@
 """IR interpreter tests: compiled simulation semantics."""
 
+import ast
 import functools
 import os
 import pathlib
@@ -8,13 +9,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
-from polymulgen.interp import Simulator, compile_sim
+from polymulgen.interp import Simulator, _flatten, _pysrc, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
-                           Ref, RegDef, RtlModule, Slice, Sub, Xor)
+                           Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor)
 from polymulgen.models import ArchKind
 from polymulgen.numeric import ArithMode, oracle_mul
 
@@ -186,6 +187,11 @@ def test_undriven_net_named_at_build():
     mod = _module("holey", (("c", Add(Ref("x", 8), _zext8(Ref("a", 4)))),), bare=(Net("x", 8),))
     with pytest.raises(ValueError, match="net x of module holey is read but never driven"):
         Simulator(mod, {"holey": mod})
+    # read only under the arm of a Mux on rst, which folds away during a run
+    dead = _module("dead", (("c", Mux(Ref("rst", 1), Ref("x", 8), _zext8(Ref("a", 4)))),),
+                   bare=(Net("x", 8),))
+    with pytest.raises(ValueError, match="net x of module dead is read but never driven"):
+        Simulator(dead, {"dead": dead})
 
 
 def test_gated_registers_exact_every_cycle():
@@ -302,7 +308,8 @@ def test_mux_arm_gating_rule():
 
 def test_mux_arm_guards():
     # The guard of an arm may be a register (flag), a net hoisted above the
-    # loop (ha, the low bit of a) or the top's rst, which is 0 during a run.
+    # loop (ha, the low bit of a) or the top's rst, which is 0 during a run, so
+    # racc's mux folds to its live arm: ry runs every cycle and rx never.
     cnt, flag = Ref("cnt", 3), Ref("flag", 1)
     facc, hacc, racc = Ref("facc", 8), Ref("hacc", 8), Ref("racc", 8)
     tick = Ref("tick", 8)
@@ -337,8 +344,8 @@ def test_mux_arm_guards():
     for a, b in ((3, 5), (4, 9), (15, 15), (0, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    assert _loop(sim, mod) == ["tick", "if flag:", "  fx", "fsel",
-                               "if 0:", "  rx", "if not 0:", "  ry", "if ha:", "  hx"]
+    assert _loop(sim, mod) == ["tick", "ry", "if flag:", "  fx", "fsel", "if ha:", "  hx"]
+    assert "if 0" not in sim.source
 
 
 def test_child_reset_net_exact_every_cycle():
@@ -361,6 +368,9 @@ def test_child_reset_net_exact_every_cycle():
                   latency=5, children=(child,), bare=(Net("kout", 4),))
     sim = compile_sim(top, design_library(top))
     assert [sim.run(0, 0, cycles=j) for j in range(sim.latency + 4)] == [5, 6, 7, 8, 5, 6, 7, 8, 5]
+    # crst (n1) folds to the bare wrap (n0), and k keeps its reset mux on it
+    assert "        n1 = n0\n" in sim.source
+    assert "0x5 if n1 else" in sim.source
 
 
 def _corners(m: int) -> tuple:
@@ -422,3 +432,168 @@ def test_kernel_source_is_independent_of_hash_seed():
         outs.append(run.stdout)
     assert b"def _run(a, b, cycles):" in outs[0]
     assert outs[0] == outs[1]
+
+
+def _eval(e, env: dict) -> int:
+    """Reference semantics of an expression, straight from ir.py's width rules."""
+    t, mask = type(e), (1 << e.width) - 1
+    if t is Const:
+        return e.value
+    if t is Ref:
+        return env[e.name]
+    if t is Slice:
+        return (_eval(e.base, env) >> e.lo) & mask
+    if t is Concat:
+        value = 0
+        for p in e.parts:  # most significant first
+            value = (value << p.width) | _eval(p, env)
+        return value
+    if t is Repl:
+        return sum(_eval(e.base, env) << (i * e.base.width) for i in range(e.count))
+    if t is Not:
+        return _eval(e.base, env) ^ mask
+    if t is Mux:
+        return _eval(e.t, env) if _eval(e.cond, env) else _eval(e.f, env)
+    if t is Shl:
+        return _eval(e.base, env) << e.amount
+    x, y = _eval(e.a, env), _eval(e.b, env)
+    return {Add: x + y, Sub: x - y, And: x & y, Xor: x ^ y}[t] & mask
+
+
+@st.composite
+def _trees(draw, width: int, depth: int = 4):
+    """An expression of the given width over all 12 node types, leaning on
+    the constants folding acts on: 0, all-ones, and rst (0 during a run)."""
+    mask = (1 << width) - 1
+    leaves = ["const", "ref"] + (["rst"] if width == 1 else [])
+    kinds = leaves + (["slice", "concat", "repl", "add", "sub", "and", "xor", "not",
+                       "mux", "shl"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    sub = functools.partial(_trees, depth=depth - 1)
+    if kind == "const":
+        return Const(width, draw(st.sampled_from([0, 1, mask]) | st.integers(0, mask)))
+    if kind == "ref":
+        return Ref(f"{draw(st.sampled_from('xy'))}{width}", width)
+    if kind == "rst":
+        return Ref("rst", 1)
+    if kind == "slice":
+        extra = draw(st.integers(0, 4))
+        return Slice(draw(sub(width + extra)), draw(st.integers(0, extra)), width)
+    if kind == "concat" and width > 1:
+        cut = draw(st.integers(1, width - 1))
+        return Concat((draw(sub(width - cut)), draw(sub(cut))))
+    if kind == "repl":
+        count = draw(st.sampled_from([c for c in range(1, width + 1) if width % c == 0]))
+        return Repl(count, draw(sub(width // count)))
+    if kind in ("add", "sub", "and", "xor"):
+        node = {"add": Add, "sub": Sub, "and": And, "xor": Xor}[kind]
+        return node(draw(sub(width)), draw(sub(width)))
+    if kind == "not":
+        return Not(draw(sub(width)))
+    if kind == "mux":
+        arm = draw(sub(width))
+        other = draw(st.just(arm) | sub(width))
+        return Mux(draw(sub(1)), arm, other)
+    if kind == "shl":
+        amount = draw(st.integers(0, width - 1))
+        return Shl(draw(sub(width - amount)), amount)
+    return Concat((draw(sub(width)),))  # a concat of one bit
+
+
+_X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 13)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(_trees), st.randoms(use_true_random=False))
+@example(Sub(Const(4, 0), Ref("x4", 4)), random.Random(1))  # zero on the left: no fold
+@example(Mux(Ref("x1", 1), Xor(Ref("x4", 4), Const(4, 0)), Ref("x4", 4)), random.Random(2))
+@example(Mux(Ref("rst", 1), Ref("x3", 3), Not(Not(Ref("x3", 3)))), random.Random(3))
+@example(Not(And(Not(Ref("rst", 1)), Not(Ref("x1", 1)))), random.Random(4))
+@example(Not(Concat((Const(1, 0), Not(Ref("x1", 1))))), random.Random(5))  # ~~ of two widths
+@example(And(Ref("x2", 2), Repl(2, Ref("rst", 1))), random.Random(6))  # x2 is not read
+def test_folding_matches_reference_property(e, rng):
+    # The folded source evaluates to the reference value, and the identifiers it
+    # records as read are exactly the names the text reads.
+    env = {name: rng.getrandbits(int(name[1:])) for name in _X}
+    reads: list = []
+    src = _pysrc(e, {**_X, "rst": 0}, reads)
+    got = src if type(src) is int else eval(src, {}, dict(env))
+    assert got == _eval(e, {**env, "rst": 0}), src
+    text_names = set() if type(src) is int else {
+        n.id for n in ast.walk(ast.parse(src, mode="eval")) if isinstance(n, ast.Name)}
+    assert {ident for ident, _ in reads} == text_names, src
+
+
+def _flat_widths(top: RtlModule) -> dict:
+    """The width of each identifier in top's kernel, from the IR."""
+    origin: dict = {}
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [])
+    widths = {"a": top.ports[2].width, "b": top.ports[3].width}
+    for ident, (mod, name) in origin.items():
+        if "." in name:  # an instance port bound to an expression: <instance>.<port>
+            inst, port = name.split(".")
+            binding = dict(next(i for i in mod.instances if i.name == inst).bindings)[port]
+            widths[ident] = binding.width
+        else:
+            widths[ident] = next(n.width for n in mod.nets if n.name == name)
+    regs = []
+
+    def walk(mod):  # registers are numbered in _flatten's order
+        regs.extend(r.width for r in mod.regs)
+        kids = {child.name: child for child in mod.children}
+        for i in mod.instances:
+            walk(kids[i.module_name])
+
+    walk(top)
+    widths.update((f"r{i}", w) for i, w in enumerate(regs))
+    return widths
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(kind, 64, mode, 8 if kind.arch.needs_digit else None)
+    for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
+def test_kernel_has_nothing_left_to_fold(params):
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    widths = _flat_widths(top)
+    tree = ast.parse(sim.source)
+
+    def const(node):
+        return isinstance(node, ast.Constant)
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp)):  # no gated block or mux on a constant
+            test = node.test.operand if isinstance(node.test, ast.UnaryOp) else node.test
+            assert not const(test), ast.unparse(node)
+        if not isinstance(node, ast.BinOp):
+            continue
+        text = ast.unparse(node)
+        assert not (const(node.left) and const(node.right)), text
+        if isinstance(node.op, (ast.BitOr, ast.BitXor, ast.Add, ast.LShift)):
+            assert 0 not in [x.value for x in (node.left, node.right) if const(x)], text
+        # a mask on a slice of a named base, (x >> lo) & mask or x & mask,
+        # stops below the base's top
+        if isinstance(node.op, ast.BitAnd) and const(node.right):
+            base, lo = node.left, 0
+            if isinstance(base, ast.BinOp) and isinstance(base.op, ast.RShift) \
+                    and const(base.right):
+                base, lo = base.left, base.right.value
+            if isinstance(base, ast.Name):
+                assert lo + node.right.value.bit_length() < widths[base.id], text
+
+
+@pytest.mark.parametrize("kind", [ArchKind.TOOM3, ArchKind.TOOM4])
+def test_toom_child_reset_is_the_ld_bit(kind):
+    # crst = rst | ld renders as the bare ld bit, and every register of every
+    # point multiplier commits its reset value when it is high
+    top = generate(GenParams(kind, 64))
+    origin: dict = {}
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [])
+    ident = {name: t for t, (mod, name) in origin.items() if mod is top}
+    source = compile_sim(top, design_library(top)).source
+    assert f"        {ident['crst']} = {ident['ld']}\n" in source
+    commit = [line for line in source.splitlines() if line.startswith("        r0, ")]
+    resets = [f"{hex(r.reset)} if {ident['crst']} else " for child in top.children
+              for r in child.regs]
+    assert len(commit) == 1 and commit[0].count(f" if {ident['crst']} else ") == len(resets)
+    assert all(reset in commit[0] for reset in resets)
