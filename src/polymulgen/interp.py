@@ -2,26 +2,42 @@
 
 The instance tree is flattened by renaming: each net of each module instance
 gets a fresh Python identifier n<i>, each register a local r<i>, and a child
-port bound to a parent net reuses that net's identifier. The netlist is then
-rendered once into one kernel per design, `_run(a, b, cycles)`, which runs a
-whole transaction in four parts:
+port bound to a parent net reuses that net's identifier. Nets are ordered by
+one iterative depth-first search over their reads, which also names the nets
+of a combinational loop.
 
-- hoist: nets that read only the operands a/b, constants and other such nets
-  are computed once, above the cycle loop;
-- loop: each cycle evaluates, from the pre-edge state, the nets the
-  registers need, then commits every register at once with one tuple
-  assignment;
-- gated blocks: a read under one arm of a Mux whose condition is a Ref g
-  happens only when g selects that arm. A net that all its readers read
-  under the same arm (g, polarity) is evaluated inside an `if g:` (or
-  `if not g:`) block, just before the first per-cycle net that reads it,
-  or else before the commit; a read by a gated net counts as one under
-  that net's arm, so blocks never nest. So the digit-serial wrapper's
-  digit select runs once per window, and a hold-mux register
-  (`Mux(g, X, itself)`) evaluates X's cone only on the cycles it loads;
-- output cone: c's cone is evaluated once, after the loop, from the final
-  state, so `run(a, b, cycles=k)` returns what c shows after k posedges for
-  every k.
+The flat netlist then splits in two. What the operands a/b reach, over net
+drivers and register next-states, is the datapath. The rest is the control
+state: one-hot counters, first/done/run bits, the ld pulse, the digit ring,
+the done latch. Its trajectory is the same in every transaction, so each
+design compiles into two functions:
+
+- `_sched(cycles)` steps only the control registers. It returns the rows, one
+  tuple per cycle of the control values the datapath reads (guards such as
+  run/ld/first, values such as the wrapper's digit ring), and the control
+  values c's cone reads after the last edge. A Simulator runs it once, for
+  the latency, when it is built; a run of another length computes its rows
+  on the call.
+- `_run(a, b, rows, last)` runs one transaction of the datapath in four parts:
+  - hoist: nets that read only the operands a/b, constants and other such
+    nets are computed once, above the cycle loop;
+  - loop: `for <control values> in rows:`; each cycle evaluates, from the
+    pre-edge state, the datapath nets the registers need, then commits
+    every datapath register at once with one tuple assignment;
+  - gated blocks: a read under one arm of a Mux whose condition is a Ref g
+    happens only when g selects that arm. A net that all its readers read
+    under the same arm (g, polarity) is evaluated inside an `if g:` (or
+    `if not g:`) block, just before the first per-cycle net that reads it,
+    or else before the commit; a read by a gated net counts as one under
+    that net's arm, so blocks never nest. So the digit-serial wrapper's
+    digit select runs once per window, and a hold-mux register
+    (`Mux(g, X, itself)`) evaluates X's cone only on the cycles it loads;
+  - output cone: c's cone is evaluated once, after the loop, from the final
+    state and `last`, so `run(a, b, cycles=k)` returns what c shows after k
+    posedges for every k.
+
+`_sched` follows the same rules over the control nets, and evaluates every
+value a row carries on every cycle.
 
 Rendering folds constants in the same pass. rst is the constant 0 during a
 run, so the top's rst folds away: a register's reset mux survives only where
@@ -29,16 +45,13 @@ its module's rst is a net (toom's child reset `crst = rst | ld`, which folds
 to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
 `x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...) drop
 their operator, zero Concat parts vanish, and a Slice that reaches its
-base's top keeps no mask. A read that folds away is not a read, so hoisting
-and gating see only what the text reads.
+base's top keeps no mask. A read that folds away is not a read, so hoisting,
+gating and the control/datapath split see only what the text reads.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
 """
-
 from __future__ import annotations
-
-import graphlib
 
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
                  Slice, Sub, Xor, ref_nodes)
@@ -201,19 +214,42 @@ def _names_read(mod: RtlModule) -> set:
     return {r.name for e in exprs for r in ref_nodes(e)}
 
 
-def _kernel(nets: dict, regs: list) -> str:
-    """Source of `_run(a, b, cycles)` for a flat netlist that drives c."""
-    # A CycleError (a ValueError) here is a combinational loop.
-    graph = {t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()}
-    order = list(graphlib.TopologicalSorter(graph).static_order())
+def _order(deps: dict, origin: dict) -> list:
+    """The nets of `deps` (net -> the nets it reads, sorted) in dependency
+    order: one iterative depth-first search, each net's dependencies visited in
+    sorted order. A combinational loop raises ValueError naming its nets."""
+    order: list = []
+    done: set = set()
+    for root in deps:
+        if root in done:
+            continue
+        stack, depth = [(root, iter(deps[root]))], {root: 0}  # depth: nets on the stack
+        while stack:
+            t, todo = stack[-1]
+            for d in todo:
+                if d in depth:
+                    loop = [u for u, _ in stack[depth[d]:]]
+                    raise ValueError("combinational loop through " + ", ".join(
+                        f"{origin[u][0].name}.{origin[u][1]}" if u in origin else u for u in loop))
+                if d not in done:
+                    depth[d] = len(stack)
+                    stack.append((d, iter(deps[d])))
+                    break
+            else:
+                stack.pop()
+                del depth[t]
+                done.add(t)
+                order.append(t)
+    return order
 
-    hoisted = {"a", "b"}
-    for t in order:
-        if nets[t][1].keys() <= hoisted:
-            hoisted.add(t)
 
-    # Where each net is read: each register's commit reads as its read map says.
-    uses = {t: set() for t in nets}
+def _place(order: list, nets: dict, regs: list, always) -> dict:
+    """Where each net of `order` that the registers' commit or `always` needs
+    is evaluated: _LOOP, or the arm (guard, polarity) of its gated block."""
+    uses = {t: set() for t in order}
+    for t in always:
+        if t in uses:
+            uses[t].add(_LOOP)
     for _, _, (_, reads) in regs:
         for r, where in reads.items():
             if r in uses:
@@ -228,20 +264,52 @@ def _kernel(nets: dict, regs: list) -> str:
             for r, where in nets[t][1].items():
                 if r in uses:
                     uses[r].add(where if place[t] is _LOOP else place[t])
+    return place
+
+
+def _hoist(order: list, nets: dict, known: set) -> set:
+    """`known` and the nets of `order` that read only what is known before
+    the first cycle."""
+    known = set(known)
+    for t in order:
+        if nets[t][1].keys() <= known:
+            known.add(t)
+    return known
+
+
+def _kernel(nets: dict, regs: list, origin: dict) -> str:
+    """Source of `_sched(cycles)` and `_run(a, b, rows, last)` for a flat
+    netlist that drives c."""
+    edges = {t: reads.keys() for t, (_, reads) in nets.items()}
+    edges.update((r, reads.keys()) for r, _, (_, reads) in regs)
+    order = _order({t: sorted(edges[t] & nets.keys()) for t in nets}, origin)
+    # What a or b reaches is the datapath; the rest, the control state, runs
+    # the same in every transaction.
+    readers: dict = {}
+    for t, reads in edges.items():
+        for r in reads:
+            readers.setdefault(r, []).append(t)
+    data, todo = {"a", "b"}, ["a", "b"]
+    while todo:
+        for t in readers.get(todo.pop(), ()):
+            if t not in data:
+                data.add(t)
+                todo.append(t)
     cone = {"c"}
     for t in reversed(order):
         if t in cone:
-            cone |= nets[t][1].keys() & nets.keys()
+            cone |= edges[t] & nets.keys()
 
     def assign(t: str, indent: int) -> str:
         return f"{' ' * indent}{t} = {_lit(nets[t][0])}"
 
-    lines = ["def _run(a, b, cycles):"]
-    lines += [assign(t, 4) for t in order if t in hoisted and (t in place or t in cone)]
-    if regs:
-        idents = ", ".join(r[0] for r in regs) + ","
-        lines.append(f"    {idents} = {', '.join(hex(r[1]) for r in regs)},")
-        lines.append("    for _ in range(cycles):")
+    def render(order: list, regs: list, hoisted: set, always=()) -> tuple:
+        """(lines before the loop, the loop's nets and gated blocks, the
+        commit, the nets of c's cone evaluated after the loop, the placement)
+        of one function, over the nets of `order` and the registers `regs`."""
+        place = _place(order, nets, regs, always)
+        head = [assign(t, 4) for t in order if t in hoisted and (t in place or t in cone)]
+        loop: list = []
         pending: dict = {}  # arm -> gated nets not yet emitted, in topological order
         waiting = set()  # the nets in pending
 
@@ -249,22 +317,50 @@ def _kernel(nets: dict, regs: list) -> str:
             for guard, polarity in [arm for arm in pending if arm in arms]:
                 ts = pending.pop((guard, polarity))
                 waiting.difference_update(ts)
-                lines.append(f"        if {'' if polarity else 'not '}{guard}:")
-                lines.extend(assign(t, 12) for t in ts)
+                loop.append(f"        if {'' if polarity else 'not '}{guard}:")
+                loop.extend(assign(t, 12) for t in ts)
 
         for t in order:
             if t in place and t not in hoisted:
                 if place[t] is _LOOP:
                     emit({place[r] for r in nets[t][1].keys() & waiting})
-                    lines.append(assign(t, 8))
+                    loop.append(assign(t, 8))
                 else:
                     pending.setdefault(place[t], []).append(t)
                     waiting.add(t)
         emit(set(pending))
-        lines.append(f"        {idents} = {', '.join(_lit(r[2][0]) for r in regs)},")
-    lines += [assign(t, 4) for t in order if t in cone and t not in hoisted]
-    lines.append("    return c")
-    return "\n".join(lines) + "\n"
+        commit = []
+        if regs:
+            idents = ", ".join(r[0] for r in regs) + ","
+            head.append(f"    {idents} = {', '.join(hex(r[1]) for r in regs)},")
+            commit.append(f"        {idents} = {', '.join(_lit(r[2][0]) for r in regs)},")
+        tail = [assign(t, 4) for t in order if t in cone and t not in hoisted]
+        return head, loop, commit, tail, place
+
+    def tup(idents: list) -> str:
+        return f"{', '.join(idents)}," if idents else ""
+
+    dnets, dregs = [t for t in order if t in data], [r for r in regs if r[0] in data]
+    cnets, cregs = [t for t in order if t not in data], [r for r in regs if r[0] not in data]
+    hoisted = _hoist(dnets, nets, {"a", "b"})
+    head, loop, commit, tail, place = render(dnets, dregs, hoisted)
+    # the control values the datapath reads on every cycle, and after the last edge
+    looped = [t for t in place if t not in hoisted] + [r[0] for r in dregs]
+    rows = sorted({r for t in looped for r in edges[t]} - data)
+    last = sorted({r for t in dnets if t in cone and t not in hoisted for r in edges[t]} - data)
+    if "c" not in data:
+        last.append("c")
+    run = ["def _run(a, b, rows, last):", *head]
+    if dregs:
+        run += [f"    for {tup(rows) or '_'} in rows:", *loop, *commit]
+    run += [f"    {tup(last)} = last"] if last else []
+    run += [*tail, "    return c"]
+
+    chead, cloop, ccommit, ctail, _ = render(cnets, cregs, _hoist(cnets, nets, set()), rows)
+    sched = ["def _sched(cycles):", *chead, "    rows = []", "    for _ in range(cycles):",
+             *cloop, f"        rows.append(({tup(rows)}))", *ccommit, *ctail,
+             f"    return rows, ({tup(last)})"]
+    return "\n".join(sched + [""] + run) + "\n"
 
 
 class Simulator:
@@ -291,14 +387,15 @@ class Simulator:
             if t not in nets and net in _names_read(mod):  # folded-away reads count
                 raise ValueError(f"net {net} of module {mod.name} is read but never driven")
 
-        self._source = _kernel(nets, regs)
+        self._source = _kernel(nets, regs, origin)
         ns: dict = {}
         exec(self._source, ns)  # compiled once per configuration
-        self._run = ns["_run"]
+        self._sched, self._run = ns["_sched"], ns["_run"]
+        self._schedule = self._sched(self.latency)  # the rows of a default-length run
 
     @property
     def source(self) -> str:
-        """The generated kernel's Python source, for debugging."""
+        """The generated `_sched` and `_run` Python source, for debugging."""
         return self._source
 
     def run(self, a: int, b: int, cycles: int | None = None) -> int:
@@ -309,7 +406,8 @@ class Simulator:
         cycles = self.latency if cycles is None else cycles
         if cycles < 0:
             raise ValueError(f"cycles {cycles} < 0")
-        return self._run(a, b, cycles)
+        rows, last = self._schedule if cycles == self.latency else self._sched(cycles)
+        return self._run(a, b, rows, last)
 
 
 def compile_sim(top: RtlModule, library: dict) -> Simulator:

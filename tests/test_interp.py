@@ -5,6 +5,7 @@ import functools
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen
 from polymulgen.interp import Simulator, _flatten, _pysrc, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
                            Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor)
-from polymulgen.models import ArchKind
+from polymulgen.models import ArchKind, cycle_contract, run_model
 from polymulgen.numeric import ArithMode, oracle_mul
 
 _SPLIT = {ArchKind.SBM: 1, ArchKind.KARATSUBA2: 2, ArchKind.TOOM3: 3, ArchKind.TOOM4: 4,
@@ -120,6 +121,17 @@ def test_interpreter_matches_oracle_property(data):
     assert _sim(kind, m, mode, n).run(a, b) == oracle_mul(a, b, mode)
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_models_match_oracle_property(data):
+    kind, m, n, mode = data.draw(_designs())
+    a = data.draw(_operand(m))
+    b = data.draw(_operand(m))
+    trace = run_model(kind, a, b, m, mode, n)
+    assert trace.product == oracle_mul(a, b, mode)
+    assert trace.cycles == cycle_contract(kind, m, n)
+
+
 def test_hierarchical_sim_flattens_instances():
     top = gen_karatsuba2(16)
     sim = compile_sim(top, design_library(top))
@@ -183,6 +195,20 @@ def test_combinational_loop_detected():
         Simulator(loop, {"looper": loop})
 
 
+def test_combinational_loop_names_its_nets():
+    # x -> y -> the child's c -> x, through an instance port
+    child = _module("kid", (("c", Ref("a", 4)),), wc=4)
+    top = _module("ring", (("x", _zext8(Ref("k", 4))), ("y", Slice(Ref("x", 8), 0, 4)),
+                           ("c", Ref("x", 8))),
+                  instances=(Instance("u_kid", "kid", (
+                      ("clk", Ref("clk", 1)), ("rst", Ref("rst", 1)),
+                      ("a", Ref("y", 4)), ("b", Ref("b", 4)), ("c", Ref("k", 4)))),),
+                  children=(child,), bare=(Net("k", 4),))
+    with pytest.raises(ValueError, match="combinational loop through") as err:
+        compile_sim(top, design_library(top))
+    assert {"ring.x", "ring.y", "ring.k"} <= set(str(err.value).split(" through ")[1].split(", "))
+
+
 def test_undriven_net_named_at_build():
     mod = _module("holey", (("c", Add(Ref("x", 8), _zext8(Ref("a", 4)))),), bare=(Net("x", 8),))
     with pytest.raises(ValueError, match="net x of module holey is read but never driven"):
@@ -226,20 +252,24 @@ def test_gated_registers_exact_every_cycle():
     # c = acc + acc2 + (hold ^ trace ^ (k mod 8)).
     want = [0, 1, 11, 10, 22, 23, 25, 36]
     assert [sim.run(3, 5, cycles=k) for k in range(sim.latency + 4)] == want
-    # odd is the first net, n0: acc and acc2 share one block, hold has its own
+    # odd is the first net, n0. hold reads neither operand, so the schedule
+    # gates its load; in the datapath acc and acc2 share one block.
     blocks = [line.strip() for line in sim.source.splitlines() if line.lstrip().startswith("if ")]
-    assert blocks == ["if n0:", "if not n0:"]
+    assert blocks == ["if not n0:", "if n0:"]
 
 
 def _loop(sim: Simulator, mod: RtlModule) -> list:
-    """The cycle loop of a kernel for a module without instances, by net and
-    register name: a per-cycle net as its name, a gated block as its `if`
-    line followed by its nets indented by two. The commit is left out."""
+    """The datapath's cycle loop (`_run`'s) of a kernel for a module without
+    instances, by net and register name: first `for` and the control values
+    each row brings, then a per-cycle net as its name, a gated block as its
+    `if` line followed by its nets indented by two. The commit is left out."""
     names = {f"n{i}": n.name for i, n in enumerate(mod.nets)}
     names.update({f"r{i}": r.name for i, r in enumerate(mod.regs)})
-    body = sim.source.split("    for _ in range(cycles):\n")[1].splitlines()
+    head, body = sim.source.split("def _run(")[1].split(" in rows:\n")
+    targets = head.splitlines()[-1].split()[1:]
+    body = body.splitlines()
     body = body[:[line.startswith(" " * 8) for line in body].index(False) - 1]
-    out = []
+    out = ["for " + ", ".join(names[t.rstrip(",")] for t in targets)]
     for line in body:
         words = line.split()
         if words[0] == "if":
@@ -254,7 +284,9 @@ def test_mux_arm_gating_rule():
     # pick reads `only` and the nested mux's hi/deep under its odd arm, `both`
     # under both arms and `mixed` under its other arm; qacc also reads mixed
     # every cycle. acc loads p2 = q + p1 on odd cycles, and the per-cycle q
-    # reads p1 under the odd arm, so the odd block splits around q.
+    # reads p1 under the odd arm, so the odd block splits around q (and, in
+    # this topological order, around pick). odd, hi, tick and mixed read
+    # neither operand: they arrive as the schedule's rows, computed every cycle.
     cnt, acc, qacc, pacc = Ref("cnt", 3), Ref("acc", 8), Ref("qacc", 8), Ref("pacc", 8)
     odd, tick = Ref("odd", 1), Ref("tick", 8)
     za, zb = _zext8(Ref("a", 4)), _zext8(Ref("b", 4))
@@ -300,9 +332,11 @@ def test_mux_arm_gating_rule():
     for a, b in ((3, 5), (15, 15), (0, 9), (10, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    assert _loop(sim, mod) == ["odd", "tick", "both", "mixed",
-                               "if odd:", "  hi", "  only", "  deep", "  p1",
-                               "pick", "q",
+    assert _loop(sim, mod) == ["for odd, hi, tick, mixed", "both",
+                               "if odd:", "  only", "  deep",
+                               "pick",
+                               "if odd:", "  p1",
+                               "q",
                                "if odd:", "  p2"]
 
 
@@ -344,7 +378,7 @@ def test_mux_arm_guards():
     for a, b in ((3, 5), (4, 9), (15, 15), (0, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    assert _loop(sim, mod) == ["tick", "ry", "if flag:", "  fx", "fsel", "if ha:", "  hx"]
+    assert _loop(sim, mod) == ["for tick, flag", "if flag:", "  fx", "fsel", "ry", "if ha:", "  hx"]
     assert "if 0" not in sim.source
 
 
@@ -430,7 +464,7 @@ def test_kernel_source_is_independent_of_hash_seed():
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              check=True, timeout=120)
         outs.append(run.stdout)
-    assert b"def _run(a, b, cycles):" in outs[0]
+    assert b"def _sched(cycles):" in outs[0] and b"def _run(a, b, rows, last):" in outs[0]
     assert outs[0] == outs[1]
 
 
@@ -585,15 +619,127 @@ def test_kernel_has_nothing_left_to_fold(params):
 @pytest.mark.parametrize("kind", [ArchKind.TOOM3, ArchKind.TOOM4])
 def test_toom_child_reset_is_the_ld_bit(kind):
     # crst = rst | ld renders as the bare ld bit, and every register of every
-    # point multiplier commits its reset value when it is high
+    # point multiplier commits its reset value when it is high: the control
+    # registers in the schedule's commit, the others in the datapath's
     top = generate(GenParams(kind, 64))
     origin: dict = {}
     _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [])
     ident = {name: t for t, (mod, name) in origin.items() if mod is top}
     source = compile_sim(top, design_library(top)).source
     assert f"        {ident['crst']} = {ident['ld']}\n" in source
-    commit = [line for line in source.splitlines() if line.startswith("        r0, ")]
+    commit = [line for line in source.splitlines() if re.match(r" {8}r\d+, ", line)]
     resets = [f"{hex(r.reset)} if {ident['crst']} else " for child in top.children
               for r in child.regs]
-    assert len(commit) == 1 and commit[0].count(f" if {ident['crst']} else ") == len(resets)
-    assert all(reset in commit[0] for reset in resets)
+    assert len(commit) == 2 and sum(line.count(f" if {ident['crst']} else ")
+                                    for line in commit) == len(resets)
+    assert all(reset in "".join(commit) for reset in resets)
+
+
+def _control(top: RtlModule) -> set:
+    """The flat identifiers, nets and registers, that a and b cannot reach."""
+    nets: dict = {}
+    regs: list = []
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, {}, nets, regs)
+    reads = {t: r.keys() for t, (_, r) in nets.items()}
+    reads.update((r, m.keys()) for r, _, (_, m) in regs)
+    data = {"a", "b"}
+    while more := {t for t, r in reads.items() if r & data} - data:
+        data |= more
+    return set(reads) - data
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(kind, 64, mode, 8 if kind.arch.needs_digit else None)
+    for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
+def test_loop_computes_no_control_state(params):
+    # Counters, first/done/run bits, the ld pulse and the digit ring never read
+    # a or b: the datapath loop receives them as rows and neither computes nor
+    # commits them.
+    top = generate(params)
+    control = _control(top)
+    regs = {t for t in control if t.startswith("r")}
+    assert regs
+    run = next(f for f in ast.parse(compile_sim(top, design_library(top)).source).body
+               if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    loop = next(node for node in run.body if isinstance(node, ast.For))
+    targets = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+    for stmt in loop.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in control, ast.unparse(stmt)[:120]
+            if isinstance(node, ast.Name) and node.id in regs:
+                assert node.id in targets, ast.unparse(stmt)[:120]
+
+
+class _Scope(dict):
+    """One module instance's names on one cycle, evaluated on demand with
+    _eval: registers from `state`, assigned nets from their drivers, the nets
+    a child's outputs drive from the child's scope, and the inputs from the
+    parent's bindings."""
+
+    def __init__(self, mod: RtlModule, state: dict, path=(), parent=None, bindings=()):
+        super().__init__(state[path])
+        self.mod, self.path, self.parent, self.bindings = mod, path, parent, dict(bindings)
+        self.drivers = {a.target: a.expr for a in mod.assigns}
+        self.kids, self.outputs = {}, {}
+        mods = {child.name: child for child in mod.children}
+        for inst in mod.instances:
+            kid = mods[inst.module_name]
+            self.kids[inst.name] = _Scope(kid, state, path + (inst.name,), self, inst.bindings)
+            outs = {p.name for p in kid.ports if p.direction == "out"}
+            self.outputs.update((e.name, (inst.name, port)) for port, e in inst.bindings
+                                if port in outs)
+
+    def __missing__(self, name: str) -> int:
+        if name in self.drivers:
+            value = _eval(self.drivers[name], self)
+        elif name in self.outputs:
+            inst, port = self.outputs[name]
+            value = self.kids[inst][port]
+        else:
+            value = _eval(self.bindings[name], self.parent)
+        self[name] = value
+        return value
+
+    def scopes(self):
+        yield self
+        for kid in self.kids.values():
+            yield from kid.scopes()
+
+
+def _reference_outputs(top: RtlModule, a: int, b: int, cycles: int) -> list:
+    """c after each of 0..cycles posedges: the hierarchical IR stepped one
+    cycle at a time, every register of every instance committed at once, a
+    register taking its reset value while its module's rst is high."""
+    state: dict = {}
+
+    def reset(mod: RtlModule, path: tuple) -> None:
+        state[path] = {r.name: r.reset for r in mod.regs}
+        mods = {child.name: child for child in mod.children}
+        for inst in mod.instances:
+            reset(mods[inst.module_name], path + (inst.name,))
+
+    reset(top, ())
+    out = []
+    for _ in range(cycles + 1):
+        scope = _Scope(top, state)
+        scope.update(a=a, b=b, rst=0)
+        out.append(scope["c"])
+        state = {s.path: {r.name: r.reset if s["rst"] else _eval(r.next, s) for r in s.mod.regs}
+                 for s in scope.scopes()}
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(kind, 13, mode, n) for kind in ArchKind for mode in _modes(kind)
+    for n in ((1, 4, 13) if kind.arch.needs_digit else (None,))],
+    ids=lambda p: f"{p.kind.name}_{p.mode.name}_{p.n}")
+def test_kernel_matches_reference_stepper(params):
+    # every cycle count up to three past the latency, so the schedule computed
+    # on the call (cycles != latency) is checked as well as the stored one
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    for a in _corners(13):
+        for b in _corners(13):
+            want = _reference_outputs(top, a, b, sim.latency + 3)
+            assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == want, (a, b)
