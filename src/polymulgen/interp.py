@@ -6,6 +6,17 @@ port bound to a parent net reuses that net's identifier. Nets are ordered by
 one iterative depth-first search over their reads, which also names the nets
 of a combinational loop.
 
+Sibling instances repeat state: karatsuba2's three cores and toom's point
+multipliers each step their own copy of one schedule, and several of toom's
+shift registers hold the same operand limb. Once the undriven-net and loop checks have passed on the
+whole netlist, a merge keeps one representative per class of equivalent
+registers and nets (register correspondence, van Eijk 2000): registers of
+equal width and reset are assumed equal, and a class splits while its
+members' next-state texts differ with every identifier renamed to its
+representative. Nets are hash-consed in dependency order on (width, renamed
+text), so a net that renders like an earlier one of its width is that net.
+Everything after sees only the representatives.
+
 The flat netlist then splits in two. What the operands a/b reach, over net
 drivers and register next-states, is the datapath. The rest is the control
 state: one-hot counters, first/done/run bits, the ld pulse, the digit ring,
@@ -53,10 +64,15 @@ A transaction is: registers at reset values (the one-cycle rst pulse), then
 """
 from __future__ import annotations
 
+import re
+
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
                  Slice, Sub, Xor, ref_nodes)
 
 _LOOP = "loop"  # a read, or a net's placement, on every cycle, outside any gated block
+# a flat net or register identifier in kernel text, where no other token
+# (a, b, c, hex and decimal literals, operators, if/else) holds an n or an r
+_IDENT = re.compile(r"([nr][0-9]+)")
 
 
 class _Not(str):
@@ -134,7 +150,7 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
         v = _pysrc(e.base, names, reads, arm)
         if e.count == 1:
             return v
-        factor = sum(1 << (i * e.base.width) for i in range(e.count))
+        factor = ((1 << e.width) - 1) // ((1 << e.base.width) - 1)  # 1 at the bottom of each copy
         return v * factor if type(v) is int else f"({v} * {hex(factor)})"
     if t not in (Add, Sub, And, Xor):
         raise TypeError(f"unknown expression node {e!r}")
@@ -177,24 +193,29 @@ def _fresh(origin: dict, where: tuple) -> str:
     return ident
 
 
-def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list) -> None:
+def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
+             widths: dict | None = None) -> None:
     """Add mod and the instances below it to the flat netlist.
 
     `names` maps mod's ports to the identifiers the caller bound them to, or
     to 0 for the top's rst. `origin` maps each fresh net identifier to its
     (module, net name), `nets` each driven one to `_net` of its driver;
-    `regs` collects (identifier, reset, `_net` of the value after the edge).
+    `regs` collects (identifier, reset, `_net` of the value after the edge)
+    and `widths` the width of each driven net and register.
     """
+    widths = {} if widths is None else widths
     names = dict(names)
     for n in mod.nets:
         names[n.name] = _fresh(origin, (mod, n.name))
     for i, r in enumerate(mod.regs, len(regs)):
         names[r.name] = f"r{i}"
     for a in mod.assigns:
-        nets[names[a.target]] = _net(a.expr, names)
+        t = names[a.target]
+        nets[t], widths[t] = _net(a.expr, names), a.expr.width
     for r in mod.regs:  # the top's rst folds to 0, so only a child reset net keeps this mux
         after = Mux(Ref("rst", 1), Const(r.width, r.reset), r.next)
         regs.append((names[r.name], r.reset, _net(after, names)))
+        widths[names[r.name]] = r.width
     kids = {child.name: child for child in mod.children}
     for inst in mod.instances:
         bound = {}
@@ -202,9 +223,9 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list) 
             if type(e) is Ref:
                 bound[port] = names[e.name]
             else:
-                bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
-                nets[bound[port]] = _net(e, names)
-        _flatten(kids[inst.module_name], bound, origin, nets, regs)
+                t = bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
+                nets[t], widths[t] = _net(e, names), e.width
+        _flatten(kids[inst.module_name], bound, origin, nets, regs, widths)
 
 
 def _names_read(mod: RtlModule) -> set:
@@ -277,12 +298,83 @@ def _hoist(order: list, nets: dict, known: set) -> set:
     return known
 
 
-def _kernel(nets: dict, regs: list, origin: dict) -> str:
+def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
+    """(nets, regs, order) with one representative per class of equivalent
+    registers and nets. Every text and read map is renamed to the
+    representatives, the guard of each arm too; an identifier that two merged
+    ones read under different arms is read on every cycle.
+
+    Register correspondence: the greatest partition of the registers in which
+    the members of a class have equal widths, equal resets and equal
+    next-state texts once every identifier is renamed to its class's
+    representative. It starts from the classes of equal (width, reset) and
+    splits them until none splits. In each round the nets are hash-consed in
+    `order`: a net keyed like an earlier one by (width, renamed text) is an
+    alias of it. The representative is the first member in `order` or in
+    register order; c is never merged."""
+    pieces: dict = {}  # text -> text.split at its identifiers, on first use
+
+    def renamed(src: str) -> str:
+        """src with each identifier renamed to its representative."""
+        if src not in pieces:
+            pieces[src] = _IDENT.split(src)
+        parts = pieces[src][:]
+        parts[1::2] = [rep.get(i, i) for i in parts[1::2]]
+        return "".join(parts)
+
+    classes: dict = {}
+    for reg in regs:
+        classes.setdefault((widths[reg[0]], reg[1]), []).append(reg)
+    classes = list(classes.values())
+    hashed = [(t, widths[t], *nets[t]) for t in order if t != "c"]
+    while True:
+        rep = {r[0]: cls[0][0] for cls in classes for r in cls[1:]}  # each merged identifier
+        merged = rep.keys()
+        text: dict = {}  # the renamed text of each net and register that reads a merged one
+        first: dict = {}
+        for t, width, src, reads in hashed:
+            if not merged.isdisjoint(reads):
+                src = text[t] = renamed(src)
+            if (f := first.setdefault((width, src), t)) != t:
+                rep[t] = f
+        split = [cls for cls in classes if len(cls) == 1]
+        for cls in classes:
+            if len(cls) > 1:
+                by_text: dict = {}
+                for reg in cls:
+                    r, _, (src, reads) = reg
+                    if not merged.isdisjoint(reads):
+                        src = text[r] = renamed(src)
+                    by_text.setdefault(src, []).append(reg)
+                split.extend(by_text.values())
+        if len(split) == len(classes):
+            break
+        classes = split
+    if not rep:
+        return nets, regs, order
+
+    def rename(t: str, net: tuple) -> tuple:
+        src, reads = net
+        if merged.isdisjoint(reads):
+            return net
+        arms: dict = {}
+        for ident, arm in reads.items():
+            ident = rep.get(ident, ident)
+            if arm is not _LOOP:
+                arm = (rep.get(arm[0], arm[0]), arm[1])
+            arms[ident] = arm if arms.get(ident, arm) == arm else _LOOP
+        return text[t] if t in text else renamed(src), arms
+
+    return ({t: rename(t, net) for t, net in nets.items() if t not in rep},
+            [(r, reset, rename(r, net)) for r, reset, net in regs if r not in rep],
+            [t for t in order if t not in rep])
+
+
+def _kernel(nets: dict, regs: list, order: list) -> str:
     """Source of `_sched(cycles)` and `_run(a, b, rows, last)` for a flat
-    netlist that drives c."""
+    netlist that drives c, its nets in dependency `order`."""
     edges = {t: reads.keys() for t, (_, reads) in nets.items()}
     edges.update((r, reads.keys()) for r, _, (_, reads) in regs)
-    order = _order({t: sorted(edges[t] & nets.keys()) for t in nets}, origin)
     # What a or b reaches is the datapath; the rest, the control state, runs
     # the same in every transaction.
     readers: dict = {}
@@ -378,16 +470,19 @@ class Simulator:
         nets: dict = {}
         regs: list = []
         origin: dict = {}
+        widths: dict = {}
         ports = {p.name: p.name for p in top.ports}
         ports["rst"] = 0
-        _flatten(top, ports, origin, nets, regs)
+        _flatten(top, ports, origin, nets, regs, widths)
         if "c" not in nets:
             raise ValueError("top output c is never driven")
         for t, (mod, net) in origin.items():
             if t not in nets and net in _names_read(mod):  # folded-away reads count
                 raise ValueError(f"net {net} of module {mod.name} is read but never driven")
+        order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
+                       origin)
 
-        self._source = _kernel(nets, regs, origin)
+        self._source = _kernel(*_merge(nets, regs, order, widths))
         ns: dict = {}
         exec(self._source, ns)  # compiled once per configuration
         self._sched, self._run = ns["_sched"], ns["_run"]

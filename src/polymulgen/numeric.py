@@ -35,18 +35,20 @@ def oracle_mul(a: int, b: int, mode: ArithMode = ArithMode.INTEGER) -> int:
 
     Integer mode is ordinary multiplication (the shift-add double sum collapses
     to it). Carry-less mode accumulates shifted copies with XOR, i.e. polynomial
-    multiplication over GF(2).
+    multiplication over GF(2): from a table of a's products with the 16
+    polynomials of degree < 4, one per hex digit of b, most significant first.
     """
     if a < 0 or b < 0:
         raise ValueError("operands must be nonnegative")
     if mode is ArithMode.INTEGER:
         return a * b
+    table = [0, a]
+    for d in range(2, 16):
+        table.append((table[d >> 1] << 1) ^ (a if d & 1 else 0))
+    digits = dict(zip("0123456789abcdef", table))
     acc = 0
-    i = 0
-    while b >> i:
-        if (b >> i) & 1:
-            acc ^= a << i
-        i += 1
+    for d in f"{b:x}":
+        acc = (acc << 4) ^ digits[d]
     return acc
 
 

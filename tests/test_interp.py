@@ -616,6 +616,44 @@ def test_kernel_has_nothing_left_to_fold(params):
                 assert lo + node.right.value.bit_length() < widths[base.id], text
 
 
+@pytest.mark.parametrize("params", [
+    GenParams(kind, 64, mode, 8 if kind.arch.needs_digit else None)
+    for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
+def test_kernel_has_nothing_left_to_merge(params):
+    # Sibling instances (karatsuba2's three cores, toom's point multipliers)
+    # step equal schedules and shift equal operand limbs: the kernel keeps one
+    # copy of each, so no two registers of equal width and reset commit the
+    # same text and no two nets of equal width are assigned the same text.
+    top = generate(params)
+    widths = _flat_widths(top)
+    tree = ast.parse(compile_sim(top, design_library(top)).source)
+    resets, commits, nets = {}, {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        target, value = node.targets[0], node.value
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            regs = [t.id for t in target.elts]
+            side = commits if any(isinstance(v, ast.Name) for v in ast.walk(value)) else resets
+            side.update(zip(regs, map(ast.unparse, value.elts)))
+        elif isinstance(target, ast.Name) and target.id in widths:
+            nets.setdefault((widths[target.id], ast.unparse(value)), set()).add(target.id)
+    assert resets.keys() == commits.keys()
+    same: dict = {}
+    for r in commits:
+        same.setdefault((widths[r], resets[r], commits[r]), []).append(r)
+    assert [regs for regs in same.values() if len(regs) > 1] == []
+    assert [ts for ts in nets.values() if len(ts) > 1] == []
+
+    run = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    rows = next(node for node in run.body if isinstance(node, ast.For)).target.elts
+    blocks = [node for node in ast.walk(run) if isinstance(node, ast.If)]
+    if params.kind is ArchKind.KARATSUBA2:  # one schedule for the three cores
+        assert (len(rows), len(blocks)) == (2, 1)
+    if params.kind is ArchKind.TOOM4:  # one first bit and one run bit for all seven
+        assert len(rows) == 6
+
+
 @pytest.mark.parametrize("kind", [ArchKind.TOOM3, ArchKind.TOOM4])
 def test_toom_child_reset_is_the_ld_bit(kind):
     # crst = rst | ld renders as the bare ld bit, and every register of every
@@ -630,8 +668,12 @@ def test_toom_child_reset_is_the_ld_bit(kind):
     commit = [line for line in source.splitlines() if re.match(r" {8}r\d+, ", line)]
     resets = [f"{hex(r.reset)} if {ident['crst']} else " for child in top.children
               for r in child.regs]
+    # a child register merged into its twin leaves the commit: count those
+    # that survive (the top's registers are r0 .. r<len(top.regs) - 1>)
+    survivors = [int(i) for line in commit for i in re.findall(r"r(\d+),", line.split(" = ")[0])
+                 if int(i) >= len(top.regs)]
     assert len(commit) == 2 and sum(line.count(f" if {ident['crst']} else ")
-                                    for line in commit) == len(resets)
+                                    for line in commit) == len(survivors)
     assert all(reset in "".join(commit) for reset in resets)
 
 
@@ -743,3 +785,77 @@ def test_kernel_matches_reference_stepper(params):
         for b in _corners(13):
             want = _reference_outputs(top, a, b, sim.latency + 3)
             assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == want, (a, b)
+
+
+def _merged(regs: tuple, nets: tuple = ()) -> str:
+    """The kernel source of a module with the registers `regs` and the nets
+    `nets`, the last of them c, or else c the concatenation of the 4-bit
+    registers, after checking its values against the reference stepper for
+    every cycle count 0..8 on the corner operands."""
+    nets = nets or (("c", Concat(tuple(Ref(r.name, 4) for r in regs))),)
+    mod = _module("merge", nets, regs, wc=nets[-1][1].width)
+    sim = Simulator(mod, {mod.name: mod})
+    for a in _corners(4):
+        for b in _corners(4):
+            assert [sim.run(a, b, cycles=k) for k in range(9)] == \
+                _reference_outputs(mod, a, b, 8), (a, b)
+    return sim.source
+
+
+def _regs(source: str) -> set:
+    return set(re.findall(r"\br\d+\b", source))
+
+
+def _count(name: str, reset: int = 0) -> RegDef:
+    return RegDef(name, 4, reset, Add(Ref(name, 4), Const(4, 1)))
+
+
+def test_merge_twin_counters():
+    # (a) two identical counters are one register
+    assert _regs(_merged((_count("p"), _count("q")))) == {"r0"}
+
+
+def test_merge_keeps_unequal_resets_apart():
+    # (b) the same next state from different reset values never agrees
+    assert _regs(_merged((_count("p"), _count("q", 3)))) == {"r0", "r1"}
+
+
+def test_merge_finds_twin_pairs_that_read_each_other():
+    # (c) x1 and y1 read each other, and x2 and y2 the same way: neither of a
+    # pair can be keyed before the other, so hashing in one pass merges
+    # nothing, while the optimistic fixpoint merges x2 into x1 and y2 into y1
+    def pair(x, y):
+        return (RegDef(x, 4, 1, Add(Ref(y, 4), Const(4, 3))),
+                RegDef(y, 4, 1, Xor(Ref(x, 4), Ref("a", 4))))
+    assert _regs(_merged(pair("x1", "y1") + pair("x2", "y2"))) == {"r0", "r1"}
+
+
+def test_merge_splits_up_a_shift_chain():
+    # (d) two three-stage shift chains whose first stages load different
+    # operands: the split of the first stages propagates up both chains,
+    # so nothing merges
+    def chain(name, first):
+        return (RegDef(f"{name}0", 4, 0, first), RegDef(f"{name}1", 4, 0, Ref(f"{name}0", 4)),
+                RegDef(f"{name}2", 4, 0, Ref(f"{name}1", 4)))
+    assert _regs(_merged(chain("s", Ref("a", 4)) + chain("t", Ref("b", 4)))) == \
+        {f"r{i}" for i in range(6)}
+
+
+def test_merge_keeps_nets_of_unequal_width_apart():
+    # (e) narrow and wide both render as the bare b; merged, the slice of
+    # wide would become a mask on the 4-bit narrow that keeps every bit
+    wide = Ref("wide", 8)
+    source = _merged((), (("narrow", Ref("b", 4)), ("wide", _zext8(Ref("b", 4))),
+                          ("c", Add(Concat((Ref("narrow", 4), Slice(wide, 0, 4))), wide))))
+    assert "    n0 = b\n" in source and "    n1 = b\n" in source
+
+
+def test_merge_reads_twins_on_every_cycle():
+    # twin reads the same as once; step reads twin on every cycle and once only
+    # when odd, so once, twin's representative, is read on every cycle
+    acc, odd = Ref("acc", 8), Ref("odd", 1)
+    nets = (("odd", Slice(Ref("cnt", 4), 0, 1)),
+            ("once", Add(acc, _zext8(Ref("a", 4)))), ("twin", Add(acc, _zext8(Ref("a", 4)))),
+            ("step", Add(Ref("twin", 8), Mux(odd, Ref("once", 8), Const(8, 0)))), ("c", acc))
+    source = _merged((_count("cnt"), RegDef("acc", 8, 0, Ref("step", 8))), nets)
+    assert "n2" not in source

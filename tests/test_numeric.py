@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymulgen.errors import InexactDivision
 from polymulgen.numeric import (
@@ -47,6 +49,47 @@ def test_oracle_carryless_is_commutative_and_linear():
         pa = oracle_mul(a, b, ArithMode.CARRYLESS)
         assert pa == oracle_mul(b, a, ArithMode.CARRYLESS)
         assert oracle_mul(a, b ^ c, ArithMode.CARRYLESS) == pa ^ oracle_mul(a, c, ArithMode.CARRYLESS)
+
+
+def _clmul_bits(a: int, b: int) -> int:
+    """Carry-less product by definition: one shifted copy of a per set bit of b."""
+    acc = 0
+    i = 0
+    while b >> i:
+        if (b >> i) & 1:
+            acc ^= a << i
+        i += 1
+    return acc
+
+
+def _corners(m: int) -> tuple:
+    """The corner operands of tests/test_interp.py at width m >= 0."""
+    if not m:
+        return (0,)
+    ones = (1 << m) - 1
+    alt = int("01" * m, 2) & ones
+    return (0, 1, ones, 1 << (m - 1), alt, ones ^ alt)
+
+
+@st.composite
+def _operand_pairs(draw):
+    m = draw(st.integers(0, 1100))
+    operand = st.sampled_from(_corners(m)) | st.integers(0, (1 << m) - 1)
+    return draw(operand), draw(operand)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_operand_pairs())
+def test_oracle_carryless_matches_bit_serial_property(pair):
+    a, b = pair
+    assert oracle_mul(a, b, ArithMode.CARRYLESS) == _clmul_bits(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 13, 571, 1024])
+def test_oracle_carryless_matches_bit_serial_on_corners(m):
+    for a in _corners(m):
+        for b in _corners(m):
+            assert oracle_mul(a, b, ArithMode.CARRYLESS) == _clmul_bits(a, b), (m, a, b)
 
 
 def test_oracle_rejects_negative():
