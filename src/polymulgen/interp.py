@@ -8,8 +8,8 @@ of a combinational loop.
 
 Sibling instances repeat state: karatsuba2's three cores and toom's point
 multipliers each step their own copy of one schedule, and several of toom's
-shift registers hold the same operand limb. Once the undriven-net and loop checks have passed on the
-whole netlist, a merge keeps one representative per class of equivalent
+shift registers hold the same operand limb. Once the undriven-net and loop
+checks have passed on the whole netlist, a merge keeps one representative per class of equivalent
 registers and nets (register correspondence, van Eijk 2000): registers of
 equal width and reset are assumed equal, and a class splits while its
 members' next-state texts differ with every identifier renamed to its
@@ -26,38 +26,55 @@ design compiles into two functions:
 - `_sched(cycles)` steps only the control registers. It returns the rows, one
   tuple per cycle of the control values the datapath reads (guards such as
   run/ld/first, values such as the wrapper's digit ring), and the control
-  values c's cone reads after the last edge. A Simulator runs it once, for
-  the latency, when it is built; a run of another length computes its rows
-  on the call.
-- `_run(a, b, rows, last)` runs one transaction of the datapath in four parts:
+  values c's cone reads after the last edge.
+- `_run(a, b, rows, last)` runs one transaction of the datapath. The guards
+  are the row values one bit wide; a phase is one tuple of their values, and
+  `rows` is the schedule grouped into maximal runs of equal guards: (phase,
+  segment) pairs, a segment holding the run's wider values (the wrapper's
+  digit ring), or its length when there are none. `_run` has four parts:
   - hoist: nets that read only the operands a/b, constants and other such
-    nets are computed once, above the cycle loop;
-  - loop: `for <control values> in rows:`; each cycle evaluates, from the
-    pre-edge state, the datapath nets the registers need, then commits
-    every datapath register at once with one tuple assignment;
+    nets are computed once, above every loop;
+  - phases: `for p, seg in rows:` dispatches to one block per phase, which
+    steps it with `for <wider values> in seg:` (or `range(seg)`). A block
+    is the datapath with the phase's guards bound as constants: every net
+    and register whose text reads a guard, or a net that folds to a
+    constant under them, is rendered again through the same folder, so an
+    arm the guards do not select is not read at all. Its commit, one tuple
+    assignment from the pre-edge state, holds only the registers whose next
+    state is not themselves; the nets it needs are found from it backwards.
+    A net that reads only what the phase holds (the operands, the hoisted
+    nets, the registers it does not load, and other such nets) is evaluated
+    once on entry to the block, so toom's held point operands are
+    sign-extended once per phase, not once per cycle. A net that one text
+    reads, once, at the same point (on entry or on every cycle) is written
+    into that text, and so is a copy of a name;
   - gated blocks: a read under one arm of a Mux whose condition is a Ref g
-    happens only when g selects that arm. A net that all its readers read
-    under the same arm (g, polarity) is evaluated inside an `if g:` (or
-    `if not g:`) block, just before the first per-cycle net that reads it,
-    or else before the commit; a read by a gated net counts as one under
-    that net's arm, so blocks never nest. So the digit-serial wrapper's
-    digit select runs once per window, and a hold-mux register
-    (`Mux(g, X, itself)`) evaluates X's cone only on the cycles it loads;
-  - output cone: c's cone is evaluated once, after the loop, from the final
+    that no phase binds (a datapath net) happens only when g selects that
+    arm. A net that all its readers read under the same arm (g, polarity)
+    is evaluated inside an `if g:` (or `if not g:`) block, just before the
+    first per-cycle net that reads it, or else before the commit; a read by
+    a gated net counts as one under that net's arm, so blocks never nest;
+  - output cone: c's cone is evaluated once, after the loops, from the final
     state and `last`, so `run(a, b, cycles=k)` returns what c shows after k
     posedges for every k.
 
-`_sched` follows the same rules over the control nets, and evaluates every
-value a row carries on every cycle.
+A Simulator runs `_sched` for the latency and renders `_run` over the phases
+those rows meet when it is built. A run of another length groups its own rows
+once and keeps them; when they meet a guard tuple no block has yet (a run past
+the latency may), `_run` is rendered and compiled again over every phase met
+so far, with the same renderer. `_sched` follows the gating rules over the
+control nets, and evaluates every value a row carries on every cycle.
 
 Rendering folds constants in the same pass. rst is the constant 0 during a
 run, so the top's rst folds away: a register's reset mux survives only where
 its module's rst is a net (toom's child reset `crst = rst | ld`, which folds
 to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
 `x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...) drop
-their operator, zero Concat parts vanish, and a Slice that reaches its
-base's top keeps no mask. A read that folds away is not a read, so hoisting,
-gating and the control/datapath split see only what the text reads.
+their operator, zero Concat parts vanish, a Slice that reaches its base's
+top keeps no mask, and an Add or Sub reads an operand cut to its own width,
+`(x & mask)`, as x, since its own mask drops the bits above. A read that
+folds away is not a read, so hoisting, gating, phases and the
+control/datapath split see only what the text reads.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -65,6 +82,9 @@ A transaction is: registers at reset values (the one-cycle rst pulse), then
 from __future__ import annotations
 
 import re
+from collections import Counter
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
                  Slice, Sub, Xor, ref_nodes)
@@ -89,6 +109,11 @@ def _lit(v) -> str:
     return hex(v) if type(v) is int else v
 
 
+def _name(v) -> bool:
+    """Whether the rendered v is a bare identifier: a copy of that name."""
+    return type(v) is str and v.isidentifier()
+
+
 def _pysrc(e, names: dict, reads: list, arm=_LOOP):
     """Python source of e with constants folded: an int when e is constant,
     else text. Appends (identifier, arm) to `reads` for each flat identifier
@@ -100,8 +125,14 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
         if type(v) is str:
             reads.append((v, arm))
         return v
-    if t is Const:
-        return e.value
+    if t is Slice:
+        v = _pysrc(e.base, names, reads, arm)
+        mask = (1 << e.width) - 1
+        if type(v) is int:
+            return (v >> e.lo) & mask
+        if e.lo:
+            v = f"({v} >> {e.lo})"
+        return v if e.lo + e.width == e.base.width else f"({v} & {hex(mask)})"
     if t is Mux:
         mark = len(reads)
         cond = _pysrc(e.cond, names, reads, arm)
@@ -114,6 +145,13 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
             del reads[mark:]
             return _pysrc(e.t, names, reads, arm)
         return f"({_lit(tv)} if {cond} else {_lit(fv)})"
+    if t is Shl:
+        v = _pysrc(e.base, names, reads, arm)
+        if type(v) is int:
+            return v << e.amount
+        return f"({v} << {e.amount})" if e.amount else v
+    if t is Const:
+        return e.value
     if t is Concat:
         const, terms, offset = 0, [], 0
         for p in reversed(e.parts):  # LSB side last in the tuple
@@ -128,30 +166,18 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
         if const:
             terms.append(hex(const))
         return terms[0] if len(terms) == 1 else f"({' | '.join(terms)})"
-    mask = (1 << e.width) - 1
-    if t is Slice:
-        v = _pysrc(e.base, names, reads, arm)
-        if type(v) is int:
-            return (v >> e.lo) & mask
-        if e.lo:
-            v = f"({v} >> {e.lo})"
-        return v if e.lo + e.width == e.base.width else f"({v} & {hex(mask)})"
-    if t is Not:
-        v = _pysrc(e.base, names, reads, arm)
-        if type(v) is int:
-            return v ^ mask
-        return v.base if type(v) is _Not and v.mask == mask else _Not(v, mask)
-    if t is Shl:
-        v = _pysrc(e.base, names, reads, arm)
-        if type(v) is int:
-            return v << e.amount
-        return f"({v} << {e.amount})" if e.amount else v
     if t is Repl:
         v = _pysrc(e.base, names, reads, arm)
         if e.count == 1:
             return v
         factor = ((1 << e.width) - 1) // ((1 << e.base.width) - 1)  # 1 at the bottom of each copy
         return v * factor if type(v) is int else f"({v} * {hex(factor)})"
+    mask = (1 << e.width) - 1
+    if t is Not:
+        v = _pysrc(e.base, names, reads, arm)
+        if type(v) is int:
+            return v ^ mask
+        return v.base if type(v) is _Not and v.mask == mask else _Not(v, mask)
     if t not in (Add, Sub, And, Xor):
         raise TypeError(f"unknown expression node {e!r}")
     mark = len(reads)
@@ -172,7 +198,15 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
         return y
     if t is Xor:
         return f"({_lit(x)} ^ {_lit(y)})"
-    return f"(({_lit(x)} {'+' if t is Add else '-'} {_lit(y)}) & {hex(mask)})"
+    # An operand cut to this width by `(v & mask)` reads v: the sum keeps only
+    # the bits below mask. Every compound text is wrapped in one pair of
+    # parentheses, so a text ending in this suffix is exactly `(v & mask)`.
+    cut = f" & {hex(mask)})"
+    if type(x) is str and x.endswith(cut):
+        x = x[1:-len(cut)]
+    if type(y) is str and y.endswith(cut):
+        y = y[1:-len(cut)]
+    return f"(({_lit(x)} {'+' if t is Add else '-'} {_lit(y)}){cut}"
 
 
 def _net(e, names: dict) -> tuple:
@@ -181,9 +215,11 @@ def _net(e, names: dict) -> tuple:
     sits under, else to _LOOP."""
     log: list = []
     src = _pysrc(e, names, log)
-    reads: dict = {}
-    for ident, arm in log:
-        reads[ident] = arm if reads.get(ident, arm) == arm else _LOOP
+    reads = dict(log)
+    if len(reads) < len(log):  # an identifier read twice keeps its arm only if both agree
+        reads = {}
+        for ident, arm in log:
+            reads[ident] = arm if reads.get(ident, arm) == arm else _LOOP
     return src, reads
 
 
@@ -194,16 +230,19 @@ def _fresh(origin: dict, where: tuple) -> str:
 
 
 def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
-             widths: dict | None = None) -> None:
+             widths: dict | None = None, exprs: dict | None = None) -> None:
     """Add mod and the instances below it to the flat netlist.
 
     `names` maps mod's ports to the identifiers the caller bound them to, or
     to 0 for the top's rst. `origin` maps each fresh net identifier to its
     (module, net name), `nets` each driven one to `_net` of its driver;
-    `regs` collects (identifier, reset, `_net` of the value after the edge)
-    and `widths` the width of each driven net and register.
+    `regs` collects (identifier, reset, `_net` of the value after the edge),
+    `widths` the width of each driven net and register, and `exprs` the
+    expression and the instance's names each of those texts was rendered
+    from, so that a phase can render it again.
     """
     widths = {} if widths is None else widths
+    exprs = {} if exprs is None else exprs
     names = dict(names)
     for n in mod.nets:
         names[n.name] = _fresh(origin, (mod, n.name))
@@ -211,11 +250,11 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
         names[r.name] = f"r{i}"
     for a in mod.assigns:
         t = names[a.target]
-        nets[t], widths[t] = _net(a.expr, names), a.expr.width
+        nets[t], widths[t], exprs[t] = _net(a.expr, names), a.expr.width, (a.expr, names)
     for r in mod.regs:  # the top's rst folds to 0, so only a child reset net keeps this mux
         after = Mux(Ref("rst", 1), Const(r.width, r.reset), r.next)
         regs.append((names[r.name], r.reset, _net(after, names)))
-        widths[names[r.name]] = r.width
+        widths[names[r.name]], exprs[names[r.name]] = r.width, (after, names)
     kids = {child.name: child for child in mod.children}
     for inst in mod.instances:
         bound = {}
@@ -224,8 +263,8 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
                 bound[port] = names[e.name]
             else:
                 t = bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
-                nets[t], widths[t] = _net(e, names), e.width
-        _flatten(kids[inst.module_name], bound, origin, nets, regs, widths)
+                nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
+        _flatten(kids[inst.module_name], bound, origin, nets, regs, widths, exprs)
 
 
 def _names_read(mod: RtlModule) -> set:
@@ -264,27 +303,25 @@ def _order(deps: dict, origin: dict) -> list:
     return order
 
 
-def _place(order: list, nets: dict, regs: list, always) -> dict:
-    """Where each net of `order` that the registers' commit or `always` needs
-    is evaluated: _LOOP, or the arm (guard, polarity) of its gated block."""
-    uses = {t: set() for t in order}
-    for t in always:
-        if t in uses:
-            uses[t].add(_LOOP)
-    for _, _, (_, reads) in regs:
-        for r, where in reads.items():
-            if r in uses:
-                uses[r].add(where)
+def _place(order: list, nets: dict, roots: list) -> dict:
+    """Where each net of `order` that the read maps `roots` need is evaluated:
+    _LOOP, or the arm (guard, polarity) of its gated block. The placed nets
+    come in reverse `order`."""
+    uses: dict = {}  # identifier -> the arm every read so far sits under, else _LOOP
+    for reads in roots:
+        for r, arm in reads.items():
+            uses[r] = arm if uses.get(r, arm) == arm else _LOOP
     # A net goes under one arm when all its readers read it there, and a net
     # read by a gated net into that net's block; readers come later in
     # topological order, so walk it backwards.
     place = {}
     for t in reversed(order):
-        if uses[t]:
-            place[t] = uses[t].pop() if len(uses[t]) == 1 else _LOOP
-            for r, where in nets[t][1].items():
-                if r in uses:
-                    uses[r].add(where if place[t] is _LOOP else place[t])
+        if t in uses:
+            where = place[t] = uses[t]
+            for r, arm in nets[t][1].items():
+                if where is not _LOOP:
+                    arm = where
+                uses[r] = arm if uses.get(r, arm) == arm else _LOOP
     return place
 
 
@@ -299,10 +336,11 @@ def _hoist(order: list, nets: dict, known: set) -> set:
 
 
 def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
-    """(nets, regs, order) with one representative per class of equivalent
-    registers and nets. Every text and read map is renamed to the
-    representatives, the guard of each arm too; an identifier that two merged
-    ones read under different arms is read on every cycle.
+    """(nets, regs, order, rep) with one representative per class of
+    equivalent registers and nets, rep taking each merged identifier to its
+    class's. Every text and read map is renamed to the representatives, the
+    guard of each arm too; an identifier that two merged ones read under
+    different arms is read on every cycle.
 
     Register correspondence: the greatest partition of the registers in which
     the members of a class have equal widths, equal resets and equal
@@ -351,7 +389,7 @@ def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
             break
         classes = split
     if not rep:
-        return nets, regs, order
+        return nets, regs, order, rep
 
     def rename(t: str, net: tuple) -> tuple:
         src, reads = net
@@ -367,12 +405,34 @@ def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
 
     return ({t: rename(t, net) for t, net in nets.items() if t not in rep},
             [(r, reset, rename(r, net)) for r, reset, net in regs if r not in rep],
-            [t for t in order if t not in rep])
+            [t for t in order if t not in rep], rep)
 
 
-def _kernel(nets: dict, regs: list, order: list) -> str:
-    """Source of `_sched(cycles)` and `_run(a, b, rows, last)` for a flat
-    netlist that drives c, its nets in dependency `order`."""
+class _Bound:
+    """An instance's names as a phase renders them: each flat identifier
+    renamed to its merge representative, then to the constant or identifier
+    the phase binds that to."""
+
+    __slots__ = ("names", "rep", "bound")
+
+    def __init__(self, names: dict, rep: dict, bound: dict):
+        self.names, self.rep, self.bound = names, rep, bound
+
+    def __getitem__(self, name: str):
+        v = self.names[name]
+        if type(v) is str:
+            v = self.rep.get(v, v)
+            return self.bound.get(v, v)
+        return v
+
+
+def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep: dict) -> tuple:
+    """The kernel of a flat netlist that drives c, its nets in dependency
+    `order`: (source of `_sched(cycles)`, the guards that lead each row,
+    whether wider values follow them, `runner`). `runner(phases)` returns the
+    source of `_run(a, b, rows, last)` with one block per phase, a tuple of
+    the guards' values each; a phase renders a text again from `exprs`, seen
+    through the merge's `rep`, with the guards bound."""
     edges = {t: reads.keys() for t, (_, reads) in nets.items()}
     edges.update((r, reads.keys()) for r, _, (_, reads) in regs)
     # What a or b reaches is the datapath; the rest, the control state, runs
@@ -392,16 +452,21 @@ def _kernel(nets: dict, regs: list, order: list) -> str:
         if t in cone:
             cone |= edges[t] & nets.keys()
 
-    def assign(t: str, indent: int) -> str:
-        return f"{' ' * indent}{t} = {_lit(nets[t][0])}"
+    def assign(t: str, src, pad: str) -> str:
+        return f"{pad}{t} = {_lit(src)}"
 
-    def render(order: list, regs: list, hoisted: set, always=()) -> tuple:
-        """(lines before the loop, the loop's nets and gated blocks, the
-        commit, the nets of c's cone evaluated after the loop, the placement)
-        of one function, over the nets of `order` and the registers `regs`."""
-        place = _place(order, nets, regs, always)
-        head = [assign(t, 4) for t in order if t in hoisted and (t in place or t in cone)]
-        loop: list = []
+    def tup(idents: list) -> str:
+        return f"{', '.join(idents)}," if idents else ""
+
+    def commit(regs: list, pad: str) -> str:
+        """One tuple assignment of the (register, text) pairs `regs`."""
+        return f"{pad}{tup([r for r, _ in regs])} = {', '.join(_lit(src) for _, src in regs)},"
+
+    def cycle(order: list, nets: dict, place: dict, fixed: set, pad: str) -> list:
+        """The lines of one cycle, indented by pad: each net of `order` that
+        is placed and not `fixed`, a gated one inside an `if` block just
+        before the first per-cycle net that reads it, or else at the end."""
+        lines: list = []
         pending: dict = {}  # arm -> gated nets not yet emitted, in topological order
         waiting = set()  # the nets in pending
 
@@ -409,50 +474,164 @@ def _kernel(nets: dict, regs: list, order: list) -> str:
             for guard, polarity in [arm for arm in pending if arm in arms]:
                 ts = pending.pop((guard, polarity))
                 waiting.difference_update(ts)
-                loop.append(f"        if {'' if polarity else 'not '}{guard}:")
-                loop.extend(assign(t, 12) for t in ts)
+                lines.append(f"{pad}if {'' if polarity else 'not '}{guard}:")
+                lines.extend(assign(t, nets[t][0], pad + "    ") for t in ts)
 
         for t in order:
-            if t in place and t not in hoisted:
+            if t in place and t not in fixed:
                 if place[t] is _LOOP:
-                    emit({place[r] for r in nets[t][1].keys() & waiting})
-                    loop.append(assign(t, 8))
+                    if waiting:
+                        emit({place[r] for r in nets[t][1].keys() & waiting})
+                    lines.append(assign(t, nets[t][0], pad))
                 else:
                     pending.setdefault(place[t], []).append(t)
                     waiting.add(t)
         emit(set(pending))
-        commit = []
-        if regs:
-            idents = ", ".join(r[0] for r in regs) + ","
-            head.append(f"    {idents} = {', '.join(hex(r[1]) for r in regs)},")
-            commit.append(f"        {idents} = {', '.join(_lit(r[2][0]) for r in regs)},")
-        tail = [assign(t, 4) for t in order if t in cone and t not in hoisted]
-        return head, loop, commit, tail, place
-
-    def tup(idents: list) -> str:
-        return f"{', '.join(idents)}," if idents else ""
+        return lines
 
     dnets, dregs = [t for t in order if t in data], [r for r in regs if r[0] in data]
     cnets, cregs = [t for t in order if t not in data], [r for r in regs if r[0] not in data]
     hoisted = _hoist(dnets, nets, {"a", "b"})
-    head, loop, commit, tail, place = render(dnets, dregs, hoisted)
-    # the control values the datapath reads on every cycle, and after the last edge
-    looped = [t for t in place if t not in hoisted] + [r[0] for r in dregs]
-    rows = sorted({r for t in looped for r in edges[t]} - data)
+    inner = [t for t in dnets if t not in hoisted]
+    # the control values the datapath's nets and registers read, the 1-bit
+    # guards first, and those c's cone reads after the last edge
+    rows = sorted({r for t in inner + [r[0] for r in dregs] for r in edges[t]} - data)
+    guards, wide = [t for t in rows if widths[t] == 1], [t for t in rows if widths[t] != 1]
     last = sorted({r for t in dnets if t in cone and t not in hoisted for r in edges[t]} - data)
     if "c" not in data:
         last.append("c")
-    run = ["def _run(a, b, rows, last):", *head]
-    if dregs:
-        run += [f"    for {tup(rows) or '_'} in rows:", *loop, *commit]
-    run += [f"    {tup(last)} = last"] if last else []
-    run += [*tail, "    return c"]
 
-    chead, cloop, ccommit, ctail, _ = render(cnets, cregs, _hoist(cnets, nets, set()), rows)
-    sched = ["def _sched(cycles):", *chead, "    rows = []", "    for _ in range(cycles):",
-             *cloop, f"        rows.append(({tup(rows)}))", *ccommit, *ctail,
-             f"    return rows, ({tup(last)})"]
-    return "\n".join(sched + [""] + run) + "\n"
+    fixed = _hoist(cnets, nets, set())
+    cplace = _place(cnets, nets,
+                    [reads for _, _, (_, reads) in cregs] + [dict.fromkeys(rows, _LOOP)])
+    sched = ["def _sched(cycles):", *[assign(t, nets[t][0], "    ") for t in cnets
+                                      if t in fixed and (t in cplace or t in cone)]]
+    if cregs:
+        sched.append(f"    {tup([r[0] for r in cregs])} = {', '.join(hex(r[1]) for r in cregs)},")
+    sched += ["    rows = []", "    for _ in range(cycles):",
+              *cycle(cnets, nets, cplace, fixed, " " * 8),
+              f"        rows.append(({tup(guards + wide)}))"]
+    if cregs:
+        sched.append(commit([(r, src) for r, _, (src, _) in cregs], " " * 8))
+    sched += [assign(t, nets[t][0], "    ") for t in cnets if t in cone and t not in fixed]
+    sched.append(f"    return rows, ({tup(last)})")
+
+    # the nets binding the guards can change: those that read a guard, or a
+    # net that does
+    touched = set(guards)
+    for t in inner:
+        if not touched.isdisjoint(edges[t]):
+            touched.add(t)
+    tnets = [t for t in inner if t in touched]
+    specs: dict = {}  # (identifier, what it reads as bound) -> its text rendered under that
+    known = hoisted | {"a", "b", *[r[0] for r in dregs]}
+
+    def spec(t: str, bound: dict) -> tuple:
+        """`_net` of t's expression with the bindings `bound`."""
+        key = (t, *map(bound.get, edges[t]))
+        if key in specs:
+            return specs[key]
+        e, names = exprs[t]
+        names = _Bound(names, rep, bound)
+        while type(e) is Mux and type(e.cond) is Ref:  # a bound guard picks the arm
+            g = names[e.cond.name]
+            if type(g) is not int:
+                break
+            e = e.t if g else e.f
+        if type(e) is Ref:
+            v = names[e.name]
+            net = (v, {v: _LOOP}) if type(v) is str else (v, {})
+        else:
+            net = _net(e, names)
+        specs[key] = net
+        return net
+
+    def phase(values: tuple) -> tuple:
+        """(lines, the hoisted nets read) of the block that runs the phase in
+        which the guards hold `values`, or ([], ()) when no register changes
+        in it."""
+        bound = dict(zip(guards, values))
+        binds = bound.keys()
+        pnets = dict(nets)
+        for t in tnets:
+            if not binds.isdisjoint(edges[t]):
+                src, _ = pnets[t] = spec(t, bound)
+                if type(src) is int:  # its readers read the constant
+                    bound[t] = src
+        changing = []
+        for r, _, net in dregs:
+            if not binds.isdisjoint(edges[r]):
+                net = spec(r, bound)
+            if net[0] != r:
+                changing.append((r, net))
+        if not changing:
+            return [], ()
+        place = _place(inner, pnets, [reads for _, (_, reads) in changing])
+        live = [*reversed(place)]
+        count = Counter(chain.from_iterable(
+            [pnets[t][1] for t in live] + [reads for _, (_, reads) in changing]))
+        target = tup(wide) if wide and not count.keys().isdisjoint(wide) else "_"
+        # One walk forward. A net that reads only what the phase holds (the
+        # operands, the registers it does not load, the hoisted nets) is
+        # evaluated on entry. A net that one text reads, once, at the same
+        # point (on entry, or on every cycle) is written into that text, and
+        # so is a copy of a name into each text that reads it once.
+        fixed = known.difference([r for r, _ in changing])
+        left = count.copy()  # the texts that still read each net
+        once = {t for t in live if count[t] == 1 or _name(pnets[t][0])}
+        gated = any(arm is not _LOOP for arm in place.values())  # then emit() needs whole reads
+
+        def inline(src, reads: dict, entry: bool) -> tuple:
+            for r in reads:
+                if r in once and src.count(r) == 1:  # a name in src, and no name it begins
+                    rsrc, rreads = pnets[r]
+                    if count[r] == 1 and (r in fixed) == entry or _name(rsrc):
+                        src = src.replace(r, _lit(rsrc))
+                        left[r] -= 1
+                        if gated:
+                            reads = {**reads, **rreads}
+            return src, reads
+
+        for t in live:
+            src, reads = pnets[t]
+            entry = fixed.issuperset(reads)
+            if entry:
+                fixed.add(t)
+            if not once.isdisjoint(reads):
+                pnets[t] = inline(src, reads, entry)
+        changing = [(r, inline(src, reads, False)) for r, (src, reads) in changing]
+        live = [t for t in live if left[t]]
+        return [*[assign(t, pnets[t][0], " " * 12) for t in live if t in fixed],
+                f"            for {target} in {'seg' if wide else 'range(seg)'}:",
+                *cycle(live, pnets, place, fixed, " " * 16),
+                commit([(r, src) for r, (src, _) in changing], " " * 16)], \
+            hoisted.intersection(count)
+
+    tail = [assign(t, nets[t][0], "    ") for t in dnets if t in cone and t not in hoisted]
+    blocks: dict = {}  # guard values -> phase(values)
+
+    def runner(phases: list) -> str:
+        loop, needed = [], set(cone)
+        for i, values in enumerate(phases):
+            if values not in blocks:
+                blocks[values] = phase(values)
+            lines, read = blocks[values]
+            if lines:
+                loop += [f"        {'elif' if loop else 'if'} p == {i}:", *lines]
+                needed.update(read)
+        for t in reversed(dnets):  # and the hoisted nets those read
+            if t in needed and t in hoisted:
+                needed.update(edges[t])
+        run = ["def _run(a, b, rows, last):",
+               *[assign(t, nets[t][0], "    ") for t in dnets if t in hoisted and t in needed]]
+        if dregs:
+            run.append(f"    {tup([r[0] for r in dregs])} = {', '.join(hex(r[1]) for r in dregs)},")
+        if loop:
+            run += ["    for p, seg in rows:", *loop]
+        run += [f"    {tup(last)} = last"] if last else []
+        return "\n".join([*run, *tail, "    return c"]) + "\n"
+
+    return "\n".join(sched) + "\n", guards, bool(wide), runner
 
 
 class Simulator:
@@ -471,9 +650,10 @@ class Simulator:
         regs: list = []
         origin: dict = {}
         widths: dict = {}
+        exprs: dict = {}
         ports = {p.name: p.name for p in top.ports}
         ports["rst"] = 0
-        _flatten(top, ports, origin, nets, regs, widths)
+        _flatten(top, ports, origin, nets, regs, widths, exprs)
         if "c" not in nets:
             raise ValueError("top output c is never driven")
         for t, (mod, net) in origin.items():
@@ -482,11 +662,35 @@ class Simulator:
         order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
                        origin)
 
-        self._source = _kernel(*_merge(nets, regs, order, widths))
+        nets, regs, order, rep = _merge(nets, regs, order, widths)
+        self._sched_source, self._guards, self._wide, self._runner = _kernel(
+            nets, regs, order, widths, exprs, rep)
         ns: dict = {}
-        exec(self._source, ns)  # compiled once per configuration
-        self._sched, self._run = ns["_sched"], ns["_run"]
-        self._schedule = self._sched(self.latency)  # the rows of a default-length run
+        exec(self._sched_source, ns)  # compiled once per configuration
+        self._sched, self._run = ns["_sched"], None
+        self._phases: dict = {}  # guard values -> phase number, in the order first met
+        self._plans: dict = {}  # cycles -> (the rows grouped into phases, last)
+        self._plan(self.latency)
+
+    def _plan(self, cycles: int) -> tuple:
+        """The rows of a run of `cycles` grouped into phases, as `_run` takes
+        them, and last. Meeting a phase for the first time renders and
+        compiles `_run` again, over every phase met so far."""
+        rows, last = self._sched(cycles)
+        width, fresh, plan = len(self._guards), self._run is None, []
+        for values, segment in groupby(rows, itemgetter(slice(0, width))):
+            if values not in self._phases:
+                self._phases[values] = len(self._phases)
+                fresh = True
+            plan.append((self._phases[values], [row[width:] for row in segment] if self._wide
+                         else sum(1 for _ in segment)))
+        if fresh:
+            run = self._runner(list(self._phases))
+            ns: dict = {}
+            exec(run, ns)
+            self._run, self._source = ns["_run"], self._sched_source + "\n" + run
+        self._plans[cycles] = plan, last
+        return plan, last
 
     @property
     def source(self) -> str:
@@ -501,7 +705,7 @@ class Simulator:
         cycles = self.latency if cycles is None else cycles
         if cycles < 0:
             raise ValueError(f"cycles {cycles} < 0")
-        rows, last = self._schedule if cycles == self.latency else self._sched(cycles)
+        rows, last = self._plans.get(cycles) or self._plan(cycles)
         return self._run(a, b, rows, last)
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
-from polymulgen.interp import Simulator, _flatten, _pysrc, compile_sim
+from polymulgen.interp import Simulator, _flatten, _merge, _order, _pysrc, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
                            Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor)
 from polymulgen.models import ArchKind, cycle_contract, run_model
@@ -253,40 +253,68 @@ def test_gated_registers_exact_every_cycle():
     want = [0, 1, 11, 10, 22, 23, 25, 36]
     assert [sim.run(3, 5, cycles=k) for k in range(sim.latency + 4)] == want
     # odd is the first net, n0. hold reads neither operand, so the schedule
-    # gates its load; in the datapath acc and acc2 share one block.
-    blocks = [line.strip() for line in sim.source.splitlines() if line.lstrip().startswith("if ")]
-    assert blocks == ["if not n0:", "if n0:"]
+    # gates its load; in the datapath odd is the guard of two phases, acc and
+    # acc2 load together in the one where it is 1, and the other, where no
+    # register changes, has no block.
+    sched = sim.source.split("def _run(")[0]
+    assert [line.strip() for line in sched.splitlines() if line.lstrip().startswith("if ")] == \
+        ["if not n0:"]
+    assert _listing(sim, mod) == {
+        "odd=1": ["for _", "  acc, acc2, = ((acc + a) & 0xff), ((acc2 + b) & 0xff),"]}
 
 
-def _loop(sim: Simulator, mod: RtlModule) -> list:
-    """The datapath's cycle loop (`_run`'s) of a kernel for a module without
-    instances, by net and register name: first `for` and the control values
-    each row brings, then a per-cycle net as its name, a gated block as its
-    `if` line followed by its nets indented by two. The commit is left out."""
+def _phases(sim: Simulator) -> dict:
+    """Each phase block of `_run`, by the guards' values: (the statements it
+    runs on entry, its cycle loop), parsed."""
+    run = next(f for f in ast.parse(sim.source).body
+               if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    outer = next(node for node in run.body if isinstance(node, ast.For))
+    phase = {i: values for values, i in sim._phases.items()}
+    blocks, node = {}, outer.body[0]
+    while node:  # if p == 0: ... elif p == 1: ...
+        blocks[phase[node.test.comparators[0].value]] = node.body[:-1], node.body[-1]
+        node = node.orelse[0] if node.orelse else None
+    return blocks
+
+
+def _listing(sim: Simulator, mod: RtlModule) -> dict:
+    """The phase blocks of a kernel for a module without instances, each by
+    its guards' names and values: the statements on entry, `for` and the
+    control values each row brings, then the cycle's statements indented by
+    two (a gated block as its `if` line, its nets indented by two more),
+    every identifier renamed to its net or register."""
     names = {f"n{i}": n.name for i, n in enumerate(mod.nets)}
     names.update({f"r{i}": r.name for i, r in enumerate(mod.regs)})
-    head, body = sim.source.split("def _run(")[1].split(" in rows:\n")
-    targets = head.splitlines()[-1].split()[1:]
-    body = body.splitlines()
-    body = body[:[line.startswith(" " * 8) for line in body].index(False) - 1]
-    out = ["for " + ", ".join(names[t.rstrip(",")] for t in targets)]
-    for line in body:
-        words = line.split()
-        if words[0] == "if":
-            guard = words[-1].rstrip(":")
-            out.append(" ".join(words[:-1] + [names.get(guard, guard)]) + ":")
-        else:
-            out.append(" " * ((len(line) - len(line.lstrip()) - 8) // 2) + names[words[0]])
+
+    def text(node, pad="") -> str:
+        return pad + re.sub(r"\b[nr]\d+\b", lambda m: names[m.group()],
+                            ast.get_source_segment(sim.source, node))
+
+    def lines(stmts, pad: str) -> list:
+        out = []
+        for stmt in stmts:
+            if isinstance(stmt, ast.If):  # a gated block: its `if` line, then its nets
+                out += [f"{pad}if {text(stmt.test)}:", *lines(stmt.body, pad + "  ")]
+            else:
+                out.append(text(stmt, pad))
+        return out
+
+    out = {}
+    for values, (entry, loop) in _phases(sim).items():
+        label = " ".join(f"{names[g]}={v}" for g, v in zip(sim._guards, values))
+        out[label] = lines(entry, "") + [f"for {text(loop.target)}"] + lines(loop.body, "  ")
     return out
 
 
 def test_mux_arm_gating_rule():
     # pick reads `only` and the nested mux's hi/deep under its odd arm, `both`
     # under both arms and `mixed` under its other arm; qacc also reads mixed
-    # every cycle. acc loads p2 = q + p1 on odd cycles, and the per-cycle q
-    # reads p1 under the odd arm, so the odd block splits around q (and, in
-    # this topological order, around pick). odd, hi, tick and mixed read
-    # neither operand: they arrive as the schedule's rows, computed every cycle.
+    # every cycle. acc loads p2 = q + p1 on odd cycles, and q reads p1 under
+    # the odd arm. odd, hi, tick and mixed read neither operand: they arrive
+    # as the schedule's rows, and the 1-bit odd and hi are the guards of four
+    # phases. In each, the arms the guards do not select are not read at all:
+    # acc, only, deep, p1 and p2 vanish where odd is 0, and only or deep
+    # where hi does not select it.
     cnt, acc, qacc, pacc = Ref("cnt", 3), Ref("acc", 8), Ref("qacc", 8), Ref("pacc", 8)
     odd, tick = Ref("odd", 1), Ref("tick", 8)
     za, zb = _zext8(Ref("a", 4)), _zext8(Ref("b", 4))
@@ -332,18 +360,24 @@ def test_mux_arm_gating_rule():
     for a, b in ((3, 5), (15, 15), (0, 9), (10, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    assert _loop(sim, mod) == ["for odd, hi, tick, mixed", "both",
-                               "if odd:", "  only", "  deep",
-                               "pick",
-                               "if odd:", "  p1",
-                               "q",
-                               "if odd:", "  p2"]
+    held = ["for tick, mixed,",
+            "  qacc, pacc, = ((qacc ^ a) ^ mixed), ((pacc + ((tick ^ b) ^ mixed)) & 0xff),"]
+    loads = ["for tick, mixed,", "  p1 = ((tick + b) & 0xff)",
+             "  acc, qacc, pacc, = ((p1 + p1) & 0xff), ((qacc ^ p1) ^ mixed), "
+             "((pacc + ((((tick {} & 0xff) + (tick ^ b)) & 0xff)) & 0xff),"]
+    assert _listing(sim, mod) == {
+        "odd=0 hi=0": held, "odd=0 hi=1": held,
+        "odd=1 hi=0": loads[:2] + [loads[2].format("- b)")],
+        "odd=1 hi=1": loads[:2] + [loads[2].format("+ a)")]}
 
 
 def test_mux_arm_guards():
     # The guard of an arm may be a register (flag), a net hoisted above the
     # loop (ha, the low bit of a) or the top's rst, which is 0 during a run, so
-    # racc's mux folds to its live arm: ry runs every cycle and rx never.
+    # racc's mux folds to its live arm: ry runs every cycle and rx never. The
+    # 1-bit control register flag is the guard of two phases, each reading
+    # only its own arm of fsel; ha is a datapath net, so hx, read once under
+    # its arm, is written into that arm and evaluated only when ha is 1.
     cnt, flag = Ref("cnt", 3), Ref("flag", 1)
     facc, hacc, racc = Ref("facc", 8), Ref("hacc", 8), Ref("racc", 8)
     tick = Ref("tick", 8)
@@ -378,8 +412,35 @@ def test_mux_arm_guards():
     for a, b in ((3, 5), (4, 9), (15, 15), (0, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    assert _loop(sim, mod) == ["for tick, flag", "if flag:", "  fx", "fsel", "ry", "if ha:", "  hx"]
+    commit = "  facc, hacc, racc, = {}, (((hacc + tick) & 0xff) if ha else hacc), " \
+        "((racc + b) & 0xff),"
+    assert _listing(sim, mod) == {
+        "flag=0": ["for tick,", commit.format("(facc ^ b)")],
+        "flag=1": ["for tick,", commit.format("(facc ^ ((facc + tick) & 0xff))")]}
+    assert "    n3 = (a & 0x1)\n" in sim.source  # ha, hoisted above the loop
     assert "if 0" not in sim.source
+
+
+def test_datapath_guard_gates_a_shared_arm():
+    # ha, the low bit of a, is a datapath net that no phase binds. hx is read
+    # by two registers, both under ha's arm, so each cycle evaluates it
+    # inside an `if ha:` block before the commit, and only when ha is 1.
+    cnt, acc, acc2 = Ref("cnt", 3), Ref("acc", 8), Ref("acc2", 8)
+    ha, hx = Ref("ha", 1), Ref("hx", 8)
+    nets = (("tick", _zext8(cnt)), ("ha", Slice(Ref("a", 4), 0, 1)),
+            ("hx", Add(acc, Ref("tick", 8))), ("c", Xor(acc, acc2)))
+    regs = (RegDef("cnt", 3, 0, Add(cnt, Const(3, 1))),
+            RegDef("acc", 8, 0, Mux(ha, hx, acc)),
+            RegDef("acc2", 8, 0, Mux(ha, Xor(acc2, Add(hx, _zext8(Ref("b", 4)))), acc2)))
+    mod = _module("shared", nets, regs, latency=6)
+    sim = Simulator(mod, {mod.name: mod})
+    for a in _corners(4):
+        for b in _corners(4):
+            assert [sim.run(a, b, cycles=k) for k in range(9)] == \
+                _reference_outputs(mod, a, b, 8), (a, b)
+    assert _listing(sim, mod) == {"": [
+        "for tick,", "  if ha:", "    hx = ((acc + tick) & 0xff)",
+        "  acc, acc2, = (hx if ha else acc), ((acc2 ^ ((hx + b) & 0xff)) if ha else acc2),"]}
 
 
 def test_child_reset_net_exact_every_cycle():
@@ -431,14 +492,23 @@ def test_gated_designs_on_corner_operands(params):
 
 def test_wrapper_digit_select_runs_once_per_window():
     # The digit select (d masked digits of b, XOR-reduced) is read only when
-    # the core loads a digit, so the per-cycle work does not grow with d.
-    def per_cycle(n, m=1024):
-        lines = _sim(ArchKind.DIGIT_SERIAL, m, n=n).source.splitlines()
-        return sum(1 for line in lines if line.startswith(" " * 8) and line[8] != " "
-                   and not line.lstrip().startswith("if "))
-    assert per_cycle(64) == per_cycle(8) == per_cycle(32, m=521)
-
-
+    # the core loads a digit: only the phase of that cycle, which lasts one
+    # cycle per window, holds it, so the work of the phases that run longer
+    # does not grow with d.
+    def work(n, m=1024) -> tuple:
+        """(the expression nodes of each phase's cycle that runs more than one
+        cycle in a row, those of the phases that never do)"""
+        sim = _sim(ArchKind.DIGIT_SERIAL, m, n=n)
+        runs: dict = {}
+        for i, segment in sim._plans[sim.latency][0]:
+            runs[i] = max(runs.get(i, 0), segment if type(segment) is int else len(segment))
+        long, short = [], []
+        for values, (_, loop) in _phases(sim).items():
+            size = sum(1 for stmt in loop.body for _ in ast.walk(stmt))
+            (long if runs[sim._phases[values]] > 1 else short).append(size)
+        return sorted(long), max(short)
+    assert work(64)[0] == work(8)[0] == work(32, m=521)[0]
+    assert work(64)[1] > 4 * max(work(64)[0])  # 16 digits selected on the load cycle alone
 @pytest.mark.parametrize("mode", list(ArithMode))
 def test_wrapper_single_bit_and_single_digit(mode):
     # n=1 (d=m one-bit digits) and n=m (d=1: no digit shift, one window)
@@ -545,6 +615,8 @@ _X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 13)}
 @example(Not(And(Not(Ref("rst", 1)), Not(Ref("x1", 1)))), random.Random(4))
 @example(Not(Concat((Const(1, 0), Not(Ref("x1", 1))))), random.Random(5))  # ~~ of two widths
 @example(And(Ref("x2", 2), Repl(2, Ref("rst", 1))), random.Random(6))  # x2 is not read
+@example(Sub(Slice(Ref("x8", 8), 0, 4), Ref("x4", 4)), random.Random(7))  # the sum's mask suffices
+@example(Add(And(Ref("x4", 4), Const(4, 7)), Ref("x4", 4)), random.Random(8))  # x4 & 7 stays
 def test_folding_matches_reference_property(e, rng):
     # The folded source evaluates to the reference value, and the identifiers it
     # records as read are exactly the names the text reads.
@@ -621,35 +693,31 @@ def test_kernel_has_nothing_left_to_fold(params):
     for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
 def test_kernel_has_nothing_left_to_merge(params):
     # Sibling instances (karatsuba2's three cores, toom's point multipliers)
-    # step equal schedules and shift equal operand limbs: the kernel keeps one
-    # copy of each, so no two registers of equal width and reset commit the
-    # same text and no two nets of equal width are assigned the same text.
+    # step equal schedules and shift equal operand limbs: the merge keeps one
+    # copy of each, so no two registers of equal width and reset have the
+    # same next-state text and no two nets of equal width the same text.
     top = generate(params)
-    widths = _flat_widths(top)
-    tree = ast.parse(compile_sim(top, design_library(top)).source)
-    resets, commits, nets = {}, {}, {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        target, value = node.targets[0], node.value
-        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-            regs = [t.id for t in target.elts]
-            side = commits if any(isinstance(v, ast.Name) for v in ast.walk(value)) else resets
-            side.update(zip(regs, map(ast.unparse, value.elts)))
-        elif isinstance(target, ast.Name) and target.id in widths:
-            nets.setdefault((widths[target.id], ast.unparse(value)), set()).add(target.id)
-    assert resets.keys() == commits.keys()
+    nets: dict = {}
+    regs: list = []
+    origin: dict = {}
+    widths: dict = {}
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, nets, regs, widths)
+    order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
+                   origin)
+    nets, regs, order, rep = _merge(nets, regs, order, widths)
+    assert set(order) == nets.keys() and rep.keys().isdisjoint(order)
     same: dict = {}
-    for r in commits:
-        same.setdefault((widths[r], resets[r], commits[r]), []).append(r)
-    assert [regs for regs in same.values() if len(regs) > 1] == []
-    assert [ts for ts in nets.values() if len(ts) > 1] == []
+    for r, reset, (src, _) in regs:
+        same.setdefault((widths[r], reset, src), []).append(r)
+    for t in order:
+        if t != "c":
+            same.setdefault((widths[t], nets[t][0]), []).append(t)
+    assert [ts for ts in same.values() if len(ts) > 1] == []
 
-    run = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_run")
-    rows = next(node for node in run.body if isinstance(node, ast.For)).target.elts
-    blocks = [node for node in ast.walk(run) if isinstance(node, ast.If)]
-    if params.kind is ArchKind.KARATSUBA2:  # one schedule for the three cores
-        assert (len(rows), len(blocks)) == (2, 1)
+    sim = compile_sim(top, design_library(top))
+    rows = sim._sched(1)[0][0]  # the control values the datapath reads on a cycle
+    if params.kind is ArchKind.KARATSUBA2:  # one schedule for the three cores: load, then run
+        assert (len(rows), len(sim._phases)) == (2, 2)
     if params.kind is ArchKind.TOOM4:  # one first bit and one run bit for all seven
         assert len(rows) == 6
 
@@ -658,23 +726,38 @@ def test_kernel_has_nothing_left_to_merge(params):
 def test_toom_child_reset_is_the_ld_bit(kind):
     # crst = rst | ld renders as the bare ld bit, and every register of every
     # point multiplier commits its reset value when it is high: the control
-    # registers in the schedule's commit, the others in the datapath's
+    # registers in the schedule's commit, the others in the commit of the
+    # datapath's phase in which the crst guard is 1
     top = generate(GenParams(kind, 64))
     origin: dict = {}
     _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [])
     ident = {name: t for t, (mod, name) in origin.items() if mod is top}
-    source = compile_sim(top, design_library(top)).source
-    assert f"        {ident['crst']} = {ident['ld']}\n" in source
-    commit = [line for line in source.splitlines() if re.match(r" {8}r\d+, ", line)]
-    resets = [f"{hex(r.reset)} if {ident['crst']} else " for child in top.children
-              for r in child.regs]
-    # a child register merged into its twin leaves the commit: count those
-    # that survive (the top's registers are r0 .. r<len(top.regs) - 1>)
-    survivors = [int(i) for line in commit for i in re.findall(r"r(\d+),", line.split(" = ")[0])
-                 if int(i) >= len(top.regs)]
-    assert len(commit) == 2 and sum(line.count(f" if {ident['crst']} else ")
-                                    for line in commit) == len(survivors)
-    assert all(reset in "".join(commit) for reset in resets)
+    crst = ident["crst"]
+    sim = compile_sim(top, design_library(top))
+    sched, run = sim.source.split("def _run(")
+    assert f"        {crst} = {ident['ld']}\n" in sched
+    resets = {hex(r.reset) for child in top.children for r in child.regs}
+
+    def children(targets) -> list:  # the top's registers are r0 .. r<len(top.regs) - 1>
+        return [t for t in targets if int(t[1:]) >= len(top.regs)]
+
+    # a child register merged into its twin leaves the kernel: count those that survive
+    survivors = set(children(re.findall(r"\br\d+\b", sim.source)))
+    commit = [line for line in sched.splitlines() if re.match(r" {8}r\d+, ", line)]
+    assert len(commit) == 1
+    targets, values = commit[0].split(" = ")
+    held = children(targets.strip().rstrip(",").split(", "))
+    assert commit[0].count(f" if {crst} else ") == len(held)
+    assert set(re.findall(rf"\b(0x[0-9a-f]+) if {crst} else ", values)) <= resets
+    loads = [(entry, loop) for values, (entry, loop) in _phases(sim).items()
+             if values[sim._guards.index(crst)] == 1]
+    assert len(loads) == 1
+    load = loads[0][1].body[-1]  # the commit of the phase's cycle
+    cleared = {t.id: ast.get_source_segment(sim.source, v)
+               for t, v in zip(load.targets[0].elts, load.value.elts)}
+    loaded = children(cleared)
+    assert loaded and all(cleared[r] in resets for r in loaded)
+    assert set(held) | set(loaded) == survivors and not set(held) & set(loaded)
 
 
 def _control(top: RtlModule) -> set:
@@ -695,22 +778,23 @@ def _control(top: RtlModule) -> set:
     for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
 def test_loop_computes_no_control_state(params):
     # Counters, first/done/run bits, the ld pulse and the digit ring never read
-    # a or b: the datapath loop receives them as rows and neither computes nor
-    # commits them.
+    # a or b: the datapath's phases receive them as rows, the 1-bit ones bound
+    # as constants, and neither compute nor commit them.
     top = generate(params)
     control = _control(top)
     regs = {t for t in control if t.startswith("r")}
     assert regs
-    run = next(f for f in ast.parse(compile_sim(top, design_library(top)).source).body
-               if isinstance(f, ast.FunctionDef) and f.name == "_run")
-    loop = next(node for node in run.body if isinstance(node, ast.For))
-    targets = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
-    for stmt in loop.body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                assert node.id not in control, ast.unparse(stmt)[:120]
-            if isinstance(node, ast.Name) and node.id in regs:
-                assert node.id in targets, ast.unparse(stmt)[:120]
+    sim = compile_sim(top, design_library(top))
+    phases = _phases(sim)
+    assert phases
+    for entry, loop in phases.values():
+        targets = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+        for stmt in entry + loop.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    assert node.id not in control, ast.unparse(stmt)[:120]
+                if isinstance(node, ast.Name) and node.id in regs:
+                    assert stmt in loop.body and node.id in targets, ast.unparse(stmt)[:120]
 
 
 class _Scope(dict):
@@ -859,3 +943,56 @@ def test_merge_reads_twins_on_every_cycle():
             ("step", Add(Ref("twin", 8), Mux(odd, Ref("once", 8), Const(8, 0)))), ("c", acc))
     source = _merged((_count("cnt"), RegDef("acc", 8, 0, Ref("step", 8))), nets)
     assert "n2" not in source
+
+
+_SIGN_EXTEND = re.compile(r"\((r\d+) \| \(\(\(\1 >> \d+\) \* 0x[0-9a-f]+\) << \d+\)\)")
+
+
+@pytest.mark.parametrize("params, count, longest", [
+    (GenParams(ArchKind.SBM, 64), 2, 2), (GenParams(ArchKind.KARATSUBA2, 64), 2, 6),
+    (GenParams(ArchKind.TOOM3, 64), 4, 8), (GenParams(ArchKind.TOOM4, 64), 5, 10),
+    (GenParams(ArchKind.DIGIT_SERIAL, 64, n=8), 3, 2)],
+    ids=["sbm", "karatsuba2", "toom3", "toom4", "wrapper64_8"])
+def test_phase_loops_hold_no_invariant_work(params, count, longest):
+    # A phase is a distinct tuple of the 1-bit control values: load, then run
+    # for one schedule (karatsuba2's three cores share it), plus toom's first
+    # multiply cycle and its interpolation cycle (toom4 recomposes on one
+    # more) and the wrapper's last cycle of a window. Toom's point operands are loaded on
+    # the ld cycle and held while the point multipliers run, so their sign
+    # extension is evaluated once on entry to a phase, never in a cycle
+    # loop, and the commit of the longest phase holds only the registers
+    # that change in it.
+    sim = _sim(params.kind, params.m, params.mode, params.n)
+    phases = _phases(sim)
+    assert len(phases) == len(sim._phases) == count
+    for _, loop in phases.values():
+        for stmt in loop.body:
+            assert not _SIGN_EXTEND.search(ast.get_source_segment(sim.source, stmt))
+    cycles: dict = {}
+    for i, segment in sim._plans[sim.latency][0]:
+        cycles[i] = cycles.get(i, 0) + (segment if type(segment) is int else len(segment))
+    main = max(cycles, key=cycles.get)
+    loop = next(loop for values, (_, loop) in phases.items() if sim._phases[values] == main)
+    assert len(loop.body[-1].targets[0].elts) == longest
+
+
+def test_phase_met_after_the_latency_is_rendered_on_demand():
+    # The guard hi, the top bit of a free-running counter, is 0 for the one
+    # cycle of the latency, so the kernel built with the simulator has one
+    # phase; a longer run meets hi = 1, renders the phase and keeps it, and
+    # a run of the default length is still right afterwards.
+    cnt, acc = Ref("cnt", 2), Ref("acc", 4)
+    hi = Ref("hi", 1)
+    mod = _module("late", (("hi", Slice(cnt, 1, 1)), ("c", Concat((Const(4, 0), acc)))),
+                  (RegDef("cnt", 2, 0, Add(cnt, Const(2, 1))),
+                   RegDef("acc", 4, 3, Mux(hi, Add(acc, Ref("a", 4)), Xor(acc, Ref("b", 4))))))
+    sim = Simulator(mod, {mod.name: mod})
+    assert len(sim._phases) == len(_phases(sim)) == 1
+    for a in _corners(4):
+        for b in _corners(4):
+            assert [sim.run(a, b, cycles=k) for k in range(9)] == \
+                _reference_outputs(mod, a, b, 8), (a, b)
+    assert len(sim._phases) == len(_phases(sim)) == 2
+    for a in _corners(4):
+        for b in _corners(4):
+            assert sim.run(a, b) == _reference_outputs(mod, a, b, 1)[-1], (a, b)
