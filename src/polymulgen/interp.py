@@ -31,7 +31,7 @@ design compiles into two functions:
   are the row values one bit wide; a phase is one tuple of their values, and
   `rows` is the schedule grouped into maximal runs of equal guards: (phase,
   segment) pairs, a segment holding the run's wider values (the wrapper's
-  digit ring), or its length when there are none. `_run` has four parts:
+  digit ring), or its length when there are none. `_run` has three parts:
   - hoist: nets that read only the operands a/b, constants and other such
     nets are computed once, above every loop;
   - phases: `for p, seg in rows:` dispatches to one block per phase, which
@@ -47,13 +47,8 @@ design compiles into two functions:
     once on entry to the block, so toom's held point operands are
     sign-extended once per phase, not once per cycle. A net that one text
     reads, once, at the same point (on entry or on every cycle) is written
-    into that text, and so is a copy of a name;
-  - gated blocks: a read under one arm of a Mux whose condition is a Ref g
-    that no phase binds (a datapath net) happens only when g selects that
-    arm. A net that all its readers read under the same arm (g, polarity)
-    is evaluated inside an `if g:` (or `if not g:`) block, just before the
-    first per-cycle net that reads it, or else before the commit; a read by
-    a gated net counts as one under that net's arm, so blocks never nest;
+    into that text, and so is a copy of a name, unless the text would nest
+    too deep for Python's parser (the wrapper's d-way digit select);
   - output cone: c's cone is evaluated once, after the loops, from the final
     state and `last`, so `run(a, b, cycles=k)` returns what c shows after k
     posedges for every k.
@@ -62,8 +57,8 @@ A Simulator runs `_sched` for the latency and renders `_run` over the phases
 those rows meet when it is built. A run of another length groups its own rows
 once and keeps them; when they meet a guard tuple no block has yet (a run past
 the latency may), `_run` is rendered and compiled again over every phase met
-so far, with the same renderer. `_sched` follows the gating rules over the
-control nets, and evaluates every value a row carries on every cycle.
+so far, with the same renderer. `_sched` evaluates each control net that a
+register or a row needs, and that is not a constant, on every cycle.
 
 Rendering folds constants in the same pass. rst is the constant 0 during a
 run, so the top's rst folds away: a register's reset mux survives only where
@@ -73,8 +68,8 @@ to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
 their operator, zero Concat parts vanish, a Slice that reaches its base's
 top keeps no mask, and an Add or Sub reads an operand cut to its own width,
 `(x & mask)`, as x, since its own mask drops the bits above. A read that
-folds away is not a read, so hoisting, gating, phases and the
-control/datapath split see only what the text reads.
+folds away is not a read, so hoisting, phases and the control/datapath
+split see only what the text reads.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -89,7 +84,9 @@ from operator import itemgetter
 from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
                  Slice, Sub, Xor, ref_nodes)
 
-_LOOP = "loop"  # a read, or a net's placement, on every cycle, outside any gated block
+# the deepest nesting of parentheses a phase lets a text reach by writing
+# other nets into it; Python's parser refuses a line nested 200 deep
+_NEST = 150
 # a flat net or register identifier in kernel text, where no other token
 # (a, b, c, hex and decimal literals, operators, if/else) holds an n or an r
 _IDENT = re.compile(r"([nr][0-9]+)")
@@ -114,19 +111,18 @@ def _name(v) -> bool:
     return type(v) is str and v.isidentifier()
 
 
-def _pysrc(e, names: dict, reads: list, arm=_LOOP):
+def _pysrc(e, names: dict, reads: list):
     """Python source of e with constants folded: an int when e is constant,
-    else text. Appends (identifier, arm) to `reads` for each flat identifier
-    the text reads; arm is that of the outermost Mux on a Ref condition
-    around the read, (guard, polarity), else _LOOP. An int reads nothing."""
+    else text. Appends each flat identifier the text reads to `reads`; an int
+    reads nothing."""
     t = type(e)
     if t is Ref:
         v = names[e.name]
         if type(v) is str:
-            reads.append((v, arm))
+            reads.append(v)
         return v
     if t is Slice:
-        v = _pysrc(e.base, names, reads, arm)
+        v = _pysrc(e.base, names, reads)
         mask = (1 << e.width) - 1
         if type(v) is int:
             return (v >> e.lo) & mask
@@ -135,18 +131,17 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
         return v if e.lo + e.width == e.base.width else f"({v} & {hex(mask)})"
     if t is Mux:
         mark = len(reads)
-        cond = _pysrc(e.cond, names, reads, arm)
+        cond = _pysrc(e.cond, names, reads)
         if type(cond) is int:
-            return _pysrc(e.t if cond else e.f, names, reads, arm)
-        gate = arm is _LOOP and type(e.cond) is Ref
-        tv = _pysrc(e.t, names, reads, (cond, True) if gate else arm)
-        fv = _pysrc(e.f, names, reads, (cond, False) if gate else arm)
-        if tv == fv:  # neither cond nor the arms' guard is read: render the arm alone
+            return _pysrc(e.t if cond else e.f, names, reads)
+        tv = _pysrc(e.t, names, reads)
+        fv = _pysrc(e.f, names, reads)
+        if tv == fv:  # equal arms: render one, and cond is not read
             del reads[mark:]
-            return _pysrc(e.t, names, reads, arm)
+            return _pysrc(e.t, names, reads)
         return f"({_lit(tv)} if {cond} else {_lit(fv)})"
     if t is Shl:
-        v = _pysrc(e.base, names, reads, arm)
+        v = _pysrc(e.base, names, reads)
         if type(v) is int:
             return v << e.amount
         return f"({v} << {e.amount})" if e.amount else v
@@ -155,7 +150,7 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
     if t is Concat:
         const, terms, offset = 0, [], 0
         for p in reversed(e.parts):  # LSB side last in the tuple
-            v = _pysrc(p, names, reads, arm)
+            v = _pysrc(p, names, reads)
             if type(v) is int:
                 const |= v << offset
             else:
@@ -167,22 +162,22 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
             terms.append(hex(const))
         return terms[0] if len(terms) == 1 else f"({' | '.join(terms)})"
     if t is Repl:
-        v = _pysrc(e.base, names, reads, arm)
+        v = _pysrc(e.base, names, reads)
         if e.count == 1:
             return v
         factor = ((1 << e.width) - 1) // ((1 << e.base.width) - 1)  # 1 at the bottom of each copy
         return v * factor if type(v) is int else f"({v} * {hex(factor)})"
     mask = (1 << e.width) - 1
     if t is Not:
-        v = _pysrc(e.base, names, reads, arm)
+        v = _pysrc(e.base, names, reads)
         if type(v) is int:
             return v ^ mask
         return v.base if type(v) is _Not and v.mask == mask else _Not(v, mask)
     if t not in (Add, Sub, And, Xor):
         raise TypeError(f"unknown expression node {e!r}")
     mark = len(reads)
-    x = _pysrc(e.a, names, reads, arm)
-    y = _pysrc(e.b, names, reads, arm)
+    x = _pysrc(e.a, names, reads)
+    y = _pysrc(e.b, names, reads)
     if type(x) is int and type(y) is int:
         return {Add: x + y, Sub: x - y, And: x & y, Xor: x ^ y}[t] & mask
     if t is And:
@@ -210,17 +205,11 @@ def _pysrc(e, names: dict, reads: list, arm=_LOOP):
 
 
 def _net(e, names: dict) -> tuple:
-    """(folded source, read map) of one expression. The map takes each flat
-    identifier the source reads to the arm (guard, polarity) every read of it
-    sits under, else to _LOOP."""
+    """(folded source, reads) of one expression: the flat identifiers the
+    source reads, in the order first read, as the keys of a dict."""
     log: list = []
     src = _pysrc(e, names, log)
-    reads = dict(log)
-    if len(reads) < len(log):  # an identifier read twice keeps its arm only if both agree
-        reads = {}
-        for ident, arm in log:
-            reads[ident] = arm if reads.get(ident, arm) == arm else _LOOP
-    return src, reads
+    return src, dict.fromkeys(log)
 
 
 def _fresh(origin: dict, where: tuple) -> str:
@@ -230,7 +219,7 @@ def _fresh(origin: dict, where: tuple) -> str:
 
 
 def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
-             widths: dict | None = None, exprs: dict | None = None) -> None:
+             widths: dict, exprs: dict) -> None:
     """Add mod and the instances below it to the flat netlist.
 
     `names` maps mod's ports to the identifiers the caller bound them to, or
@@ -241,8 +230,6 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
     expression and the instance's names each of those texts was rendered
     from, so that a phase can render it again.
     """
-    widths = {} if widths is None else widths
-    exprs = {} if exprs is None else exprs
     names = dict(names)
     for n in mod.nets:
         names[n.name] = _fresh(origin, (mod, n.name))
@@ -303,26 +290,16 @@ def _order(deps: dict, origin: dict) -> list:
     return order
 
 
-def _place(order: list, nets: dict, roots: list) -> dict:
-    """Where each net of `order` that the read maps `roots` need is evaluated:
-    _LOOP, or the arm (guard, polarity) of its gated block. The placed nets
-    come in reverse `order`."""
-    uses: dict = {}  # identifier -> the arm every read so far sits under, else _LOOP
-    for reads in roots:
-        for r, arm in reads.items():
-            uses[r] = arm if uses.get(r, arm) == arm else _LOOP
-    # A net goes under one arm when all its readers read it there, and a net
-    # read by a gated net into that net's block; readers come later in
-    # topological order, so walk it backwards.
-    place = {}
-    for t in reversed(order):
-        if t in uses:
-            where = place[t] = uses[t]
-            for r, arm in nets[t][1].items():
-                if where is not _LOOP:
-                    arm = where
-                uses[r] = arm if uses.get(r, arm) == arm else _LOOP
-    return place
+def _live(order: list, nets: dict, roots: list) -> dict:
+    """The nets of `order` that the reads `roots` need, in `order`, as the
+    keys of a dict."""
+    need = set().union(*roots)
+    live = []
+    for t in reversed(order):  # readers come later in dependency order
+        if t in need:
+            live.append(t)
+            need.update(nets[t][1])
+    return dict.fromkeys(reversed(live))
 
 
 def _hoist(order: list, nets: dict, known: set) -> set:
@@ -338,9 +315,7 @@ def _hoist(order: list, nets: dict, known: set) -> set:
 def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
     """(nets, regs, order, rep) with one representative per class of
     equivalent registers and nets, rep taking each merged identifier to its
-    class's. Every text and read map is renamed to the representatives, the
-    guard of each arm too; an identifier that two merged ones read under
-    different arms is read on every cycle.
+    class's. Every text and its reads are renamed to the representatives.
 
     Register correspondence: the greatest partition of the registers in which
     the members of a class have equal widths, equal resets and equal
@@ -395,13 +370,7 @@ def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
         src, reads = net
         if merged.isdisjoint(reads):
             return net
-        arms: dict = {}
-        for ident, arm in reads.items():
-            ident = rep.get(ident, ident)
-            if arm is not _LOOP:
-                arm = (rep.get(arm[0], arm[0]), arm[1])
-            arms[ident] = arm if arms.get(ident, arm) == arm else _LOOP
-        return text[t] if t in text else renamed(src), arms
+        return text[t] if t in text else renamed(src), dict.fromkeys(rep.get(i, i) for i in reads)
 
     return ({t: rename(t, net) for t, net in nets.items() if t not in rep},
             [(r, reset, rename(r, net)) for r, reset, net in regs if r not in rep],
@@ -462,33 +431,6 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         """One tuple assignment of the (register, text) pairs `regs`."""
         return f"{pad}{tup([r for r, _ in regs])} = {', '.join(_lit(src) for _, src in regs)},"
 
-    def cycle(order: list, nets: dict, place: dict, fixed: set, pad: str) -> list:
-        """The lines of one cycle, indented by pad: each net of `order` that
-        is placed and not `fixed`, a gated one inside an `if` block just
-        before the first per-cycle net that reads it, or else at the end."""
-        lines: list = []
-        pending: dict = {}  # arm -> gated nets not yet emitted, in topological order
-        waiting = set()  # the nets in pending
-
-        def emit(arms) -> None:
-            for guard, polarity in [arm for arm in pending if arm in arms]:
-                ts = pending.pop((guard, polarity))
-                waiting.difference_update(ts)
-                lines.append(f"{pad}if {'' if polarity else 'not '}{guard}:")
-                lines.extend(assign(t, nets[t][0], pad + "    ") for t in ts)
-
-        for t in order:
-            if t in place and t not in fixed:
-                if place[t] is _LOOP:
-                    if waiting:
-                        emit({place[r] for r in nets[t][1].keys() & waiting})
-                    lines.append(assign(t, nets[t][0], pad))
-                else:
-                    pending.setdefault(place[t], []).append(t)
-                    waiting.add(t)
-        emit(set(pending))
-        return lines
-
     dnets, dregs = [t for t in order if t in data], [r for r in regs if r[0] in data]
     cnets, cregs = [t for t in order if t not in data], [r for r in regs if r[0] not in data]
     hoisted = _hoist(dnets, nets, {"a", "b"})
@@ -502,14 +444,13 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         last.append("c")
 
     fixed = _hoist(cnets, nets, set())
-    cplace = _place(cnets, nets,
-                    [reads for _, _, (_, reads) in cregs] + [dict.fromkeys(rows, _LOOP)])
+    clive = _live(cnets, nets, [reads for _, _, (_, reads) in cregs] + [rows])
     sched = ["def _sched(cycles):", *[assign(t, nets[t][0], "    ") for t in cnets
-                                      if t in fixed and (t in cplace or t in cone)]]
+                                      if t in fixed and (t in clive or t in cone)]]
     if cregs:
         sched.append(f"    {tup([r[0] for r in cregs])} = {', '.join(hex(r[1]) for r in cregs)},")
     sched += ["    rows = []", "    for _ in range(cycles):",
-              *cycle(cnets, nets, cplace, fixed, " " * 8),
+              *[assign(t, nets[t][0], " " * 8) for t in clive if t not in fixed],
               f"        rows.append(({tup(guards + wide)}))"]
     if cregs:
         sched.append(commit([(r, src) for r, _, (src, _) in cregs], " " * 8))
@@ -540,7 +481,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             e = e.t if g else e.f
         if type(e) is Ref:
             v = names[e.name]
-            net = (v, {v: _LOOP}) if type(v) is str else (v, {})
+            net = (v, {v: None}) if type(v) is str else (v, {})
         else:
             net = _net(e, names)
         specs[key] = net
@@ -566,8 +507,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
                 changing.append((r, net))
         if not changing:
             return [], ()
-        place = _place(inner, pnets, [reads for _, (_, reads) in changing])
-        live = [*reversed(place)]
+        live = _live(inner, pnets, [reads for _, (_, reads) in changing])
         count = Counter(chain.from_iterable(
             [pnets[t][1] for t in live] + [reads for _, (_, reads) in changing]))
         target = tup(wide) if wide and not count.keys().isdisjoint(wide) else "_"
@@ -575,22 +515,25 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         # operands, the registers it does not load, the hoisted nets) is
         # evaluated on entry. A net that one text reads, once, at the same
         # point (on entry, or on every cycle) is written into that text, and
-        # so is a copy of a name into each text that reads it once.
+        # so is a copy of a name into each text that reads it once. A write
+        # stops at _NEST: a text's nesting is at most its own "(" count plus
+        # the deepest such bound of a text written into it.
         fixed = known.difference([r for r, _ in changing])
         left = count.copy()  # the texts that still read each net
         once = {t for t in live if count[t] == 1 or _name(pnets[t][0])}
-        gated = any(arm is not _LOOP for arm in place.values())  # then emit() needs whole reads
+        nest: dict = {}
 
         def inline(src, reads: dict, entry: bool) -> tuple:
+            own = deepest = _lit(src).count("(")
             for r in reads:
                 if r in once and src.count(r) == 1:  # a name in src, and no name it begins
-                    rsrc, rreads = pnets[r]
-                    if count[r] == 1 and (r in fixed) == entry or _name(rsrc):
+                    rsrc = pnets[r][0]
+                    deep = own + nest.get(r, _lit(rsrc).count("("))
+                    if _name(rsrc) or count[r] == 1 and (r in fixed) == entry and deep <= _NEST:
                         src = src.replace(r, _lit(rsrc))
                         left[r] -= 1
-                        if gated:
-                            reads = {**reads, **rreads}
-            return src, reads
+                        deepest = max(deepest, deep)
+            return src, deepest
 
         for t in live:
             src, reads = pnets[t]
@@ -598,14 +541,14 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if entry:
                 fixed.add(t)
             if not once.isdisjoint(reads):
-                pnets[t] = inline(src, reads, entry)
-        changing = [(r, inline(src, reads, False)) for r, (src, reads) in changing]
+                src, nest[t] = inline(src, reads, entry)
+                pnets[t] = src, reads
+        commits = [(r, inline(src, reads, False)[0]) for r, (src, reads) in changing]
         live = [t for t in live if left[t]]
         return [*[assign(t, pnets[t][0], " " * 12) for t in live if t in fixed],
                 f"            for {target} in {'seg' if wide else 'range(seg)'}:",
-                *cycle(live, pnets, place, fixed, " " * 16),
-                commit([(r, src) for r, (src, _) in changing], " " * 16)], \
-            hoisted.intersection(count)
+                *[assign(t, pnets[t][0], " " * 16) for t in live if t not in fixed],
+                commit(commits, " " * 16)], hoisted.intersection(count)
 
     tail = [assign(t, nets[t][0], "    ") for t in dnets if t in cone and t not in hoisted]
     blocks: dict = {}  # guard values -> phase(values)

@@ -223,8 +223,8 @@ def test_undriven_net_named_at_build():
 def test_gated_registers_exact_every_cycle():
     # cnt counts edges; odd is its low bit before the edge. acc and acc2 share
     # the guard (odd, load when 1); hold loads when odd is 0; tick is read by
-    # hold's gated arm, by the ungated trace register and by c, so it must be
-    # evaluated every cycle; sums and mix are read only by c.
+    # hold's arm, by the trace register, which loads every cycle, and by c;
+    # sums and mix are read only by c.
     cnt, acc, acc2 = Ref("cnt", 3), Ref("acc", 8), Ref("acc2", 8)
     hold, trace = Ref("hold", 8), Ref("trace", 8)
     odd, tick = Ref("odd", 1), Ref("tick", 8)
@@ -252,13 +252,12 @@ def test_gated_registers_exact_every_cycle():
     # c = acc + acc2 + (hold ^ trace ^ (k mod 8)).
     want = [0, 1, 11, 10, 22, 23, 25, 36]
     assert [sim.run(3, 5, cycles=k) for k in range(sim.latency + 4)] == want
-    # odd is the first net, n0. hold reads neither operand, so the schedule
-    # gates its load; in the datapath odd is the guard of two phases, acc and
-    # acc2 load together in the one where it is 1, and the other, where no
-    # register changes, has no block.
+    # hold reads neither operand, so the schedule steps it with no branch; in
+    # the datapath odd is the guard of two phases, acc and acc2 load together
+    # in the one where it is 1, and the other, where no register changes, has
+    # no block.
     sched = sim.source.split("def _run(")[0]
-    assert [line.strip() for line in sched.splitlines() if line.lstrip().startswith("if ")] == \
-        ["if not n0:"]
+    assert [line.strip() for line in sched.splitlines() if line.lstrip().startswith("if ")] == []
     assert _listing(sim, mod) == {
         "odd=1": ["for _", "  acc, acc2, = ((acc + a) & 0xff), ((acc2 + b) & 0xff),"]}
 
@@ -281,8 +280,7 @@ def _listing(sim: Simulator, mod: RtlModule) -> dict:
     """The phase blocks of a kernel for a module without instances, each by
     its guards' names and values: the statements on entry, `for` and the
     control values each row brings, then the cycle's statements indented by
-    two (a gated block as its `if` line, its nets indented by two more),
-    every identifier renamed to its net or register."""
+    two, every identifier renamed to its net or register."""
     names = {f"n{i}": n.name for i, n in enumerate(mod.nets)}
     names.update({f"r{i}": r.name for i, r in enumerate(mod.regs)})
 
@@ -290,19 +288,11 @@ def _listing(sim: Simulator, mod: RtlModule) -> dict:
         return pad + re.sub(r"\b[nr]\d+\b", lambda m: names[m.group()],
                             ast.get_source_segment(sim.source, node))
 
-    def lines(stmts, pad: str) -> list:
-        out = []
-        for stmt in stmts:
-            if isinstance(stmt, ast.If):  # a gated block: its `if` line, then its nets
-                out += [f"{pad}if {text(stmt.test)}:", *lines(stmt.body, pad + "  ")]
-            else:
-                out.append(text(stmt, pad))
-        return out
-
     out = {}
     for values, (entry, loop) in _phases(sim).items():
         label = " ".join(f"{names[g]}={v}" for g, v in zip(sim._guards, values))
-        out[label] = lines(entry, "") + [f"for {text(loop.target)}"] + lines(loop.body, "  ")
+        out[label] = [text(stmt) for stmt in entry] + [f"for {text(loop.target)}"] + \
+            [text(stmt, "  ") for stmt in loop.body]
     return out
 
 
@@ -312,7 +302,8 @@ def test_mux_arm_gating_rule():
     # every cycle. acc loads p2 = q + p1 on odd cycles, and q reads p1 under
     # the odd arm. odd, hi, tick and mixed read neither operand: they arrive
     # as the schedule's rows, and the 1-bit odd and hi are the guards of four
-    # phases. In each, the arms the guards do not select are not read at all:
+    # phases. Each phase binds both guards, so the arms they do not select
+    # are not read at all there:
     # acc, only, deep, p1 and p2 vanish where odd is 0, and only or deep
     # where hi does not select it.
     cnt, acc, qacc, pacc = Ref("cnt", 3), Ref("acc", 8), Ref("qacc", 8), Ref("pacc", 8)
@@ -376,8 +367,9 @@ def test_mux_arm_guards():
     # loop (ha, the low bit of a) or the top's rst, which is 0 during a run, so
     # racc's mux folds to its live arm: ry runs every cycle and rx never. The
     # 1-bit control register flag is the guard of two phases, each reading
-    # only its own arm of fsel; ha is a datapath net, so hx, read once under
-    # its arm, is written into that arm and evaluated only when ha is 1.
+    # only its own arm of fsel; ha is a datapath net that no phase binds, so
+    # hx, read once, is written into hacc's conditional in the commit, which
+    # evaluates it only when ha is 1.
     cnt, flag = Ref("cnt", 3), Ref("flag", 1)
     facc, hacc, racc = Ref("facc", 8), Ref("hacc", 8), Ref("racc", 8)
     tick = Ref("tick", 8)
@@ -421,10 +413,10 @@ def test_mux_arm_guards():
     assert "if 0" not in sim.source
 
 
-def test_datapath_guard_gates_a_shared_arm():
-    # ha, the low bit of a, is a datapath net that no phase binds. hx is read
-    # by two registers, both under ha's arm, so each cycle evaluates it
-    # inside an `if ha:` block before the commit, and only when ha is 1.
+def test_datapath_guard_selects_in_the_commit():
+    # ha, the low bit of a, is a datapath net that no phase binds, so the
+    # commit selects each register's arm on it. hx is read by both loads, so
+    # each cycle evaluates it before the commit, whatever ha holds.
     cnt, acc, acc2 = Ref("cnt", 3), Ref("acc", 8), Ref("acc2", 8)
     ha, hx = Ref("ha", 1), Ref("hx", 8)
     nets = (("tick", _zext8(cnt)), ("ha", Slice(Ref("a", 4), 0, 1)),
@@ -439,7 +431,7 @@ def test_datapath_guard_gates_a_shared_arm():
             assert [sim.run(a, b, cycles=k) for k in range(9)] == \
                 _reference_outputs(mod, a, b, 8), (a, b)
     assert _listing(sim, mod) == {"": [
-        "for tick,", "  if ha:", "    hx = ((acc + tick) & 0xff)",
+        "for tick,", "  hx = ((acc + tick) & 0xff)",
         "  acc, acc2, = (hx if ha else acc), ((acc2 ^ ((hx + b) & 0xff)) if ha else acc2),"]}
 
 
@@ -477,11 +469,17 @@ def _corners(m: int) -> tuple:
 @pytest.mark.parametrize("params", [GenParams(ArchKind.TOOM3, 1024), GenParams(ArchKind.TOOM4, 1024),
                                     GenParams(ArchKind.DIGIT_SERIAL, 1024, n=64),
                                     GenParams(ArchKind.DIGIT_SERIAL, 521, n=32),
-                                    GenParams(ArchKind.DIGIT_SERIAL, 571, ArithMode.CARRYLESS, n=32)],
-                         ids=["toom3", "toom4", "wrapper64", "wrapper521_32", "wrapper_gf2_571_32"])
+                                    GenParams(ArchKind.DIGIT_SERIAL, 571, ArithMode.CARRYLESS, n=32),
+                                    GenParams(ArchKind.DIGIT_SERIAL, 199, n=1),
+                                    GenParams(ArchKind.DIGIT_SERIAL, 1024, n=4)],
+                         ids=["toom3", "toom4", "wrapper64", "wrapper521_32", "wrapper_gf2_571_32",
+                              "wrapper199_1", "wrapper1024_4"])
 def test_gated_designs_on_corner_operands(params):
-    # the designs whose interpolation, accumulate and digit-select cones the
-    # kernel gates; 521/32 and 571/32 pad b to d*n > m bits
+    # the designs whose interpolation, accumulate and digit-select cones run
+    # in phases of their own; 521/32 and 571/32 pad b to d*n > m bits. 199/1
+    # and 1024/4 XOR-reduce d = 199 and 256 digits through a chain of nets
+    # that each feed only the next: written into one text, the chain would
+    # nest d deep, past the 200 levels Python parses.
     top = generate(params)
     sim = compile_sim(top, design_library(top))
     corners = _corners(params.m)
@@ -509,6 +507,8 @@ def test_wrapper_digit_select_runs_once_per_window():
         return sorted(long), max(short)
     assert work(64)[0] == work(8)[0] == work(32, m=521)[0]
     assert work(64)[1] > 4 * max(work(64)[0])  # 16 digits selected on the load cycle alone
+
+
 @pytest.mark.parametrize("mode", list(ArithMode))
 def test_wrapper_single_bit_and_single_digit(mode):
     # n=1 (d=m one-bit digits) and n=m (d=1: no digit shift, one window)
@@ -519,6 +519,21 @@ def test_wrapper_single_bit_and_single_digit(mode):
         sim = _sim(ArchKind.DIGIT_SERIAL, 13, mode, n)
         for a, b in vectors:
             assert sim.run(a, b) == oracle_mul(a, b, mode), (n, hex(a), hex(b))
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(kind, 1024, mode, n) for kind in ArchKind for mode in _modes(kind)
+    for n in ((1, 2, 3, 4) if kind.arch.needs_digit else (None,))],
+    ids=lambda p: f"{p.kind.name}_{p.mode.name}{'' if p.n is None else f'_{p.n}'}")
+def test_widest_designs_compile_and_match_oracle(params):
+    # m = 1024 renders the longest texts and, for the wrapper with one to
+    # four bits per digit, the longest digit select: each kernel must be
+    # text Python compiles, and right on a random vector.
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    rng = random.Random(params.m + (params.n or 0))
+    a, b = rng.getrandbits(params.m), rng.getrandbits(params.m)
+    assert sim.run(a, b) == oracle_mul(a, b, params.mode)
 
 
 def test_kernel_source_is_independent_of_hash_seed():
@@ -604,7 +619,8 @@ def _trees(draw, width: int, depth: int = 4):
     return Concat((draw(sub(width)),))  # a concat of one bit
 
 
-_X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 13)}
+# every width a tree of width 8 or less reaches: each of four slices widens by up to 4
+_X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 25)}
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -627,13 +643,13 @@ def test_folding_matches_reference_property(e, rng):
     assert got == _eval(e, {**env, "rst": 0}), src
     text_names = set() if type(src) is int else {
         n.id for n in ast.walk(ast.parse(src, mode="eval")) if isinstance(n, ast.Name)}
-    assert {ident for ident, _ in reads} == text_names, src
+    assert set(reads) == text_names, src
 
 
 def _flat_widths(top: RtlModule) -> dict:
     """The width of each identifier in top's kernel, from the IR."""
     origin: dict = {}
-    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [])
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [], {}, {})
     widths = {"a": top.ports[2].width, "b": top.ports[3].width}
     for ident, (mod, name) in origin.items():
         if "." in name:  # an instance port bound to an expression: <instance>.<port>
@@ -668,7 +684,7 @@ def test_kernel_has_nothing_left_to_fold(params):
         return isinstance(node, ast.Constant)
 
     for node in ast.walk(tree):
-        if isinstance(node, (ast.If, ast.IfExp)):  # no gated block or mux on a constant
+        if isinstance(node, (ast.If, ast.IfExp)):  # no branch or mux on a constant
             test = node.test.operand if isinstance(node.test, ast.UnaryOp) else node.test
             assert not const(test), ast.unparse(node)
         if not isinstance(node, ast.BinOp):
@@ -701,7 +717,7 @@ def test_kernel_has_nothing_left_to_merge(params):
     regs: list = []
     origin: dict = {}
     widths: dict = {}
-    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, nets, regs, widths)
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, nets, regs, widths, {})
     order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
                    origin)
     nets, regs, order, rep = _merge(nets, regs, order, widths)
@@ -730,7 +746,7 @@ def test_toom_child_reset_is_the_ld_bit(kind):
     # datapath's phase in which the crst guard is 1
     top = generate(GenParams(kind, 64))
     origin: dict = {}
-    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [])
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [], {}, {})
     ident = {name: t for t, (mod, name) in origin.items() if mod is top}
     crst = ident["crst"]
     sim = compile_sim(top, design_library(top))
@@ -764,7 +780,7 @@ def _control(top: RtlModule) -> set:
     """The flat identifiers, nets and registers, that a and b cannot reach."""
     nets: dict = {}
     regs: list = []
-    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, {}, nets, regs)
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, {}, nets, regs, {}, {})
     reads = {t: r.keys() for t, (_, r) in nets.items()}
     reads.update((r, m.keys()) for r, _, (_, m) in regs)
     data = {"a", "b"}
@@ -935,8 +951,8 @@ def test_merge_keeps_nets_of_unequal_width_apart():
 
 
 def test_merge_reads_twins_on_every_cycle():
-    # twin reads the same as once; step reads twin on every cycle and once only
-    # when odd, so once, twin's representative, is read on every cycle
+    # twin reads the same as once; step reads twin, and once only when odd:
+    # merged, step reads once, twin's representative, in both places
     acc, odd = Ref("acc", 8), Ref("odd", 1)
     nets = (("odd", Slice(Ref("cnt", 4), 0, 1)),
             ("once", Add(acc, _zext8(Ref("a", 4)))), ("twin", Add(acc, _zext8(Ref("a", 4)))),
