@@ -67,9 +67,20 @@ to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
 `x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...) drop
 their operator, zero Concat parts vanish, a Slice that reaches its base's
 top keeps no mask, and an Add or Sub reads an operand cut to its own width,
-`(x & mask)`, as x, since its own mask drops the bits above. A read that
-folds away is not a read, so hoisting, phases and the control/datapath
-split see only what the text reads.
+`(x & mask)`, as x, since its own mask drops the bits above. Three more
+rules spare the loops work:
+
+- a bit replicated over the other operand of an And selects it:
+  `And(Repl(n, x), y)` with x one bit wide is `(y if x else 0x0)`, so the
+  wrapper's digit select slices b for the chosen digit only;
+- a bit read only for its truth (a Mux condition, the x above) below its
+  base's top is tested with one AND, `(v & 2^lo)`, not `((v >> lo) & 0x1)`;
+- an Add or Sub operand that is a net of its module driven by
+  `Slice(Ref(x), 0, w)` is read through that cut, as x (`_flatten` writes
+  the Slice in), so a shift-add accumulator masks `(r << 1)` once, not twice.
+
+A read that folds away is not a read, so hoisting, phases and the
+control/datapath split see only what the text reads.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -111,6 +122,15 @@ def _name(v) -> bool:
     return type(v) is str and v.isidentifier()
 
 
+def _truth(e, names: dict, reads: list):
+    """`_pysrc` of the 1-bit e where only its truth is read: a bit below its
+    base's top is tested with one AND, `(v & 2^lo)`, and not shifted down."""
+    if type(e) is not Slice or e.lo + 1 == e.base.width:
+        return _pysrc(e, names, reads)
+    v = _pysrc(e.base, names, reads)
+    return (v >> e.lo) & 1 if type(v) is int else f"({v} & {hex(1 << e.lo)})"
+
+
 def _pysrc(e, names: dict, reads: list):
     """Python source of e with constants folded: an int when e is constant,
     else text. Appends each flat identifier the text reads to `reads`; an int
@@ -131,7 +151,7 @@ def _pysrc(e, names: dict, reads: list):
         return v if e.lo + e.width == e.base.width else f"({v} & {hex(mask)})"
     if t is Mux:
         mark = len(reads)
-        cond = _pysrc(e.cond, names, reads)
+        cond = _truth(e.cond, names, reads)
         if type(cond) is int:
             return _pysrc(e.t if cond else e.f, names, reads)
         tv = _pysrc(e.t, names, reads)
@@ -176,6 +196,15 @@ def _pysrc(e, names: dict, reads: list):
     if t not in (Add, Sub, And, Xor):
         raise TypeError(f"unknown expression node {e!r}")
     mark = len(reads)
+    if t is And:  # a bit replicated over the other operand selects it
+        for r, other in ((e.a, e.b), (e.b, e.a)):
+            if type(r) is Repl and r.base.width == 1:
+                bit = _truth(r.base, names, reads)
+                y = _pysrc(other, names, reads) if bit != 0 else 0
+                if y == 0:
+                    del reads[mark:]
+                    return 0
+                return y if type(bit) is int else f"({_lit(y)} if {bit} else 0x0)"
     x = _pysrc(e.a, names, reads)
     y = _pysrc(e.b, names, reads)
     if type(x) is int and type(y) is int:
@@ -218,6 +247,21 @@ def _fresh(origin: dict, where: tuple) -> str:
     return ident
 
 
+def _uncut(e, cuts: dict):
+    """e with each Add or Sub operand that is a net of `cuts`, one driven by
+    `Slice(Ref(x), 0, w)`, replaced by that Slice, so that the sum reads x:
+    its own mask drops the bits above w. The walk follows Mux arms and
+    Add/Sub chains from the root; it keeps each node it does not change."""
+    t = type(e)
+    if t is Mux:
+        x, y = _uncut(e.t, cuts), _uncut(e.f, cuts)
+        return e if x is e.t and y is e.f else Mux(e.cond, x, y)
+    if t is Add or t is Sub:
+        x, y = (cuts.get(v.name, v) if type(v) is Ref else _uncut(v, cuts) for v in (e.a, e.b))
+        return e if x is e.a and y is e.b else t(x, y)
+    return e
+
+
 def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
              widths: dict, exprs: dict) -> None:
     """Add mod and the instances below it to the flat netlist.
@@ -228,18 +272,21 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
     `regs` collects (identifier, reset, `_net` of the value after the edge),
     `widths` the width of each driven net and register, and `exprs` the
     expression and the instance's names each of those texts was rendered
-    from, so that a phase can render it again.
+    from, so that a phase can render it again. Each expression is first
+    passed through `_uncut` with mod's cut nets, and `exprs` keeps the result.
     """
     names = dict(names)
+    cuts = {a.target: a.expr for a in mod.assigns
+            if type(a.expr) is Slice and a.expr.lo == 0 and type(a.expr.base) is Ref}
     for n in mod.nets:
         names[n.name] = _fresh(origin, (mod, n.name))
     for i, r in enumerate(mod.regs, len(regs)):
         names[r.name] = f"r{i}"
     for a in mod.assigns:
-        t = names[a.target]
-        nets[t], widths[t], exprs[t] = _net(a.expr, names), a.expr.width, (a.expr, names)
+        t, e = names[a.target], _uncut(a.expr, cuts)
+        nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
     for r in mod.regs:  # the top's rst folds to 0, so only a child reset net keeps this mux
-        after = Mux(Ref("rst", 1), Const(r.width, r.reset), r.next)
+        after = Mux(Ref("rst", 1), Const(r.width, r.reset), _uncut(r.next, cuts))
         regs.append((names[r.name], r.reset, _net(after, names)))
         widths[names[r.name]], exprs[names[r.name]] = r.width, (after, names)
     kids = {child.name: child for child in mod.children}
@@ -250,6 +297,7 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
                 bound[port] = names[e.name]
             else:
                 t = bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
+                e = _uncut(e, cuts)
                 nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
         _flatten(kids[inst.module_name], bound, origin, nets, regs, widths, exprs)
 

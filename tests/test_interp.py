@@ -633,6 +633,12 @@ _X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 25)}
 @example(And(Ref("x2", 2), Repl(2, Ref("rst", 1))), random.Random(6))  # x2 is not read
 @example(Sub(Slice(Ref("x8", 8), 0, 4), Ref("x4", 4)), random.Random(7))  # the sum's mask suffices
 @example(Add(And(Ref("x4", 4), Const(4, 7)), Ref("x4", 4)), random.Random(8))  # x4 & 7 stays
+@example(And(Repl(4, Slice(Ref("x8", 8), 3, 1)), Ref("x4", 4)), random.Random(9))  # a select
+@example(And(Ref("x4", 4), Repl(4, Slice(Ref("x8", 8), 3, 1))), random.Random(10))
+@example(And(Repl(4, Ref("rst", 1)), Ref("x4", 4)), random.Random(11))  # 0, and x4 is not read
+@example(And(Repl(1, Slice(Ref("x4", 4), 1, 1)), Ref("x1", 1)), random.Random(12))
+@example(Mux(Slice(Ref("x8", 8), 2, 1), Ref("x3", 3), Ref("y3", 3)), random.Random(13))  # & 0x4
+@example(Mux(Slice(Ref("x8", 8), 7, 1), Ref("x3", 3), Ref("y3", 3)), random.Random(14))  # >> 7
 def test_folding_matches_reference_property(e, rng):
     # The folded source evaluates to the reference value, and the identifiers it
     # records as read are exactly the names the text reads.
@@ -644,6 +650,17 @@ def test_folding_matches_reference_property(e, rng):
     text_names = set() if type(src) is int else {
         n.id for n in ast.walk(ast.parse(src, mode="eval")) if isinstance(n, ast.Name)}
     assert set(reads) == text_names, src
+
+
+def test_selects_and_bit_tests_render_one_operator():
+    # a replicated bit under an AND selects the other operand, and a bit read
+    # for its truth below its base's top is tested with one AND
+    bit = Slice(Ref("x8", 8), 3, 1)
+    for e in (And(Repl(4, bit), Ref("x4", 4)), And(Ref("x4", 4), Repl(4, bit))):
+        assert _pysrc(e, _X, []) == "(x4 if (x8 & 0x8) else 0x0)"
+    top = Slice(Ref("x8", 8), 7, 1)
+    assert _pysrc(Mux(top, Ref("x3", 3), Ref("y3", 3)), _X, []) == "(x3 if (x8 >> 7) else y3)"
+    assert _pysrc(And(Repl(4, Ref("rst", 1)), Ref("x4", 4)), {**_X, "rst": 0}, []) == 0
 
 
 def _flat_widths(top: RtlModule) -> dict:
@@ -673,7 +690,8 @@ def _flat_widths(top: RtlModule) -> dict:
 
 @pytest.mark.parametrize("params", [
     GenParams(kind, 64, mode, 8 if kind.arch.needs_digit else None)
-    for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
+    for kind in ArchKind for mode in _modes(kind)] + [GenParams(ArchKind.DIGIT_SERIAL, 64, n=2)],
+    ids=lambda p: f"{p.kind.name}_{p.mode.name}{'_2' if p.n == 2 else ''}")
 def test_kernel_has_nothing_left_to_fold(params):
     top = generate(params)
     sim = compile_sim(top, design_library(top))
@@ -682,6 +700,9 @@ def test_kernel_has_nothing_left_to_fold(params):
 
     def const(node):
         return isinstance(node, ast.Constant)
+
+    def sum_(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.If, ast.IfExp)):  # no branch or mux on a constant
@@ -702,6 +723,32 @@ def test_kernel_has_nothing_left_to_fold(params):
                 base, lo = base.left, base.right.value
             if isinstance(base, ast.Name):
                 assert lo + node.right.value.bit_length() < widths[base.id], text
+        # a replicated bit under an AND is a select, (y if bit else 0x0)
+        if isinstance(node.op, ast.BitAnd):
+            assert not any(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult)
+                           for x in (node.left, node.right)), text
+        # a sum masked by M reads no operand through a cut (v & M); an
+        # inner sum written in from a net keeps the mask of its own text
+        if isinstance(node.op, ast.BitAnd) and const(node.right):
+            todo = [node.left]
+            while todo:
+                x = todo.pop()
+                if sum_(x):
+                    for y in (x.left, x.right):
+                        assert not (isinstance(y, ast.BinOp) and isinstance(y.op, ast.BitAnd)
+                                    and not sum_(y.left) and const(y.right)
+                                    and y.right.value == node.right.value), text
+                        todo.append(y)
+    if params.kind is ArchKind.DIGIT_SERIAL:
+        # the load phase tests each digit's bit of the ring, once: a select
+        # per digit, each reading its slice of b only when chosen
+        ring = {t.id for _, loop in _phases(sim).values() for t in ast.walk(loop.target)
+                if isinstance(t, ast.Name)}
+        selects = [sum(isinstance(x, ast.IfExp) and {n.id for n in ast.walk(x.test)
+                                                      if isinstance(n, ast.Name)} <= ring
+                       for stmt in entry + [loop] for x in ast.walk(stmt))
+                   for entry, loop in _phases(sim).values()]
+        assert max(selects) == -(-params.m // params.n), selects
 
 
 @pytest.mark.parametrize("params", [
