@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import random
 import sys
@@ -346,7 +347,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    it depends only on the method and mode names."""
     parser = argparse.ArgumentParser(
         prog="polymulgen",
         description="Generate and analyze serial polynomial multiplier hardware.",

@@ -67,17 +67,23 @@ to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
 `x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...) drop
 their operator, zero Concat parts vanish, a Slice that reaches its base's
 top keeps no mask, and an Add or Sub reads an operand cut to its own width,
-`(x & mask)`, as x, since its own mask drops the bits above. Three more
-rules spare the loops work:
+`x & mask`, as x, since its own mask drops the bits above. Three more rules
+spare the loops work:
 
 - a bit replicated over the other operand of an And selects it:
-  `And(Repl(n, x), y)` with x one bit wide is `(y if x else 0x0)`, so the
+  `And(Repl(n, x), y)` with x one bit wide is `y if x else 0x0`, so the
   wrapper's digit select slices b for the chosen digit only;
 - a bit read only for its truth (a Mux condition, the x above) below its
-  base's top is tested with one AND, `(v & 2^lo)`, not `((v >> lo) & 0x1)`;
+  base's top is tested with one AND, `v & 2^lo`, not `v >> lo & 0x1`;
 - an Add or Sub operand that is a net of its module driven by
   `Slice(Ref(x), 0, w)` is read through that cut, as x (`_flatten` writes
-  the Slice in), so a shift-add accumulator masks `(r << 1)` once, not twice.
+  the Slice in), so a shift-add accumulator renders `(r << 1) + t & M`,
+  masking `r << 1` once, not twice.
+
+A text holds only the parentheses Python's operator precedence needs, since
+the parser's time grows with every pair; a phase that writes one net's text
+into another's puts it in parentheses, unless it is a name, a literal or
+the reader's whole value.
 
 A read that folds away is not a read, so hoisting, phases and the
 control/datapath split see only what the text reads.
@@ -103,14 +109,9 @@ _NEST = 150
 _IDENT = re.compile(r"([nr][0-9]+)")
 
 
-class _Not(str):
-    """The text of Not(base): `(base ^ mask)`, keeping base and mask so that a
-    Not of the same width folds back to base."""
-
-    def __new__(cls, base: str, mask: int):
-        text = super().__new__(cls, f"({base} ^ {hex(mask)})")
-        text.base, text.mask = base, mask
-        return text
+# Python's operator precedence, loosest first, for the operators the
+# renderer writes; an identifier or a literal is an atom
+_IF, _OR, _XOR, _AND, _SHIFT, _SUM, _MUL, _ATOM = range(8)
 
 
 def _lit(v) -> str:
@@ -122,77 +123,110 @@ def _name(v) -> bool:
     return type(v) is str and v.isidentifier()
 
 
-def _truth(e, names: dict, reads: list):
-    """`_pysrc` of the 1-bit e where only its truth is read: a bit below its
-    base's top is tested with one AND, `(v & 2^lo)`, and not shifted down."""
+def _wrap(v: tuple, prec: int) -> str:
+    """The text of the rendered v as an operand whose operator binds at
+    least as tightly as `prec`: in parentheses when its own binds looser."""
+    src = v[0]
+    if v[1] < prec:
+        return f"({src})"
+    return src if type(src) is str else hex(src)
+
+
+def _truth(e, names: dict, reads: list) -> tuple:
+    """`_r` of the 1-bit e where only its truth is read: a bit below its
+    base's top is tested with one AND, `v & 2^lo`, and not shifted down."""
     if type(e) is not Slice or e.lo + 1 == e.base.width:
-        return _pysrc(e, names, reads)
-    v = _pysrc(e.base, names, reads)
-    return (v >> e.lo) & 1 if type(v) is int else f"({v} & {hex(1 << e.lo)})"
+        return _r(e, names, reads)
+    v = _r(e.base, names, reads)
+    if type(v[0]) is int:
+        return (v[0] >> e.lo) & 1, _ATOM, None
+    return f"{_wrap(v, _AND)} & {hex(1 << e.lo)}", _AND, None
 
 
 def _pysrc(e, names: dict, reads: list):
     """Python source of e with constants folded: an int when e is constant,
-    else text. Appends each flat identifier the text reads to `reads`; an int
-    reads nothing."""
+    else text with only the parentheses Python's precedence needs. Appends
+    each flat identifier the text reads to `reads`; an int reads nothing."""
+    return _r(e, names, reads)[0]
+
+
+def _r(e, names: dict, reads: list) -> tuple:
+    """(value, precedence, cut) of e: the value is `_pysrc`'s, the
+    precedence that of its outermost operator, and cut, for an And text
+    `x & c` with c an int or a Not text `x ^ mask`, the pair (`_r` of x, c
+    or mask). The Add/Sub cut rule and the ~~x fold read it.
+
+    An operand is written in parentheses only when its operator binds more
+    loosely than its context; the right operand of `+ - & ^ |` needs a
+    strictly tighter one, and a conditional's true arm and condition must
+    not be conditionals."""
     t = type(e)
     if t is Ref:
         v = names[e.name]
         if type(v) is str:
             reads.append(v)
-        return v
+        return v, _ATOM, None
     if t is Slice:
-        v = _pysrc(e.base, names, reads)
+        v = _r(e.base, names, reads)
         mask = (1 << e.width) - 1
-        if type(v) is int:
-            return (v >> e.lo) & mask
+        if type(v[0]) is int:
+            return (v[0] >> e.lo) & mask, _ATOM, None
         if e.lo:
-            v = f"({v} >> {e.lo})"
-        return v if e.lo + e.width == e.base.width else f"({v} & {hex(mask)})"
+            v = f"{_wrap(v, _SHIFT)} >> {e.lo}", _SHIFT, None
+        if e.lo + e.width == e.base.width:
+            return v
+        return f"{_wrap(v, _AND)} & {hex(mask)}", _AND, (v, mask)
     if t is Mux:
         mark = len(reads)
         cond = _truth(e.cond, names, reads)
-        if type(cond) is int:
-            return _pysrc(e.t if cond else e.f, names, reads)
-        tv = _pysrc(e.t, names, reads)
-        fv = _pysrc(e.f, names, reads)
-        if tv == fv:  # equal arms: render one, and cond is not read
+        if type(cond[0]) is int:
+            return _r(e.t if cond[0] else e.f, names, reads)
+        tv = _r(e.t, names, reads)
+        fv = _r(e.f, names, reads)
+        if tv[0] == fv[0]:  # equal arms: render one, and cond is not read
             del reads[mark:]
-            return _pysrc(e.t, names, reads)
-        return f"({_lit(tv)} if {cond} else {_lit(fv)})"
+            return _r(e.t, names, reads)
+        return f"{_wrap(tv, _OR)} if {_wrap(cond, _OR)} else {_wrap(fv, _IF)}", _IF, None
     if t is Shl:
-        v = _pysrc(e.base, names, reads)
-        if type(v) is int:
-            return v << e.amount
-        return f"({v} << {e.amount})" if e.amount else v
+        v = _r(e.base, names, reads)
+        if type(v[0]) is int:
+            return v[0] << e.amount, _ATOM, None
+        return (f"{_wrap(v, _SHIFT)} << {e.amount}", _SHIFT, None) if e.amount else v
     if t is Const:
-        return e.value
+        return e.value, _ATOM, None
     if t is Concat:
         const, terms, offset = 0, [], 0
         for p in reversed(e.parts):  # LSB side last in the tuple
-            v = _pysrc(p, names, reads)
-            if type(v) is int:
-                const |= v << offset
+            v = _r(p, names, reads)
+            if type(v[0]) is int:
+                const |= v[0] << offset
             else:
-                terms.append(f"({v} << {offset})" if offset else v)
+                terms.append((f"{_wrap(v, _SHIFT)} << {offset}", _SHIFT, None) if offset else v)
             offset += p.width
         if not terms:
-            return const
+            return const, _ATOM, None
         if const:
-            terms.append(hex(const))
-        return terms[0] if len(terms) == 1 else f"({' | '.join(terms)})"
+            terms.append((const, _ATOM, None))
+        if len(terms) == 1:
+            return terms[0]
+        # every term after the first is shifted or a literal, so needs no parentheses
+        return " | ".join(_wrap(v, _OR) for v in terms), _OR, None
     if t is Repl:
-        v = _pysrc(e.base, names, reads)
+        v = _r(e.base, names, reads)
         if e.count == 1:
             return v
         factor = ((1 << e.width) - 1) // ((1 << e.base.width) - 1)  # 1 at the bottom of each copy
-        return v * factor if type(v) is int else f"({v} * {hex(factor)})"
+        if type(v[0]) is int:
+            return v[0] * factor, _ATOM, None
+        return f"{_wrap(v, _MUL)} * {hex(factor)}", _MUL, None
     mask = (1 << e.width) - 1
     if t is Not:
-        v = _pysrc(e.base, names, reads)
-        if type(v) is int:
-            return v ^ mask
-        return v.base if type(v) is _Not and v.mask == mask else _Not(v, mask)
+        v = _r(e.base, names, reads)
+        if type(v[0]) is int:
+            return v[0] ^ mask, _ATOM, None
+        if v[1] == _XOR and v[2] and v[2][1] == mask:  # ~~x of one width is x
+            return v[2][0]
+        return f"{_wrap(v, _XOR)} ^ {hex(mask)}", _XOR, (v, mask)
     if t not in (Add, Sub, And, Xor):
         raise TypeError(f"unknown expression node {e!r}")
     mark = len(reads)
@@ -200,37 +234,40 @@ def _pysrc(e, names: dict, reads: list):
         for r, other in ((e.a, e.b), (e.b, e.a)):
             if type(r) is Repl and r.base.width == 1:
                 bit = _truth(r.base, names, reads)
-                y = _pysrc(other, names, reads) if bit != 0 else 0
-                if y == 0:
+                y = _r(other, names, reads) if bit[0] != 0 else (0, _ATOM, None)
+                if y[0] == 0:
                     del reads[mark:]
-                    return 0
-                return y if type(bit) is int else f"({_lit(y)} if {bit} else 0x0)"
-    x = _pysrc(e.a, names, reads)
-    y = _pysrc(e.b, names, reads)
-    if type(x) is int and type(y) is int:
-        return {Add: x + y, Sub: x - y, And: x & y, Xor: x ^ y}[t] & mask
+                    return 0, _ATOM, None
+                if type(bit[0]) is int:
+                    return y
+                return f"{_wrap(y, _OR)} if {_wrap(bit, _OR)} else 0x0", _IF, None
+    x = _r(e.a, names, reads)
+    y = _r(e.b, names, reads)
+    xv, yv = x[0], y[0]
+    if type(xv) is int and type(yv) is int:
+        return {Add: xv + yv, Sub: xv - yv, And: xv & yv, Xor: xv ^ yv}[t] & mask, _ATOM, None
     if t is And:
-        if x == 0 or y == 0:
+        if xv == 0 or yv == 0:
             del reads[mark:]
-            return 0
-        if x == mask or y == mask:
-            return y if x == mask else x
-        return f"({_lit(x)} & {_lit(y)})"
-    if y == 0:
+            return 0, _ATOM, None
+        if xv == mask or yv == mask:
+            return y if xv == mask else x
+        return (f"{_wrap(x, _AND)} & {_wrap(y, _SHIFT)}", _AND,
+                (x, yv) if type(yv) is int else None)
+    if yv == 0:
         return x
-    if x == 0 and t is not Sub:
+    if xv == 0 and t is not Sub:
         return y
     if t is Xor:
-        return f"({_lit(x)} ^ {_lit(y)})"
-    # An operand cut to this width by `(v & mask)` reads v: the sum keeps only
-    # the bits below mask. Every compound text is wrapped in one pair of
-    # parentheses, so a text ending in this suffix is exactly `(v & mask)`.
-    cut = f" & {hex(mask)})"
-    if type(x) is str and x.endswith(cut):
-        x = x[1:-len(cut)]
-    if type(y) is str and y.endswith(cut):
-        y = y[1:-len(cut)]
-    return f"(({_lit(x)} {'+' if t is Add else '-'} {_lit(y)}){cut}"
+        return f"{_wrap(x, _XOR)} ^ {_wrap(y, _AND)}", _XOR, None
+    # An operand cut to this width, `v & mask`, reads v: the sum keeps only
+    # the bits below mask.
+    if x[1] == _AND and x[2] and x[2][1] == mask:
+        x = x[2][0]
+    if y[1] == _AND and y[2] and y[2][1] == mask:
+        y = y[2][0]
+    s = f"{_wrap(x, _SUM)} {'+' if t is Add else '-'} {_wrap(y, _MUL)}", _SUM, None
+    return f"{s[0]} & {hex(mask)}", _AND, (s, mask)
 
 
 def _net(e, names: dict) -> tuple:
@@ -563,9 +600,12 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         # operands, the registers it does not load, the hoisted nets) is
         # evaluated on entry. A net that one text reads, once, at the same
         # point (on entry, or on every cycle) is written into that text, and
-        # so is a copy of a name into each text that reads it once. A write
-        # stops at _NEST: a text's nesting is at most its own "(" count plus
-        # the deepest such bound of a text written into it.
+        # so is a copy of a name into each text that reads it once. A text
+        # written in is put in parentheses unless it is a name or a literal,
+        # or the reader's whole value, since the context it lands in is not
+        # known. A write stops at _NEST: a text's nesting is at most its own
+        # "(" count plus the deepest such bound of a text written into it,
+        # plus the pair around that text.
         fixed = known.difference([r for r, _ in changing])
         left = count.copy()  # the texts that still read each net
         once = {t for t in live if count[t] == 1 or _name(pnets[t][0])}
@@ -575,10 +615,11 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             own = deepest = _lit(src).count("(")
             for r in reads:
                 if r in once and src.count(r) == 1:  # a name in src, and no name it begins
-                    rsrc = pnets[r][0]
-                    deep = own + nest.get(r, _lit(rsrc).count("("))
+                    rsrc = _lit(pnets[r][0])
+                    bare = src == r or _name(rsrc) or type(pnets[r][0]) is int
+                    deep = own + nest.get(r, rsrc.count("(")) + (not bare)
                     if _name(rsrc) or count[r] == 1 and (r in fixed) == entry and deep <= _NEST:
-                        src = src.replace(r, _lit(rsrc))
+                        src = src.replace(r, rsrc if bare else f"({rsrc})")
                         left[r] -= 1
                         deepest = max(deepest, deep)
             return src, deepest

@@ -1,5 +1,6 @@
 """Config parsing, batch orchestration, and CLI tests."""
 
+import argparse
 import hashlib
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from polymulgen import cli
 from polymulgen.cli import (
     JobSpec,
     main,
@@ -225,6 +227,34 @@ def test_cli_usage_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["model", "--method", "nope", "--m", "8", "--a", "1", "--b", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    # Calls of main in one process share one parser, built on the first: the
+    # top-level parser and its four subcommands, five ArgumentParser objects
+    # whatever the calls parse or fail on.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    forget = getattr(cli._build_parser, "cache_clear", lambda: None)
+    forget()  # an earlier test may have built it already
+    try:
+        assert main(["frobnicate"]) == 2
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: polymulgen")
+        assert main(["verify", "--method", "sbm", "--m", "8", "--vectors", "3"]) == 0
+        assert capsys.readouterr().out == "ok mul_sbm_8 vectors=3 latency_cycles=8\n"
+        assert main(["model", "--method", "sbm", "--m", "8", "--a", "AB", "--b", "CD"]) == 0
+        assert capsys.readouterr().out.startswith("product=0x88EF\n")
+        assert main(["model", "--method", "nope", "--m", "8", "--a", "1", "--b", "1"]) == 2
+    finally:
+        forget()  # later tests build their own, with the real __init__
+    assert len(built) == 5
 
 
 def test_cli_design_parameter_errors(capsys):

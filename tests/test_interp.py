@@ -258,8 +258,8 @@ def test_gated_registers_exact_every_cycle():
     # no block.
     sched = sim.source.split("def _run(")[0]
     assert [line.strip() for line in sched.splitlines() if line.lstrip().startswith("if ")] == []
-    assert _listing(sim, mod) == {
-        "odd=1": ["for _", "  acc, acc2, = ((acc + a) & 0xff), ((acc2 + b) & 0xff),"]}
+    assert _listing(sim, mod) == _normed({
+        "odd=1": ["for _", "  acc, acc2, = ((acc + a) & 0xff), ((acc2 + b) & 0xff),"]})
 
 
 def _phases(sim: Simulator) -> dict:
@@ -276,11 +276,28 @@ def _phases(sim: Simulator) -> dict:
     return blocks
 
 
+def _norm(text: str) -> str:
+    """Python text as `ast.unparse` writes it: only the parentheses Python
+    needs, decimal literals. Text compared through it does not depend on
+    how the renderer brackets or spells what it writes."""
+    return ast.unparse(ast.parse(text))
+
+
+def _normed(listing: dict) -> dict:
+    """A listing, as `_listing` returns or a test writes it, with each line
+    after its `for ` or two-space prefix put through `_norm`."""
+    def line(text: str) -> str:
+        pad, code = re.fullmatch(r"(for |  |)(.*)", text).groups()
+        return pad + _norm(code)
+    return {label: [line(text) for text in lines] for label, lines in listing.items()}
+
+
 def _listing(sim: Simulator, mod: RtlModule) -> dict:
     """The phase blocks of a kernel for a module without instances, each by
     its guards' names and values: the statements on entry, `for` and the
     control values each row brings, then the cycle's statements indented by
-    two, every identifier renamed to its net or register."""
+    two, every identifier renamed to its net or register, and all of it
+    through `_normed`."""
     names = {f"n{i}": n.name for i, n in enumerate(mod.nets)}
     names.update({f"r{i}": r.name for i, r in enumerate(mod.regs)})
 
@@ -293,7 +310,7 @@ def _listing(sim: Simulator, mod: RtlModule) -> dict:
         label = " ".join(f"{names[g]}={v}" for g, v in zip(sim._guards, values))
         out[label] = [text(stmt) for stmt in entry] + [f"for {text(loop.target)}"] + \
             [text(stmt, "  ") for stmt in loop.body]
-    return out
+    return _normed(out)
 
 
 def test_mux_arm_gating_rule():
@@ -356,10 +373,10 @@ def test_mux_arm_gating_rule():
     loads = ["for tick, mixed,", "  p1 = ((tick + b) & 0xff)",
              "  acc, qacc, pacc, = ((p1 + p1) & 0xff), ((qacc ^ p1) ^ mixed), "
              "((pacc + ((((tick {} & 0xff) + (tick ^ b)) & 0xff)) & 0xff),"]
-    assert _listing(sim, mod) == {
+    assert _listing(sim, mod) == _normed({
         "odd=0 hi=0": held, "odd=0 hi=1": held,
         "odd=1 hi=0": loads[:2] + [loads[2].format("- b)")],
-        "odd=1 hi=1": loads[:2] + [loads[2].format("+ a)")]}
+        "odd=1 hi=1": loads[:2] + [loads[2].format("+ a)")]})
 
 
 def test_mux_arm_guards():
@@ -406,10 +423,11 @@ def test_mux_arm_guards():
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
     commit = "  facc, hacc, racc, = {}, (((hacc + tick) & 0xff) if ha else hacc), " \
         "((racc + b) & 0xff),"
-    assert _listing(sim, mod) == {
+    assert _listing(sim, mod) == _normed({
         "flag=0": ["for tick,", commit.format("(facc ^ b)")],
-        "flag=1": ["for tick,", commit.format("(facc ^ ((facc + tick) & 0xff))")]}
-    assert "    n3 = (a & 0x1)\n" in sim.source  # ha, hoisted above the loop
+        "flag=1": ["for tick,", commit.format("(facc ^ ((facc + tick) & 0xff))")]})
+    # ha, hoisted above the loop
+    assert "    " + _norm("n3 = (a & 0x1)") in _norm(sim.source).splitlines()
     assert "if 0" not in sim.source
 
 
@@ -430,9 +448,9 @@ def test_datapath_guard_selects_in_the_commit():
         for b in _corners(4):
             assert [sim.run(a, b, cycles=k) for k in range(9)] == \
                 _reference_outputs(mod, a, b, 8), (a, b)
-    assert _listing(sim, mod) == {"": [
+    assert _listing(sim, mod) == _normed({"": [
         "for tick,", "  hx = ((acc + tick) & 0xff)",
-        "  acc, acc2, = (hx if ha else acc), ((acc2 ^ ((hx + b) & 0xff)) if ha else acc2),"]}
+        "  acc, acc2, = (hx if ha else acc), ((acc2 ^ ((hx + b) & 0xff)) if ha else acc2),"]})
 
 
 def test_child_reset_net_exact_every_cycle():
@@ -639,6 +657,18 @@ _X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 25)}
 @example(And(Repl(1, Slice(Ref("x4", 4), 1, 1)), Ref("x1", 1)), random.Random(12))
 @example(Mux(Slice(Ref("x8", 8), 2, 1), Ref("x3", 3), Ref("y3", 3)), random.Random(13))  # & 0x4
 @example(Mux(Slice(Ref("x8", 8), 7, 1), Ref("x3", 3), Ref("y3", 3)), random.Random(14))  # >> 7
+@example(Sub(Ref("x4", 4), Sub(Ref("y4", 4), Const(4, 1))), random.Random(15))  # x - (y - 1)
+@example(Shl(Add(Ref("x3", 3), Ref("y3", 3)), 1), random.Random(16))  # (x + y & 7) << 1
+@example(Repl(2, Mux(Ref("x1", 1), Ref("x2", 2), Ref("y2", 2))), random.Random(17))
+@example(Repl(2, Shl(Ref("x1", 1), 1)), random.Random(24))  # (x << 1) * 5
+@example(Mux(Mux(Ref("x1", 1), Ref("y1", 1), Slice(Ref("x2", 2), 1, 1)),
+             Mux(Ref("y1", 1), Ref("x3", 3), Ref("y3", 3)), Ref("y3", 3)), random.Random(18))
+@example(Xor(And(Ref("x4", 4), Ref("y4", 4)), Ref("x4", 4)), random.Random(19))  # x & y ^ x
+@example(And(Ref("x4", 4), Xor(Ref("y4", 4), Ref("x4", 4))), random.Random(20))  # x & (y ^ x)
+@example(Concat((Ref("x3", 3), Concat((Ref("y2", 2), Ref("x1", 1))))), random.Random(21))
+@example(Not(Xor(Ref("x4", 4), Const(4, 7))), random.Random(22))  # 7 is not the mask: no ~~ fold
+@example(Add(Xor(Ref("x4", 4), Slice(Ref("y8", 8), 0, 4)), Ref("x4", 4)),
+         random.Random(23))  # x ^ (y & 0xf) is not a cut
 def test_folding_matches_reference_property(e, rng):
     # The folded source evaluates to the reference value, and the identifiers it
     # records as read are exactly the names the text reads.
@@ -652,14 +682,25 @@ def test_folding_matches_reference_property(e, rng):
     assert set(reads) == text_names, src
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(_trees))
+def test_rendered_parentheses_are_minimal_property(e):
+    # Only the parentheses Python's precedence needs: no more than ast.unparse
+    # writes for the same program (the folding property checks the value).
+    src = _pysrc(e, {**_X, "rst": 0}, [])
+    if type(src) is str:
+        assert src.count("(") <= _norm(src).count("("), src
+
+
 def test_selects_and_bit_tests_render_one_operator():
     # a replicated bit under an AND selects the other operand, and a bit read
     # for its truth below its base's top is tested with one AND
     bit = Slice(Ref("x8", 8), 3, 1)
     for e in (And(Repl(4, bit), Ref("x4", 4)), And(Ref("x4", 4), Repl(4, bit))):
-        assert _pysrc(e, _X, []) == "(x4 if (x8 & 0x8) else 0x0)"
+        assert _norm(_pysrc(e, _X, [])) == _norm("(x4 if (x8 & 0x8) else 0x0)")
     top = Slice(Ref("x8", 8), 7, 1)
-    assert _pysrc(Mux(top, Ref("x3", 3), Ref("y3", 3)), _X, []) == "(x3 if (x8 >> 7) else y3)"
+    assert _norm(_pysrc(Mux(top, Ref("x3", 3), Ref("y3", 3)), _X, [])) == \
+        _norm("(x3 if (x8 >> 7) else y3)")
     assert _pysrc(And(Repl(4, Ref("rst", 1)), Ref("x4", 4)), {**_X, "rst": 0}, []) == 0
 
 
@@ -1008,7 +1049,8 @@ def test_merge_reads_twins_on_every_cycle():
     assert "n2" not in source
 
 
-_SIGN_EXTEND = re.compile(r"\((r\d+) \| \(\(\(\1 >> \d+\) \* 0x[0-9a-f]+\) << \d+\)\)")
+# a sign extension of a register, `r | (r >> k) * ones << j`, as _norm writes it
+_SIGN_EXTEND = re.compile(r"(r\d+) \| \(\1 >> \d+\) \* \d+ << \d+")
 
 
 @pytest.mark.parametrize("params, count, longest", [
@@ -1030,7 +1072,7 @@ def test_phase_loops_hold_no_invariant_work(params, count, longest):
     assert len(phases) == len(sim._phases) == count
     for _, loop in phases.values():
         for stmt in loop.body:
-            assert not _SIGN_EXTEND.search(ast.get_source_segment(sim.source, stmt))
+            assert not _SIGN_EXTEND.search(ast.unparse(stmt))
     cycles: dict = {}
     for i, segment in sim._plans[sim.latency][0]:
         cycles[i] = cycles.get(i, 0) + (segment if type(segment) is int else len(segment))
