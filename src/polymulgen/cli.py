@@ -283,9 +283,12 @@ def _gen_params(job: JobSpec) -> GenParams:
     return GenParams(kind=job.method, m=job.m, mode=job.mode, n=job.n)
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _write_text(path: Path, text: str) -> bytes:
+    """Write text as UTF-8 with LF line endings into an existing directory;
+    returns the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 def run_batch(jobs, out_dir) -> BatchResult:
@@ -298,25 +301,32 @@ def run_batch(jobs, out_dir) -> BatchResult:
     """
     out = Path(out_dir)
     (out / "vlog").mkdir(parents=True, exist_ok=True)
+    synth_dir_made = False
     results = []
     manifest = []
     for job in jobs:
         try:
             top = generate(_gen_params(job))
             artifact = emit_verilog(list(design_library(top).values()))
-            relpaths = [f"vlog/{artifact.file_name}"]
-            _write_text(out / relpaths[0], artifact.text)
+            # Each file is written as soon as it is emitted, so a job that
+            # fails part-way leaves what it wrote before the failure.
+            rel = f"vlog/{artifact.file_name}"
+            written = [(rel, _write_text(out / rel, artifact.text))]
             if job.emit_tb:
                 tb = emit_testbench(top, job.tb_vectors, job.tb_seed)
-                relpaths.append(f"vlog/{tb.file_name}")
-                _write_text(out / relpaths[-1], tb.text)
+                rel = f"vlog/{tb.file_name}"
+                written.append((rel, _write_text(out / rel, tb.text)))
             if job.synth is not None:
-                relpaths.append(f"synth/{script_name(job.synth)}")
-                _write_text(out / relpaths[-1], emit_synth_script(job.synth))
-            for rel in relpaths:
-                digest = hashlib.sha256((out / rel).read_bytes()).hexdigest()
-                manifest.append((job.identity(), top.latency_cycles, rel, digest))
-            results.append(JobResult(job=job, artifacts=tuple(relpaths)))
+                script = emit_synth_script(job.synth)
+                if not synth_dir_made:
+                    (out / "synth").mkdir(exist_ok=True)
+                    synth_dir_made = True
+                rel = f"synth/{script_name(job.synth)}"
+                written.append((rel, _write_text(out / rel, script)))
+            for rel, data in written:
+                manifest.append((job.identity(), top.latency_cycles, rel,
+                                 hashlib.sha256(data).hexdigest()))
+            results.append(JobResult(job=job, artifacts=tuple(rel for rel, _ in written)))
         except Exception as e:
             results.append(JobResult(job=job, error=f"{type(e).__name__}: {e}"))
     manifest.sort()
@@ -446,7 +456,9 @@ def _cmd_analyze(args) -> int:
     report = analysis.sweep_report(rows)
     sys.stdout.write(report.table_text)
     if args.out:
-        _write_text(Path(args.out), report.csv_text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_text(out, report.csv_text)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 A module is ports + nets + registers + continuous assigns + child instances.
 Expressions form an operator tree whose nodes check and record their width
-when built; `children` is the one traversal over it. There is no implicit
+when built; `children` is the generic traversal over it (`check`, run on
+every generated module, inlines its own walk). There is no implicit
 truncation or extension anywhere, so every width change is an explicit
 Slice/Concat/Repl. Registers are posedge-clocked with synchronous active-high
 reset to a constant.
@@ -255,6 +256,7 @@ def check(module: RtlModule, library: dict | None = None) -> list:
 
     # Declarations: identifiers legal and unique across ports/nets/regs.
     decls = {}
+    widths = {}
     for kind, items in (("port", module.ports), ("net", module.nets), ("reg", module.regs)):
         for it in items:
             if not _IDENT_RE.match(it.name):
@@ -262,6 +264,7 @@ def check(module: RtlModule, library: dict | None = None) -> list:
             if it.name in decls:
                 bad("DuplicateDecl", it.name, f"declared as {decls[it.name]} and {kind}")
             decls[it.name] = kind
+            widths[it.name] = it.width
             if it.width < 1:
                 bad("BadWidth", it.name, f"{kind} width {it.width} < 1")
     if not _IDENT_RE.match(module.name):
@@ -275,10 +278,33 @@ def check(module: RtlModule, library: dict | None = None) -> list:
         if module.ports[0].width != 1 or module.ports[1].width != 1:
             bad("BadInterface", "<ports>", "clk and rst must be 1 bit")
 
-    widths = {name: it.width for items in (module.ports, module.nets, module.regs)
-              for it, name in ((i, i.name) for i in items)}
+    # name -> the one width a read of it may have: declared, not an output port.
+    readable = {name: widths[name] for name, kind in decls.items()
+                if kind != "port" or _port(module, name).direction != "out"}
 
     def check_expr(item, e, want=None):
+        # One walk over the tree; only an expression with a bad read is
+        # diagnosed, with its distinct refs in sorted order.
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            t = type(node)
+            if t is Ref:
+                if readable.get(node.name) != node.width:
+                    diagnose_refs(item, e)
+                    break
+            elif t is Slice or t is Shl or t is Repl or t is Not:
+                stack.append(node.base)
+            elif t is Concat:
+                stack.extend(node.parts)
+            elif t is Mux:
+                stack += (node.cond, node.t, node.f)
+            elif t is not Const:
+                stack += (node.a, node.b)
+        if want is not None and e.width != want:
+            bad("WidthMismatch", item, f"expression width {e.width} != target width {want}")
+
+    def diagnose_refs(item, e):
         for r in sorted(ref_nodes(e), key=lambda r: (r.name, r.width)):
             if r.name not in decls:
                 bad("UnknownRef", item, f"reference to undeclared name {r.name}")
@@ -287,8 +313,6 @@ def check(module: RtlModule, library: dict | None = None) -> list:
             elif widths[r.name] != r.width:
                 bad("WidthMismatch", item,
                     f"ref {r.name} width {r.width} != declared {widths[r.name]}")
-        if want is not None and e.width != want:
-            bad("WidthMismatch", item, f"expression width {e.width} != target width {want}")
 
     # Drivers: assigns and instance output bindings; exactly one per net/output.
     drivers = {}

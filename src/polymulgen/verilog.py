@@ -53,39 +53,40 @@ class TestbenchArtifact:
     seed: int
 
 
+_BINARY_OPS = {Add: "+", Sub: "-", And: "&", Xor: "^"}
+
+
 def _vexpr(e) -> str:
-    if isinstance(e, Const):
-        return f"{e.width}'h{e.value:x}"
-    if isinstance(e, Ref):
+    # Exact type tests, most frequent first (per gen pass: Ref ~40%, Slice
+    # ~20%, the four binaries, Shl and Mux ~9% each).
+    t = type(e)
+    if t is Ref:
         return e.name
-    if isinstance(e, Slice):
-        if not isinstance(e.base, Ref):
+    if t is Slice:
+        base = e.base
+        if type(base) is not Ref:
             raise ValueError("emission requires slices of named signals")
-        if e.lo == 0 and e.width == e.base.width:
-            return e.base.name
+        if e.lo == 0 and e.width == base.width:
+            return base.name
         if e.width == 1:
-            return f"{e.base.name}[{e.lo}]"
-        return f"{e.base.name}[{e.lo + e.width - 1}:{e.lo}]"
-    if isinstance(e, Concat):
-        return "{" + ", ".join(_vexpr(p) for p in e.parts) + "}"
-    if isinstance(e, Repl):
-        return "{%d{%s}}" % (e.count, _vexpr(e.base))
-    if isinstance(e, Shl):
+            return f"{base.name}[{e.lo}]"
+        return f"{base.name}[{e.lo + e.width - 1}:{e.lo}]"
+    if t in _BINARY_OPS:
+        return f"({_vexpr(e.a)} {_BINARY_OPS[t]} {_vexpr(e.b)})"
+    if t is Shl:
         if e.amount == 0:
             return _vexpr(e.base)
         return "{" + _vexpr(e.base) + f", {e.amount}'h0}}"
-    if isinstance(e, Add):
-        return f"({_vexpr(e.a)} + {_vexpr(e.b)})"
-    if isinstance(e, Sub):
-        return f"({_vexpr(e.a)} - {_vexpr(e.b)})"
-    if isinstance(e, And):
-        return f"({_vexpr(e.a)} & {_vexpr(e.b)})"
-    if isinstance(e, Xor):
-        return f"({_vexpr(e.a)} ^ {_vexpr(e.b)})"
-    if isinstance(e, Not):
-        return f"(~{_vexpr(e.base)})"
-    if isinstance(e, Mux):
+    if t is Mux:
         return f"({_vexpr(e.cond)} ? {_vexpr(e.t)} : {_vexpr(e.f)})"
+    if t is Concat:
+        return "{" + ", ".join([_vexpr(p) for p in e.parts]) + "}"
+    if t is Const:
+        return f"{e.width}'h{e.value:x}"
+    if t is Repl:
+        return "{%d{%s}}" % (e.count, _vexpr(e.base))
+    if t is Not:
+        return f"(~{_vexpr(e.base)})"
     raise ValueError(f"unknown expression node {e!r}")
 
 

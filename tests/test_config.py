@@ -1,6 +1,7 @@
 """Config parsing, batch orchestration, and CLI tests."""
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import pathlib
@@ -179,6 +180,51 @@ def test_run_batch_idempotent(tmp_path):
     assert m1 == m2
 
 
+def _tree(root) -> list:
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+def _tree_jobs() -> tuple:
+    tb, synth, partial = parse_config(
+        '<config><job method="sbm" width="16" tb="true" tb-vectors="3"/>'
+        '<job method="karatsuba2" width="16"><synth tool="genus" clock-ns="2.0"/></job>'
+        '<job method="sbm" width="8" tb="true"><synth tool="dc" clock-ns="1.0"/></job></config>'
+    )
+    # fails in emit_testbench, after its .v is written and before its synth script
+    partial = dataclasses.replace(partial, tb_vectors=0)
+    return tb, synth, partial, JobSpec(method=ArchKind.SBM, m=3)
+
+
+def test_run_batch_makes_synth_dir_only_for_a_written_script(tmp_path):
+    tb, _, partial, bad = _tree_jobs()
+    batch = run_batch([bad, tb], tmp_path / "one")
+    assert batch.fail_count == 1
+    assert _tree(tmp_path / "one") == ["manifest", "vlog", "vlog/mul_sbm_16.v",
+                                       "vlog/tb_mul_sbm_16.v"]
+    batch = run_batch([bad, tb, partial], tmp_path / "two")
+    assert batch.fail_count == 2
+    assert not (tmp_path / "two" / "synth").exists()
+
+
+def test_run_batch_output_tree(tmp_path):
+    tb, synth, partial, bad = _tree_jobs()
+    batch = run_batch([tb, bad, synth, partial], tmp_path)
+    assert [r.error is None for r in batch.results] == [True, False, True, False]
+    assert _tree(tmp_path) == [
+        "manifest", "synth", "synth/mul_km2_16_genus.tcl", "vlog", "vlog/mul_km2_16.v",
+        "vlog/mul_sbm_16.v", "vlog/mul_sbm_8.v", "vlog/tb_mul_sbm_16.v",
+    ]
+    # the partial job's .v stays on disk but is not in the manifest
+    listed = {}
+    for line in (tmp_path / "manifest").read_text().splitlines():
+        *_, path, digest = line.split()
+        listed[path] = digest
+    assert sorted(listed) == ["synth/mul_km2_16_genus.tcl", "vlog/mul_km2_16.v",
+                              "vlog/mul_sbm_16.v", "vlog/tb_mul_sbm_16.v"]
+    for path, digest in listed.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest
+
+
 def test_cli_model(capsys):
     assert main(["model", "--method", "sbm", "--m", "8", "--a", "AB", "--b", "CD"]) == 0
     out = capsys.readouterr().out
@@ -327,6 +373,13 @@ def test_cli_analyze(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "argmax fom_area" in table
     assert out_csv.exists()
+    assert out_csv.read_text().startswith("label,m,n,d,freq_mhz,cycles,area,power")
+
+
+def test_cli_analyze_out_makes_missing_directories(tmp_path, capsys):
+    src = pathlib.Path(__file__).parent / "fixtures" / "table2.csv"
+    out_csv = tmp_path / "new" / "deeper" / "report.csv"
+    assert main(["analyze", "--csv", str(src), "--out", str(out_csv)]) == 0
     assert out_csv.read_text().startswith("label,m,n,d,freq_mhz,cycles,area,power")
 
 

@@ -1,18 +1,24 @@
 """Verilog emission, testbench, and skeleton re-parse tests."""
 
+import hashlib
 import pathlib
 
 import pytest
 
 from polymulgen.errors import UncheckedIR
 from polymulgen.generators import (
+    GenParams,
+    design_library,
     gen_digit_serial,
     gen_karatsuba2,
     gen_sbm,
     gen_toom3,
     gen_toom4,
+    generate,
 )
 from polymulgen.ir import Assign, Concat, Net, Port, Ref, RtlModule
+from polymulgen.models import ArchKind
+from polymulgen.numeric import ArithMode
 from polymulgen.verilog import (
     emit_testbench,
     emit_verilog,
@@ -33,6 +39,31 @@ def test_golden_sbm_8():
     assert art.file_name == "mul_sbm_8.v"
     assert art.top_name == "mul_sbm_8"
     assert art.latency_cycles == 8
+
+
+@pytest.mark.parametrize("method, m, mode, n, digest", [
+    ("karatsuba2", 24, "gf2", None,
+     "f81ba54add24b3f61d84626ecda8e9e7beb33caa84bd655b6a9d358f9aaa9073"),
+    ("wrapper", 40, "gf2", 8,
+     "ded0e570290498fd9bdf22fc0e2a78611eeaf11331af8141cdf0cabb8e910b63"),
+    ("wrapper", 12, "integer", 1,
+     "4e508fd18748b0d941b178b6425c3c58d16e4cfae156bc98daebb085788036e5"),
+    ("wrapper", 29, "integer", 6,  # the digit does not divide m
+     "ed494e23ee43e64026480ba7255de530610f7071fca4b9540912adf9f6e72cd7"),
+    ("wrapper", 16, "integer", 16,
+     "9967b32da3f24b45770474f7958444a3bd8be8d2b336c1f5bb2bb9e7b93747a8"),
+    ("toom3", 6, "integer", None,
+     "2dfbc626e9d2af1db46cbac1798a28c971a37958b15b2fce56da6abc4815f38d"),
+    ("toom4", 8, "integer", None,
+     "fbb962ff55b6597d3566bea08f27e389061c62ff094bb9a0cc749971a95007bf"),
+    ("sbm", 4, "integer", None,
+     "485eb771666acf3e47d72a1c972d0721885db58907df98085d01b0b17afb5aeb"),
+])
+def test_emitted_text_is_pinned(method, m, mode, n, digest):
+    # designs config.example.xml does not cover: any change to emission shows here
+    top = generate(GenParams(kind=ArchKind(method), m=m, mode=ArithMode(mode), n=n))
+    text = emit_verilog(list(design_library(top).values())).text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_emission_is_deterministic():
