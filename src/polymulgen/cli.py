@@ -308,21 +308,18 @@ def run_batch(jobs, out_dir) -> BatchResult:
         try:
             top = generate(_gen_params(job))
             artifact = emit_verilog(list(design_library(top).values()))
-            # Each file is written as soon as it is emitted, so a job that
-            # fails part-way leaves what it wrote before the failure.
-            rel = f"vlog/{artifact.file_name}"
-            written = [(rel, _write_text(out / rel, artifact.text))]
+            # Every file of the job is emitted before any is written, so a
+            # job whose emission fails leaves no file behind.
+            texts = [(f"vlog/{artifact.file_name}", artifact.text)]
             if job.emit_tb:
                 tb = emit_testbench(top, job.tb_vectors, job.tb_seed)
-                rel = f"vlog/{tb.file_name}"
-                written.append((rel, _write_text(out / rel, tb.text)))
+                texts.append((f"vlog/{tb.file_name}", tb.text))
             if job.synth is not None:
-                script = emit_synth_script(job.synth)
+                texts.append((f"synth/{script_name(job.synth)}", emit_synth_script(job.synth)))
                 if not synth_dir_made:
                     (out / "synth").mkdir(exist_ok=True)
                     synth_dir_made = True
-                rel = f"synth/{script_name(job.synth)}"
-                written.append((rel, _write_text(out / rel, script)))
+            written = [(rel, _write_text(out / rel, text)) for rel, text in texts]
             for rel, data in written:
                 manifest.append((job.identity(), top.latency_cycles, rel,
                                  hashlib.sha256(data).hexdigest()))

@@ -10,20 +10,19 @@ Toom generators keep all interpolation arithmetic in two's complement on a
 fixed window wide enough that every intermediate fits; exact divisions by 3
 and 5 are multiplications by the modular inverse, built from log-depth
 shift-add ladders.
+
+Names, latencies and parameter rules are read from the architecture table,
+`models.ARCHES`; `generate` dispatches on the kind through `_BUILDERS`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
-from .errors import BadDigit, BadParams
 from .ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not,
                  Port, Ref, RegDef, RtlModule, Repl, Shl, Slice, Sub, Xor)
+from .models import ArchKind, _ceil_div
 from .numeric import INF, TOOM3_POINTS, TOOM4_POINTS, ArithMode
-
-if TYPE_CHECKING:  # models imports this module for the architecture table
-    from .models import ArchKind
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,12 +93,18 @@ class _Builder:
                          tuple(self._insts), self.latency, self.meta, children)
 
 
-def _meta(method: str, m: int, n: int, mode: ArithMode) -> tuple:
-    return (("method", method), ("m", str(m)), ("n", str(n)), ("mode", mode.value))
+def _meta(kind: ArchKind, m: int, n: int, mode: ArithMode) -> tuple:
+    return (("method", kind.value), ("m", str(m)), ("n", str(n)), ("mode", mode.value))
 
 
-def _ceil_div(x: int, y: int) -> int:
-    return -(-x // y)
+def _top(kind: ArchKind, m: int, mode: ArithMode = ArithMode.INTEGER,
+         n: int | None = None) -> tuple:
+    """(builder, a, b) of kind's m-bit top module: the parameters validated,
+    the name and latency read from kind's record, the ports declared."""
+    arch = kind.validate(m, mode, n)
+    b = _Builder(arch.name(m, mode, n), arch.latency(m, n),
+                 _meta(kind, m, m if n is None else n, mode))
+    return (b, *b.std_ports(m, m, 2 * m))
 
 
 def _zext(e, width: int):
@@ -195,13 +200,9 @@ def _div5(b: _Builder, x, width: int):
     return Add(Add(x, _shl_mod(b, u, 3, width)), _shl_mod(b, u, 2, width))
 
 
-def _sbm_name(w: int, mode: ArithMode) -> str:
-    return f"mul_sbm_{w}" if mode is ArithMode.INTEGER else f"mul_sbm_cl_{w}"
-
-
-def _sbm_module(name: str, w: int, mode: ArithMode, meta: tuple) -> RtlModule:
+def _sbm_module(w: int, mode: ArithMode) -> RtlModule:
     """Shift-add schoolbook core: MSB-first over b, w cycles, then holds."""
-    b = _Builder(name, w, meta)
+    b = _Builder(ArchKind.SBM.arch.name(w, mode, None), w, _meta(ArchKind.SBM, w, w, mode))
     a, bp = b.std_ports(w, w, 2 * w)
     sched = Ref("sched", w + 1)
     acc = Ref("acc", 2 * w)
@@ -224,22 +225,17 @@ def _sbm_module(name: str, w: int, mode: ArithMode, meta: tuple) -> RtlModule:
 
 
 def gen_sbm(m: int, mode: ArithMode = ArithMode.INTEGER) -> RtlModule:
-    if m < 4:
-        raise BadParams(f"sbm needs m >= 4, got {m}")
-    return _sbm_module(_sbm_name(m, mode), m, mode, _meta("sbm", m, m, mode))
+    ArchKind.SBM.validate(m, mode, None)
+    return _sbm_module(m, mode)
 
 
 def gen_karatsuba2(m: int, mode: ArithMode = ArithMode.INTEGER) -> RtlModule:
     """Three parallel SBM cores of width h+1 plus combinational pre/post adders."""
-    if m < 4:
-        raise BadParams(f"karatsuba2 needs m >= 4, got {m}")
+    b, a, bp = _top(ArchKind.KARATSUBA2, m, mode)
     h = _ceil_div(m, 2)
     w = h + 1  # uniform child width so the sum product fits the same core
     cl = mode is ArithMode.CARRYLESS
-    child = _sbm_module(_sbm_name(w, mode), w, mode, _meta("sbm", w, w, mode))
-    name = f"mul_km2_cl_{m}" if cl else f"mul_km2_{m}"
-    b = _Builder(name, h + 1, _meta("karatsuba2", m, m, mode))
-    a, bp = b.std_ports(m, m, 2 * m)
+    child = _sbm_module(w, mode)
     comb = Xor if cl else Add
     a0 = b.net("a0", _zext(Slice(a, 0, h), w))
     a1 = b.net("a1", _zext(Slice(a, h, m - h), w))
@@ -348,12 +344,17 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
     return b.build()
 
 
-def _toom_frame(b: _Builder, a, bp, m: int, k: int, h: int, lat: int,
-                points: tuple, stem: str, meta: tuple):
-    """Shared Toom plumbing: padding, schedule, evaluation regs, children.
+def _toom_frame(kind: ArchKind, m: int, points: tuple):
+    """Shared Toom plumbing: top module, padding, schedule, evaluation regs,
+    children; k-way over 2k-1 points.
 
-    Returns (child modules, child output refs, load strobe schedule refs).
+    Returns (builder, limb width h, child modules, child output refs,
+    schedule register).
     """
+    b, a, bp = _top(kind, m)
+    k = (len(points) + 1) // 2
+    h = _ceil_div(m, k)
+    lat = b.latency
     rows = _point_rows(points, k)
     apad = b.net("apad", _zext(a, k * h))
     bpad = b.net("bpad", _zext(bp, k * h))
@@ -370,12 +371,12 @@ def _toom_frame(b: _Builder, a, bp, m: int, k: int, h: int, lat: int,
         wc = _prod_width(h, row)
         ev = b.net(f"ev{i}", _eval_expr(b, limbs, row, wa))
         evr = b.reg(f"eva{i}", wa, 0, Mux(ld, ev, Ref(f"eva{i}", wa)))
-        child = _toom_child(f"{stem}_pp{i}", h, k, wa, wc, row, meta)
+        child = _toom_child(f"{b.name}_pp{i}", h, k, wa, wc, row, b.meta)
         children.append(child)
         wn = b.out_net(f"w{i}", wc)
         b.inst(f"u_pp{i}", child, evr, bpad, crst, wn)
         wrefs.append(wn)
-    return children, wrefs, sched
+    return b, h, children, wrefs, sched
 
 
 def _recombine(b: _Builder, coeffs: list, h: int, wu: int, width: int):
@@ -388,15 +389,7 @@ def _recombine(b: _Builder, coeffs: list, h: int, wu: int, width: int):
 
 
 def gen_toom3(m: int) -> RtlModule:
-    if m < 6:
-        raise BadParams(f"toom3 needs m >= 6, got {m}")
-    h = _ceil_div(m, 3)
-    lat = h + 2
-    meta = _meta("toom3", m, m, ArithMode.INTEGER)
-    stem = f"mul_tc3_{m}"
-    b = _Builder(stem, lat, meta)
-    a, bp = b.std_ports(m, m, 2 * m)
-    children, w, sched = _toom_frame(b, a, bp, m, 3, h, lat, TOOM3_POINTS, stem, meta)
+    b, h, children, w, sched = _toom_frame(ArchKind.TOOM3, m, TOOM3_POINTS)
 
     # Interpolation on a signed window wide enough for every intermediate:
     # the largest magnitude is the divide-by-3 numerator, below 78 * 2^(2h).
@@ -411,7 +404,7 @@ def gen_toom3(m: int) -> RtlModule:
     c3 = b.net("c3", _div3(b, Sub(_asr(b, rem, 1), todd), W))
     c1 = b.net("c1", Sub(todd, c3))
 
-    fin = b.net("fin", Slice(sched, lat - 1, 1))
+    fin = b.net("fin", Slice(sched, b.latency - 1, 1))
     recomb = _recombine(b, [c0, c1, c2, c3, c4], h, 2 * h + 2, 2 * m)
     cres = b.reg("cres", 2 * m, 0, Mux(fin, recomb, Ref("cres", 2 * m)))
     b.drive_c(cres)
@@ -419,15 +412,7 @@ def gen_toom3(m: int) -> RtlModule:
 
 
 def gen_toom4(m: int) -> RtlModule:
-    if m < 8:
-        raise BadParams(f"toom4 needs m >= 8, got {m}")
-    h = _ceil_div(m, 4)
-    lat = h + 3
-    meta = _meta("toom4", m, m, ArithMode.INTEGER)
-    stem = f"mul_tc4_{m}"
-    b = _Builder(stem, lat, meta)
-    a, bp = b.std_ports(m, m, 2 * m)
-    children, w, sched = _toom_frame(b, a, bp, m, 4, h, lat, TOOM4_POINTS, stem, meta)
+    b, h, children, w, sched = _toom_frame(ArchKind.TOOM4, m, TOOM4_POINTS)
 
     # Window sized for the worst intermediate (the w(3) residue, < 2690*2^(2h)).
     W = 2 * h + 14
@@ -450,8 +435,8 @@ def gen_toom4(m: int) -> RtlModule:
     c1 = b.net("c1", Sub(Sub(o1, c3), c5))
 
     # Two result stages: coefficient registers, then the recombined product.
-    fin1 = b.net("fin1", Slice(sched, lat - 2, 1))
-    fin2 = b.net("fin2", Slice(sched, lat - 1, 1))
+    fin1 = b.net("fin1", Slice(sched, b.latency - 2, 1))
+    fin2 = b.net("fin2", Slice(sched, b.latency - 1, 1))
     wu = 2 * h + 2
     crefs = []
     for i, cref in enumerate([c0, c1, c2, c3, c4, c5, c6]):
@@ -493,19 +478,11 @@ def _dsbm_core(name: str, m: int, n: int, mode: ArithMode, meta: tuple) -> RtlMo
 
 def gen_digit_serial(m: int, n: int, mode: ArithMode = ArithMode.INTEGER) -> RtlModule:
     """Digit-serial wrapper: d = ceil(m/n) digits of b, MSB-first, d*n cycles."""
-    if m < 4:
-        raise BadParams(f"digit-serial needs m >= 4, got {m}")
-    if not 1 <= n <= m:
-        raise BadDigit(f"digit width {n} outside 1..{m}")
+    b, a, bp = _top(ArchKind.DIGIT_SERIAL, m, mode, n)
     d = _ceil_div(m, n)
-    lat = d * n
     cl = mode is ArithMode.CARRYLESS
-    meta = _meta("wrapper", m, n, mode)
     core = _dsbm_core(f"mul_dsbm_cl_{m}x{n}" if cl else f"mul_dsbm_{m}x{n}",
-                      m, n, mode, meta)
-    name = f"mul_serial_cl_{m}_{n}" if cl else f"mul_serial_{m}_{n}"
-    b = _Builder(name, lat, meta)
-    a, bp = b.std_ports(m, m, 2 * m)
+                      m, n, mode, b.meta)
     acc = Ref("acc", 2 * m)
     dighot = Ref("dighot", d)
     phring = Ref("phring", n)
@@ -534,9 +511,18 @@ def gen_digit_serial(m: int, n: int, mode: ArithMode = ArithMode.INTEGER) -> Rtl
     return b.build(children=(core,))
 
 
+_BUILDERS = {
+    ArchKind.SBM: lambda m, mode, n: gen_sbm(m, mode),
+    ArchKind.KARATSUBA2: lambda m, mode, n: gen_karatsuba2(m, mode),
+    ArchKind.TOOM3: lambda m, mode, n: gen_toom3(m),
+    ArchKind.TOOM4: lambda m, mode, n: gen_toom4(m),
+    ArchKind.DIGIT_SERIAL: lambda m, mode, n: gen_digit_serial(m, n, mode),
+}
+
+
 def generate(params: GenParams) -> RtlModule:
     """Build the design one GenParams bundle describes."""
-    return params.kind.arch.generator(params.m, params.mode, params.n)
+    return _BUILDERS[params.kind](params.m, params.mode, params.n)
 
 
 def top_name(kind: ArchKind, m: int, mode: ArithMode = ArithMode.INTEGER,

@@ -555,22 +555,10 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
     def spec(t: str, bound: dict) -> tuple:
         """`_net` of t's expression with the bindings `bound`."""
         key = (t, *map(bound.get, edges[t]))
-        if key in specs:
-            return specs[key]
-        e, names = exprs[t]
-        names = _Bound(names, rep, bound)
-        while type(e) is Mux and type(e.cond) is Ref:  # a bound guard picks the arm
-            g = names[e.cond.name]
-            if type(g) is not int:
-                break
-            e = e.t if g else e.f
-        if type(e) is Ref:
-            v = names[e.name]
-            net = (v, {v: None}) if type(v) is str else (v, {})
-        else:
-            net = _net(e, names)
-        specs[key] = net
-        return net
+        if key not in specs:  # a Mux on a guard bound to a constant renders its arm
+            e, names = exprs[t]
+            specs[key] = _net(e, _Bound(names, rep, bound))
+        return specs[key]
 
     def phase(values: tuple) -> tuple:
         """(lines, the hoisted nets read) of the block that runs the phase in

@@ -305,11 +305,16 @@ def check(module: RtlModule, library: dict | None = None) -> list:
             bad("WidthMismatch", item, f"expression width {e.width} != target width {want}")
 
     def diagnose_refs(item, e):
+        reported = set()  # unknown and output names: once each, at whatever widths read
         for r in sorted(ref_nodes(e), key=lambda r: (r.name, r.width)):
+            if r.name in reported:
+                continue
             if r.name not in decls:
                 bad("UnknownRef", item, f"reference to undeclared name {r.name}")
+                reported.add(r.name)
             elif decls[r.name] == "port" and _port(module, r.name).direction == "out":
                 bad("OutputRead", item, f"output port {r.name} read inside module")
+                reported.add(r.name)
             elif widths[r.name] != r.width:
                 bad("WidthMismatch", item,
                     f"ref {r.name} width {r.width} != declared {widths[r.name]}")

@@ -14,8 +14,8 @@ The +1/+2/+3 constants are the operand-sum bit growth (Karatsuba) and the
 evaluation/recombination register stages (Toom).
 
 `ARCHES` is the architecture table: one record per ArchKind with its name,
-generator, model, latency and validity rules. Code elsewhere reads the record
-instead of branching on the kind.
+model, latency and validity rules. Code elsewhere, the generators included,
+reads the record instead of branching on the kind.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable
 
 from .errors import (BadDigit, BadParams, InexactDivision, InternalInterpolationError,
                      ToomRequiresInteger)
-from .generators import gen_digit_serial, gen_karatsuba2, gen_sbm, gen_toom3, gen_toom4
 from .numeric import (TOOM3_POINTS, TOOM4_POINTS, ArithMode, exact_div, fits, join,
                       oracle_mul, signed_eval, split)
 
@@ -213,7 +212,6 @@ class Arch:
     latency: Callable  # (m, n) -> exact cycles until c is valid
     billed: Callable  # (m, n) -> cycles of the serial operand-scanning phase
     model: Callable  # (a, b, m, mode, n) -> RunTrace
-    generator: Callable  # (m, mode, n) -> RtlModule
 
     def digit(self, n: int | None) -> int | None:
         """n, which a digit-serial architecture cannot do without."""
@@ -233,30 +231,25 @@ ARCHES = {
         "sbm", min_m=4, gf2=True, needs_digit=False,
         latency=lambda m, n: m,
         billed=lambda m, n: m,
-        model=lambda a, b, m, mode, n: run_sbm(a, b, m, mode),
-        generator=lambda m, mode, n: gen_sbm(m, mode)),
+        model=lambda a, b, m, mode, n: run_sbm(a, b, m, mode)),
     ArchKind.KARATSUBA2: Arch(
         "km2", min_m=4, gf2=True, needs_digit=False,
         latency=lambda m, n: _ceil_div(m, 2) + 1,
         billed=lambda m, n: _ceil_div(m, 2),
-        model=lambda a, b, m, mode, n: run_karatsuba2(a, b, m, mode),
-        generator=lambda m, mode, n: gen_karatsuba2(m, mode)),
+        model=lambda a, b, m, mode, n: run_karatsuba2(a, b, m, mode)),
     ArchKind.TOOM3: Arch(
         "tc3", min_m=6, gf2=False, needs_digit=False,
         latency=lambda m, n: _ceil_div(m, 3) + 2,
         billed=lambda m, n: _ceil_div(m, 3),
-        model=lambda a, b, m, mode, n: run_toom3(a, b, m),
-        generator=lambda m, mode, n: gen_toom3(m)),
+        model=lambda a, b, m, mode, n: run_toom3(a, b, m)),
     ArchKind.TOOM4: Arch(
         "tc4", min_m=8, gf2=False, needs_digit=False,
         latency=lambda m, n: _ceil_div(m, 4) + 3,
         billed=lambda m, n: _ceil_div(m, 4),
-        model=lambda a, b, m, mode, n: run_toom4(a, b, m),
-        generator=lambda m, mode, n: gen_toom4(m)),
+        model=lambda a, b, m, mode, n: run_toom4(a, b, m)),
     ArchKind.DIGIT_SERIAL: Arch(
         "serial", min_m=4, gf2=True, needs_digit=True,
         latency=lambda m, n: _ceil_div(m, n) * n,
         billed=lambda m, n: _ceil_div(m, n) * n,
-        model=lambda a, b, m, mode, n: run_digit_serial(a, b, m, n, mode),
-        generator=lambda m, mode, n: gen_digit_serial(m, n, mode)),
+        model=lambda a, b, m, mode, n: run_digit_serial(a, b, m, n, mode)),
 }

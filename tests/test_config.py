@@ -190,7 +190,7 @@ def _tree_jobs() -> tuple:
         '<job method="karatsuba2" width="16"><synth tool="genus" clock-ns="2.0"/></job>'
         '<job method="sbm" width="8" tb="true"><synth tool="dc" clock-ns="1.0"/></job></config>'
     )
-    # fails in emit_testbench, after its .v is written and before its synth script
+    # fails in emit_testbench, after its .v is emitted and before its synth script
     partial = dataclasses.replace(partial, tb_vectors=0)
     return tb, synth, partial, JobSpec(method=ArchKind.SBM, m=3)
 
@@ -212,9 +212,9 @@ def test_run_batch_output_tree(tmp_path):
     assert [r.error is None for r in batch.results] == [True, False, True, False]
     assert _tree(tmp_path) == [
         "manifest", "synth", "synth/mul_km2_16_genus.tcl", "vlog", "vlog/mul_km2_16.v",
-        "vlog/mul_sbm_16.v", "vlog/mul_sbm_8.v", "vlog/tb_mul_sbm_16.v",
+        "vlog/mul_sbm_16.v", "vlog/tb_mul_sbm_16.v",
     ]
-    # the partial job's .v stays on disk but is not in the manifest
+    # the partial job wrote nothing; every file on disk is in the manifest
     listed = {}
     for line in (tmp_path / "manifest").read_text().splitlines():
         *_, path, digest = line.split()

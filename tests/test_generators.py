@@ -141,6 +141,32 @@ def test_generator_minimum_widths():
         gen_sbm(3)
 
 
+_DIRECT = {  # kind -> the public generator, called directly with (m, n)
+    ArchKind.SBM: lambda m, n: gen_sbm(m),
+    ArchKind.KARATSUBA2: lambda m, n: gen_karatsuba2(m),
+    ArchKind.TOOM3: lambda m, n: gen_toom3(m),
+    ArchKind.TOOM4: lambda m, n: gen_toom4(m),
+    ArchKind.DIGIT_SERIAL: lambda m, n: gen_digit_serial(m, n),
+}
+
+
+def _raised(call) -> tuple:
+    with pytest.raises((BadParams, BadDigit)) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("kind", list(ArchKind), ids=lambda kind: kind.value)
+def test_direct_calls_follow_the_architecture_table(kind):
+    arch = kind.arch
+    m = arch.min_m
+    n = 1 if arch.needs_digit else None
+    bad = [(m - 1, n)] + ([(m, 0), (m, m + 1)] if arch.needs_digit else [])
+    for bm, bn in bad:
+        assert _raised(lambda: _DIRECT[kind](bm, bn)) == _raised(lambda: GenParams(kind, bm, n=bn))
+    assert dict(_DIRECT[kind](m, n).meta)["method"] == kind.value
+
+
 def test_top_name_matches_generated_module():
     cases = [
         (GenParams(ArchKind.SBM, 16), None),

@@ -297,7 +297,6 @@ def test_check_diagnostics_are_pinned():
         "[WidthMismatch] faulty.t: expression width 7 != target width 3",
         "[WidthMismatch] faulty.u_tiny.a: ref b width 1 != declared 4",
         "[UnknownRef] faulty.u_tiny.a: reference to undeclared name ghost",
-        "[UnknownRef] faulty.u_tiny.a: reference to undeclared name ghost",
         "[OutputRead] faulty.u_tiny.b: output port c read inside module",
         "[UnknownRef] faulty.u_tiny.b: reference to undeclared name zed",
         "[WidthMismatch] faulty.u_tiny.b: expression width 16 != target width 4",
@@ -369,21 +368,24 @@ def _inject(mod, library, target, new):
 
 def _reference_ref_diagnostics(mod, library) -> list:
     """The rule for reads: each item's distinct refs in sorted order, each
-    unknown, an output read, or at the wrong width."""
+    unknown, an output read, or at the wrong width; an unknown or output name
+    once per item, whatever widths it is read at."""
     kinds = {}
     for kind, items in (("port", mod.ports), ("net", mod.nets), ("reg", mod.regs)):
         for it in items:
             kinds[it.name] = (kind, getattr(it, "direction", None), it.width)
     out = []
     for where, e in _read_items(mod, library):
+        item = []
         for r in sorted(ref_nodes(e), key=lambda r: (r.name, r.width)):
             if r.name not in kinds:
-                out.append(f"[UnknownRef] {mod.name}.{where}: reference to undeclared name {r.name}")
+                item.append(f"[UnknownRef] {mod.name}.{where}: reference to undeclared name {r.name}")
             elif kinds[r.name][1] == "out":
-                out.append(f"[OutputRead] {mod.name}.{where}: output port {r.name} read inside module")
+                item.append(f"[OutputRead] {mod.name}.{where}: output port {r.name} read inside module")
             elif kinds[r.name][2] != r.width:
-                out.append(f"[WidthMismatch] {mod.name}.{where}: "
-                           f"ref {r.name} width {r.width} != declared {kinds[r.name][2]}")
+                item.append(f"[WidthMismatch] {mod.name}.{where}: "
+                            f"ref {r.name} width {r.width} != declared {kinds[r.name][2]}")
+        out += dict.fromkeys(item)  # only the unknown and output lines repeat
     return out
 
 
