@@ -6,10 +6,10 @@ The sequential datapaths are MSB-first (Horner) shift-add machines driven by
 one-hot schedule registers; transactions are framed by rst as described in
 the verilog backend (reset one cycle, hold a/b for latency_cycles, read c).
 
-Toom generators keep all interpolation arithmetic in two's complement on a
-fixed window wide enough that every intermediate fits; exact divisions by 3
-and 5 are multiplications by the modular inverse, built from log-depth
-shift-add ladders.
+Toom generators run the interpolation of `models` (toom3_interpolate,
+toom4_interpolate) on IR, in two's complement on a fixed window wide enough
+that every intermediate fits; exact divisions by 3 and 5 are multiplications
+by the modular inverse, built from log-depth shift-add ladders.
 
 Names, latencies and parameter rules are read from the architecture table,
 `models.ARCHES`; `generate` dispatches on the kind through `_BUILDERS`.
@@ -18,10 +18,12 @@ Names, latencies and parameter rules are read from the architecture table,
 from __future__ import annotations
 
 import dataclasses
+import functools
+import types
 
 from .ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not,
                  Port, Ref, RegDef, RtlModule, Repl, Shl, Slice, Sub, Xor)
-from .models import ArchKind, _ceil_div
+from .models import ArchKind, _ceil_div, toom3_interpolate, toom4_interpolate
 from .numeric import INF, TOOM3_POINTS, TOOM4_POINTS, ArithMode
 
 
@@ -344,11 +346,13 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
     return b.build()
 
 
-def _toom_frame(kind: ArchKind, m: int, points: tuple):
+def _toom_frame(kind: ArchKind, m: int, points: tuple, interpolate, margin: int):
     """Shared Toom plumbing: top module, padding, schedule, evaluation regs,
-    children; k-way over 2k-1 points.
+    children, and interpolation on a signed window of W = 2h + margin bits
+    (tests/test_models.py::test_toom_windows_hold_every_value proves that
+    every value fits); k-way over 2k-1 points.
 
-    Returns (builder, limb width h, child modules, child output refs,
+    Returns (builder, limb width h, child modules, coefficient refs,
     schedule register).
     """
     b, a, bp = _top(kind, m)
@@ -376,7 +380,13 @@ def _toom_frame(kind: ArchKind, m: int, points: tuple):
         wn = b.out_net(f"w{i}", wc)
         b.inst(f"u_pp{i}", child, evr, bpad, crst, wn)
         wrefs.append(wn)
-    return b, h, children, wrefs, sched
+    W = 2 * h + margin
+    window = types.SimpleNamespace(add=Add, sub=Sub, net=b.net,
+                                   cmul=lambda e, c: _cmul(b, e, c, W),
+                                   asr=functools.partial(_asr, b),
+                                   div=lambda e, c: {3: _div3, 5: _div5}[c](b, e, W))
+    v = [b.net(f"vs{i}", _sext(b, wn, W)) for i, wn in enumerate(wrefs)]
+    return b, h, children, interpolate(window, v), sched
 
 
 def _recombine(b: _Builder, coeffs: list, h: int, wu: int, width: int):
@@ -389,57 +399,24 @@ def _recombine(b: _Builder, coeffs: list, h: int, wu: int, width: int):
 
 
 def gen_toom3(m: int) -> RtlModule:
-    b, h, children, w, sched = _toom_frame(ArchKind.TOOM3, m, TOOM3_POINTS)
-
-    # Interpolation on a signed window wide enough for every intermediate:
-    # the largest magnitude is the divide-by-3 numerator, below 78 * 2^(2h).
-    W = 2 * h + 8
-    v = [b.net(f"vs{i}", _sext(b, w[i], W)) for i in range(5)]
-    c0 = v[0]
-    c4 = v[4]
-    c2 = b.net("c2", Sub(Sub(_asr(b, Add(v[1], v[2]), 1), c0), c4))
-    todd = b.net("todd", _asr(b, Sub(v[1], v[2]), 1))
-    rem = b.net("rem", Sub(Sub(Sub(v[3], c0), _shl_mod(b, c2, 2, W)),
-                           _shl_mod(b, c4, 4, W)))
-    c3 = b.net("c3", _div3(b, Sub(_asr(b, rem, 1), todd), W))
-    c1 = b.net("c1", Sub(todd, c3))
-
+    b, h, children, coeffs, sched = _toom_frame(ArchKind.TOOM3, m, TOOM3_POINTS,
+                                                toom3_interpolate, 8)
     fin = b.net("fin", Slice(sched, b.latency - 1, 1))
-    recomb = _recombine(b, [c0, c1, c2, c3, c4], h, 2 * h + 2, 2 * m)
+    recomb = _recombine(b, coeffs, h, 2 * h + 2, 2 * m)
     cres = b.reg("cres", 2 * m, 0, Mux(fin, recomb, Ref("cres", 2 * m)))
     b.drive_c(cres)
     return b.build(children=tuple(children))
 
 
 def gen_toom4(m: int) -> RtlModule:
-    b, h, children, w, sched = _toom_frame(ArchKind.TOOM4, m, TOOM4_POINTS)
-
-    # Window sized for the worst intermediate (the w(3) residue, < 2690*2^(2h)).
-    W = 2 * h + 14
-    v = [b.net(f"vs{i}", _sext(b, w[i], W)) for i in range(7)]
-    c0 = v[0]
-    c6 = v[6]
-    e1 = b.net("e1", Sub(Sub(_asr(b, Add(v[1], v[2]), 1), c0), c6))
-    o1 = b.net("o1", _asr(b, Sub(v[1], v[2]), 1))
-    e2 = b.net("e2", Sub(Sub(_asr(b, Add(v[3], v[4]), 1), c0), _shl_mod(b, c6, 6, W)))
-    o2 = b.net("o2", _asr(b, Sub(v[3], v[4]), 1))
-    c4 = b.net("c4", _div3(b, Sub(_asr(b, e2, 2), e1), W))
-    c2 = b.net("c2", Sub(e1, c4))
-    half2 = b.net("half2", _asr(b, o2, 1))
-    res3 = b.net("res3", _div3(b, Sub(Sub(Sub(Sub(v[5], c0), _cmul(b, c2, 9, W)),
-                                          _cmul(b, c4, 81, W)), _cmul(b, c6, 729, W)), W))
-    u1 = b.net("u1", _div3(b, Sub(half2, o1), W))
-    u2 = b.net("u2", _asr(b, Sub(res3, o1), 3))
-    c5 = b.net("c5", _div5(b, Sub(u2, u1), W))
-    c3 = b.net("c3", Sub(u1, _cmul(b, c5, 5, W)))
-    c1 = b.net("c1", Sub(Sub(o1, c3), c5))
-
+    b, h, children, coeffs, sched = _toom_frame(ArchKind.TOOM4, m, TOOM4_POINTS,
+                                                toom4_interpolate, 14)
     # Two result stages: coefficient registers, then the recombined product.
     fin1 = b.net("fin1", Slice(sched, b.latency - 2, 1))
     fin2 = b.net("fin2", Slice(sched, b.latency - 1, 1))
     wu = 2 * h + 2
     crefs = []
-    for i, cref in enumerate([c0, c1, c2, c3, c4, c5, c6]):
+    for i, cref in enumerate(coeffs):
         crefs.append(b.reg(f"cr{i}", wu, 0, Mux(fin1, Slice(cref, 0, wu),
                                                 Ref(f"cr{i}", wu))))
     recomb = _recombine(b, crefs, h, wu, 2 * m)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
+import types
 from typing import Callable
 
 from .errors import (BadDigit, BadParams, InexactDivision, InternalInterpolationError,
@@ -69,8 +71,6 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _check_operands(a: int, b: int, m: int) -> None:
-    if m < 1:
-        raise BadParams(f"m must be >= 1, got {m}")
     if not fits(a, m) or not fits(b, m):
         raise OverflowError(f"operands must fit {m} bits")
 
@@ -83,6 +83,7 @@ def cycle_contract(kind: ArchKind, m: int, n: int | None = None) -> int:
 
 def run_sbm(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunTrace:
     """Shift-add schoolbook multiplier: one conditional accumulate per bit of b."""
+    ArchKind.SBM.validate(m, mode, None)
     _check_operands(a, b, m)
     acc = 0
     for i in range(m):
@@ -96,6 +97,7 @@ def run_sbm(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunT
 
 def run_karatsuba2(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunTrace:
     """2-way Karatsuba: 3 parallel sub-products on (h+1)-bit operands."""
+    ArchKind.KARATSUBA2.validate(m, mode, None)
     _check_operands(a, b, m)
     h = _ceil_div(m, 2)
     a0, a1 = split(a, 2, h)
@@ -114,63 +116,80 @@ def run_karatsuba2(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) 
     return RunTrace(product, h + 1, 3)
 
 
-def _toom_product(a: int, b: int, m: int, ways: int, points) -> tuple[list[int], int]:
-    """Common Toom front end: split, evaluate, pointwise multiply."""
-    h = _ceil_div(m, ways)
-    la = split(a, ways, h)
-    lb = split(b, ways, h)
+def toom3_interpolate(x, w: list) -> list:
+    """c0..c4 from the point products at TOOM3_POINTS, in the value domain x.
+
+    x supplies add, sub, cmul (times a constant), asr (exact division by 2^k),
+    div (exact division by an odd constant) and net (names a value). The
+    model runs this on ints, the generator on IR over its window.
+    """
+    c0, w1, wm1, w2, c4 = w                                             # c4 = w(inf)
+    c2 = x.net("c2", x.sub(x.sub(x.asr(x.add(w1, wm1), 1), c0), c4))
+    todd = x.net("todd", x.asr(x.sub(w1, wm1), 1))                      # c1 + c3
+    rem = x.net("rem", x.sub(x.sub(x.sub(w2, c0), x.cmul(c2, 4)),
+                             x.cmul(c4, 16)))                           # 2*c1 + 8*c3
+    c3 = x.net("c3", x.div(x.sub(x.asr(rem, 1), todd), 3))
+    c1 = x.net("c1", x.sub(todd, c3))
+    return [c0, c1, c2, c3, c4]
+
+
+def toom4_interpolate(x, w: list) -> list:
+    """c0..c6 from the point products at TOOM4_POINTS, in the value domain x.
+
+    Forward substitution over the point system; the odd subsystem's nodes
+    {1, 4, 9} force one exact division by 5.
+    """
+    c0, w1, wm1, w2, wm2, w3, c6 = w                                    # c6 = w(inf)
+    e1 = x.net("e1", x.sub(x.sub(x.asr(x.add(w1, wm1), 1), c0), c6))    # c2 + c4
+    o1 = x.net("o1", x.asr(x.sub(w1, wm1), 1))                          # c1 + c3 + c5
+    e2 = x.net("e2", x.sub(x.sub(x.asr(x.add(w2, wm2), 1), c0),
+                           x.cmul(c6, 64)))                             # 4*c2 + 16*c4
+    o2 = x.net("o2", x.asr(x.sub(w2, wm2), 1))                          # 2*c1 + 8*c3 + 32*c5
+    c4 = x.net("c4", x.div(x.sub(x.asr(e2, 2), e1), 3))
+    c2 = x.net("c2", x.sub(e1, c4))
+    half2 = x.net("half2", x.asr(o2, 1))                                # c1 + 4*c3 + 16*c5
+    res3 = x.net("res3", x.div(x.sub(x.sub(x.sub(x.sub(w3, c0), x.cmul(c2, 9)),
+                                           x.cmul(c4, 81)), x.cmul(c6, 729)), 3))
+                                                                        # c1 + 9*c3 + 81*c5
+    u1 = x.net("u1", x.div(x.sub(half2, o1), 3))                        # c3 + 5*c5
+    u2 = x.net("u2", x.asr(x.sub(res3, o1), 3))                         # c3 + 10*c5
+    c5 = x.net("c5", x.div(x.sub(u2, u1), 5))
+    c3 = x.net("c3", x.sub(u1, x.cmul(c5, 5)))
+    c1 = x.net("c1", x.sub(x.sub(o1, c3), c5))
+    return [c0, c1, c2, c3, c4, c5, c6]
+
+
+# The models' value domain: exact ints, every division checked.
+_INTS = types.SimpleNamespace(add=operator.add, sub=operator.sub, cmul=operator.mul,
+                              asr=lambda v, k: exact_div(v, 1 << k), div=exact_div,
+                              net=lambda name, v: v)
+
+
+def _run_toom(kind: ArchKind, points: tuple, interpolate, a: int, b: int, m: int) -> RunTrace:
+    """k-way Toom-Cook over 2k-1 points: split, evaluate, multiply pointwise,
+    interpolate, recombine; integer mode only."""
+    arch = kind.validate(m, ArithMode.INTEGER, None)
+    _check_operands(a, b, m)
+    k = (len(points) + 1) // 2
+    h = _ceil_div(m, k)
+    la = split(a, k, h)
+    lb = split(b, k, h)
     w = [signed_eval(la, p) * signed_eval(lb, p) for p in points]
-    return w, h
+    try:
+        coeffs = interpolate(_INTS, w)
+    except InexactDivision as exc:
+        raise InternalInterpolationError(str(exc)) from exc
+    return RunTrace(join(coeffs, h), arch.latency(m, None), len(points))
 
 
 def run_toom3(a: int, b: int, m: int) -> RunTrace:
     """3-way Toom-Cook over points {0, 1, -1, 2, inf}; integer mode only."""
-    _check_operands(a, b, m)
-    w, h = _toom_product(a, b, m, 3, TOOM3_POINTS)
-    w0, w1, wm1, w2, winf = w
-    try:
-        c0 = w0
-        c4 = winf
-        c2 = exact_div(w1 + wm1, 2) - c0 - c4
-        t = exact_div(w1 - wm1, 2)                      # c1 + c3
-        rem = w2 - c0 - 4 * c2 - 16 * c4                # 2*c1 + 8*c3
-        c3 = exact_div(exact_div(rem, 2) - t, 3)
-        c1 = t - c3
-    except InexactDivision as exc:
-        raise InternalInterpolationError(str(exc)) from exc
-    product = join([c0, c1, c2, c3, c4], h)
-    return RunTrace(product, h + 2, 5)
+    return _run_toom(ArchKind.TOOM3, TOOM3_POINTS, toom3_interpolate, a, b, m)
 
 
 def run_toom4(a: int, b: int, m: int) -> RunTrace:
-    """4-way Toom-Cook over points {0, 1, -1, 2, -2, 3, inf}; integer mode only.
-
-    The interpolation is forward substitution over the point system; the odd
-    subsystem's nodes {1, 4, 9} force one exact division by 5.
-    """
-    _check_operands(a, b, m)
-    w, h = _toom_product(a, b, m, 4, TOOM4_POINTS)
-    w0, w1, wm1, w2, wm2, w3, winf = w
-    try:
-        c0 = w0
-        c6 = winf
-        e1 = exact_div(w1 + wm1, 2) - c0 - c6           # c2 + c4
-        o1 = exact_div(w1 - wm1, 2)                     # c1 + c3 + c5
-        e2 = exact_div(w2 + wm2, 2) - c0 - 64 * c6      # 4*c2 + 16*c4
-        o2 = exact_div(w2 - wm2, 2)                     # 2*c1 + 8*c3 + 32*c5
-        c4 = exact_div(exact_div(e2, 4) - e1, 3)
-        c2 = e1 - c4
-        t2 = exact_div(o2, 2)                           # c1 + 4*c3 + 16*c5
-        t3 = exact_div(w3 - c0 - 9 * c2 - 81 * c4 - 729 * c6, 3)  # c1 + 9*c3 + 81*c5
-        u1 = exact_div(t2 - o1, 3)                      # c3 + 5*c5
-        u2 = exact_div(t3 - o1, 8)                      # c3 + 10*c5
-        c5 = exact_div(u2 - u1, 5)
-        c3 = u1 - 5 * c5
-        c1 = o1 - c3 - c5
-    except InexactDivision as exc:
-        raise InternalInterpolationError(str(exc)) from exc
-    product = join([c0, c1, c2, c3, c4, c5, c6], h)
-    return RunTrace(product, h + 3, 7)
+    """4-way Toom-Cook over points {0, 1, -1, 2, -2, 3, inf}; integer mode only."""
+    return _run_toom(ArchKind.TOOM4, TOOM4_POINTS, toom4_interpolate, a, b, m)
 
 
 def run_digit_serial(a: int, b: int, m: int, n: int,
@@ -180,9 +199,8 @@ def run_digit_serial(a: int, b: int, m: int, n: int,
     Each digit product costs n cycles; the total is d*n. With n == m this
     degenerates to the inner multiplier.
     """
+    ArchKind.DIGIT_SERIAL.validate(m, mode, n)
     _check_operands(a, b, m)
-    if n < 1 or n > m:
-        raise BadDigit(f"digit size must be in 1..{m}, got {n}")
     d = _ceil_div(m, n)
     digits = split(b, d, n)
     acc = 0

@@ -16,7 +16,8 @@ from .errors import InexactDivision
 INF = float("inf")
 
 # Toom-Cook evaluation points, shared by the generators and the behavioural
-# models; both interpolate for exactly these points, in this order.
+# models. models.toom3_interpolate and toom4_interpolate, which both run,
+# invert the evaluation at exactly these points, in this order.
 TOOM3_POINTS = (0, 1, -1, 2, INF)
 TOOM4_POINTS = (0, 1, -1, 2, -2, 3, INF)
 
@@ -89,9 +90,9 @@ def join(limbs: list[int], part_width: int, mode: ArithMode = ArithMode.INTEGER)
 def exact_div(v: int, k: int) -> int:
     """Divide v by k, raising InexactDivision unless k divides v exactly.
 
-    Used by the Toom interpolation sequences; the divisors that actually occur
-    there are {2, 3, 4, 5, 6, 8, 24}. v may be negative (interpolation
-    intermediates are signed).
+    Used by the Toom models' interpolation; the divisors that occur there are
+    {2, 3, 4, 5, 8}. v may be negative (interpolation intermediates are
+    signed).
     """
     if k < 1:
         raise ValueError("divisor must be >= 1")

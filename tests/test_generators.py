@@ -19,7 +19,15 @@ from polymulgen.generators import (
 )
 from polymulgen.interp import compile_sim
 from polymulgen.ir import check
-from polymulgen.models import ArchKind, cycle_contract
+from polymulgen.models import (
+    ArchKind,
+    cycle_contract,
+    run_digit_serial,
+    run_karatsuba2,
+    run_sbm,
+    run_toom3,
+    run_toom4,
+)
 from polymulgen.numeric import ArithMode, oracle_mul
 
 
@@ -150,6 +158,15 @@ _DIRECT = {  # kind -> the public generator, called directly with (m, n)
 }
 
 
+_MODELS = {  # kind -> the public model, called directly with (m, n)
+    ArchKind.SBM: lambda m, n: run_sbm(1, 1, m),
+    ArchKind.KARATSUBA2: lambda m, n: run_karatsuba2(1, 1, m),
+    ArchKind.TOOM3: lambda m, n: run_toom3(1, 1, m),
+    ArchKind.TOOM4: lambda m, n: run_toom4(1, 1, m),
+    ArchKind.DIGIT_SERIAL: lambda m, n: run_digit_serial(1, 1, m, n),
+}
+
+
 def _raised(call) -> tuple:
     with pytest.raises((BadParams, BadDigit)) as exc:
         call()
@@ -163,7 +180,9 @@ def test_direct_calls_follow_the_architecture_table(kind):
     n = 1 if arch.needs_digit else None
     bad = [(m - 1, n)] + ([(m, 0), (m, m + 1)] if arch.needs_digit else [])
     for bm, bn in bad:
-        assert _raised(lambda: _DIRECT[kind](bm, bn)) == _raised(lambda: GenParams(kind, bm, n=bn))
+        want = _raised(lambda: GenParams(kind, bm, n=bn))
+        assert _raised(lambda: _DIRECT[kind](bm, bn)) == want
+        assert _raised(lambda: _MODELS[kind](bm, bn)) == want
     assert dict(_DIRECT[kind](m, n).meta)["method"] == kind.value
 
 

@@ -1,4 +1,5 @@
-"""Package structure: the modules' import graph has no cycle."""
+"""Package structure: the modules' import graph has no cycle, and the oracle
+imports nothing it checks."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,9 @@ def test_package_imports_have_no_cycle():
     assert "models" in graph and "generators" in graph
     loop = _cycle(graph)
     assert not loop, "import cycle: " + " -> ".join(loop)
+
+
+def test_oracle_imports_only_errors():
+    # numeric is the oracle that the models and the generators are checked
+    # against; the Toom interpolation they share lives in models, not here
+    assert _import_graph()["numeric"] == ["errors"]

@@ -1,10 +1,13 @@
 """Cycle-accurate behavioral model tests."""
 
 import random
+import types
 
 import pytest
 
-from polymulgen.errors import BadDigit, BadParams
+from polymulgen import models
+from polymulgen.errors import BadDigit, BadParams, InternalInterpolationError
+from polymulgen.generators import GenParams, generate
 from polymulgen.models import (
     ArchKind,
     cycle_contract,
@@ -14,8 +17,10 @@ from polymulgen.models import (
     run_sbm,
     run_toom3,
     run_toom4,
+    toom3_interpolate,
+    toom4_interpolate,
 )
-from polymulgen.numeric import ArithMode, oracle_mul
+from polymulgen.numeric import TOOM3_POINTS, TOOM4_POINTS, ArithMode, oracle_mul, signed_eval
 
 
 def test_sbm_example():
@@ -135,3 +140,75 @@ def test_operands_must_fit():
         run_sbm(1 << 8, 1, 8)
     with pytest.raises(OverflowError):
         run_sbm(1, -1, 8)
+
+
+@pytest.mark.parametrize("run", [run_toom3, run_toom4], ids=["toom3", "toom4"])
+def test_corrupt_point_product_raises_interpolation_error(run, monkeypatch):
+    # w(1) of 0*0 read as 1: the first halving of w(1) + w(-1) is inexact
+    def corrupt(limbs, point):
+        return signed_eval(limbs, point) + (point == 1)
+
+    monkeypatch.setattr(models, "signed_eval", corrupt)
+    with pytest.raises(InternalInterpolationError):
+        run(0, 0, 16)
+
+
+def _intervals(seen: list):
+    """Interval value domain: each value is the range (lo, hi) it can take.
+    Divisions are exact, so a quotient's range is rounded inwards."""
+    def keep(r):
+        seen.append(r)
+        return r
+
+    return types.SimpleNamespace(
+        add=lambda p, q: keep((p[0] + q[0], p[1] + q[1])),
+        sub=lambda p, q: keep((p[0] - q[1], p[1] - q[0])),
+        cmul=lambda p, c: keep((p[0] * c, p[1] * c)),
+        asr=lambda p, k: keep((-(-p[0] >> k), p[1] >> k)),
+        div=lambda p, c: keep((-(-p[0] // c), p[1] // c)),
+        net=lambda name, p: p)
+
+
+def _point_products(points: tuple, h: int) -> list:
+    """Range of each point product of two operands with k limbs below 2^h."""
+    k = (len(points) + 1) // 2
+    top = (1 << h) - 1
+    ranges = []
+    for p in points:
+        row = [signed_eval([int(i == j) for i in range(k)], p) for j in range(k)]
+        lo = top * sum(c for c in row if c < 0)
+        hi = top * sum(c for c in row if c > 0)
+        ends = (lo * lo, lo * hi, hi * hi)
+        ranges.append((min(ends), max(ends)))
+    return ranges
+
+
+def _signed_bits(v: int) -> int:
+    return (v if v >= 0 else -v - 1).bit_length() + 1
+
+
+def _window_margin(kind: ArchKind, m: int) -> int:
+    """W - 2h of the generated design: the width of its interpolation window
+    (the vs* nets) less twice its limb width (the al* nets)."""
+    width = {net.name: net.width for net in generate(GenParams(kind, m)).nets}
+    return width["vs0"] - 2 * width["al0"]
+
+
+@pytest.mark.parametrize("kind, points, interpolate, needed", [
+    (ArchKind.TOOM3, TOOM3_POINTS, toom3_interpolate, 7),
+    (ArchKind.TOOM4, TOOM4_POINTS, toom4_interpolate, 13),
+], ids=["toom3", "toom4"])
+def test_toom_windows_hold_every_value(kind, points, interpolate, needed):
+    # Every point product and every intermediate of the interpolation fits the
+    # generator's signed window W = 2h + margin, for each limb width h up to
+    # 342 (m = 1024 in toom3); the point products are independent intervals.
+    margin = _window_margin(kind, kind.arch.min_m)
+    assert _window_margin(kind, 1024) == margin
+    widest = 0
+    for h in range(1, 343):
+        seen = _point_products(points, h)
+        interpolate(_intervals(seen), list(seen))
+        bits = max(_signed_bits(v) for r in seen for v in r) - 2 * h
+        assert bits <= margin, f"h={h}: a value needs 2h+{bits} bits, the window has 2h+{margin}"
+        widest = max(widest, bits)
+    assert widest == needed  # the proof is not vacuous: one bit less fails

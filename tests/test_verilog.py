@@ -56,6 +56,10 @@ def test_golden_sbm_8():
      "2dfbc626e9d2af1db46cbac1798a28c971a37958b15b2fce56da6abc4815f38d"),
     ("toom4", 8, "integer", None,
      "fbb962ff55b6597d3566bea08f27e389061c62ff094bb9a0cc749971a95007bf"),
+    ("toom3", 163, "integer", None,  # the limb width does not divide m
+     "e2ada97fc79cd0fee3a4a0c5cf45feb888f4f87b2e3c077d7f57dc83ee709c43"),
+    ("toom4", 163, "integer", None,
+     "40d515c63c31d69ad91e53b345be70846b5247fbcf60c8f3d920cdf453e0a58d"),
     ("sbm", 4, "integer", None,
      "485eb771666acf3e47d72a1c972d0721885db58907df98085d01b0b17afb5aeb"),
 ])
