@@ -15,7 +15,8 @@ equal width and reset are assumed equal, and a class splits while its
 members' next-state texts differ with every identifier renamed to its
 representative. Nets are hash-consed in dependency order on (width, renamed
 text), so a net that renders like an earlier one of its width is that net.
-Everything after sees only the representatives.
+Everything after sees only the representatives, and no net that neither c
+nor a register reads.
 
 The flat netlist then splits in two. What the operands a/b reach, over net
 drivers and register next-states, is the datapath. The rest is the control
@@ -60,33 +61,27 @@ the latency may), `_run` is rendered and compiled again over every phase met
 so far, with the same renderer. `_sched` evaluates each control net that a
 register or a row needs, and that is not a constant, on every cycle.
 
-Rendering folds constants in the same pass. rst is the constant 0 during a
-run, so the top's rst folds away: a register's reset mux survives only where
-its module's rst is a net (toom's child reset `crst = rst | ld`, which folds
-to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
-`x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...) drop
-their operator, zero Concat parts vanish, a Slice that reaches its base's
-top keeps no mask, and an Add or Sub reads an operand cut to its own width,
-`x & mask`, as x, since its own mask drops the bits above. Three more rules
-spare the loops work:
+Each expression is rendered by `render`, which folds constants in the same
+pass and, while `_flatten` looks through a module's own nets (`_look`),
+steps a register of side-by-side fields with one shift and one mask:
+toom's point multipliers shift the limbs of b in their column register
+that way. Each text keeps its precedence and cut, so a phase writes one
+net's text into another's with only the parentheses Python needs.
 
-- a bit replicated over the other operand of an And selects it:
-  `And(Repl(n, x), y)` with x one bit wide is `y if x else 0x0`, so the
-  wrapper's digit select slices b for the chosen digit only;
-- a bit read only for its truth (a Mux condition, the x above) below its
-  base's top is tested with one AND, `v & 2^lo`, not `v >> lo & 0x1`;
-- an Add or Sub operand that is a net of its module driven by
-  `Slice(Ref(x), 0, w)` is read through that cut, as x (`_flatten` writes
-  the Slice in), so a shift-add accumulator renders `(r << 1) + t & M`,
-  masking `r << 1` once, not twice.
-
-A text holds only the parentheses Python's operator precedence needs, since
-the parser's time grows with every pair; a phase that writes one net's text
-into another's puts it in parentheses, unless it is a name, a literal or
-the reader's whole value.
-
-A read that folds away is not a read, so hoisting, phases and the
-control/datapath split see only what the text reads.
+Gated sums read a table, as in distributed arithmetic (White, "Applications
+of Distributed Arithmetic to Digital Signal Processing: A Tutorial Review",
+IEEE ASSP Magazine 1989). A phase takes each per-cycle Add/Sub chain with
+g >= 2 operands that are nets driven by Mux(c_i, v_i, 0), c_i changing per
+cycle and v_i fixed for the phase, and reads it as `rest + t[ix] & M`: t
+holds the 2^g signed subset sums of the v_i, built on entry to the block,
+and ix packs the c_i once per cycle, shared by every chain that reads the
+same bits (toom4's five multi-term point multipliers all read the merged
+column register). A table is built only where the schedule runs the phase
+long enough to repay it: building it costs about a sum per entry, once, and
+each cycle saves g - 1 gated sums, so the phase must run at least
+2^g / (g - 1) cycles in a row (`_repays`; toom3 from m = 13, toom4 from
+m = 25). The run that counts is the phase's longest in the schedule in which
+the simulator first meets it.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -98,8 +93,10 @@ from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .ir import (Add, And, Concat, Const, Mux, Not, Ref, Repl, RtlModule, Shl,
-                 Slice, Sub, Xor, ref_nodes)
+from .ir import Add, Const, Mux, Ref, RtlModule, Sub, ref_nodes
+from .render import (_AND, _ATOM, _MUL, _OR, _SHIFT, _SUM, _demand, _lit, _look, _name,
+                     _net, _r, _subsets, _summed, _wrap)
+from .render import _pysrc  # noqa: F401  (the renderer on its own, read through interp)
 
 # the deepest nesting of parentheses a phase lets a text reach by writing
 # other nets into it; Python's parser refuses a line nested 200 deep
@@ -109,173 +106,11 @@ _NEST = 150
 _IDENT = re.compile(r"([nr][0-9]+)")
 
 
-# Python's operator precedence, loosest first, for the operators the
-# renderer writes; an identifier or a literal is an atom
-_IF, _OR, _XOR, _AND, _SHIFT, _SUM, _MUL, _ATOM = range(8)
-
-
-def _lit(v) -> str:
-    return hex(v) if type(v) is int else v
-
-
-def _name(v) -> bool:
-    """Whether the rendered v is a bare identifier: a copy of that name."""
-    return type(v) is str and v.isidentifier()
-
-
-def _wrap(v: tuple, prec: int) -> str:
-    """The text of the rendered v as an operand whose operator binds at
-    least as tightly as `prec`: in parentheses when its own binds looser."""
-    src = v[0]
-    if v[1] < prec:
-        return f"({src})"
-    return src if type(src) is str else hex(src)
-
-
-def _truth(e, names: dict, reads: list) -> tuple:
-    """`_r` of the 1-bit e where only its truth is read: a bit below its
-    base's top is tested with one AND, `v & 2^lo`, and not shifted down."""
-    if type(e) is not Slice or e.lo + 1 == e.base.width:
-        return _r(e, names, reads)
-    v = _r(e.base, names, reads)
-    if type(v[0]) is int:
-        return (v[0] >> e.lo) & 1, _ATOM, None
-    return f"{_wrap(v, _AND)} & {hex(1 << e.lo)}", _AND, None
-
-
-def _pysrc(e, names: dict, reads: list):
-    """Python source of e with constants folded: an int when e is constant,
-    else text with only the parentheses Python's precedence needs. Appends
-    each flat identifier the text reads to `reads`; an int reads nothing."""
-    return _r(e, names, reads)[0]
-
-
-def _r(e, names: dict, reads: list) -> tuple:
-    """(value, precedence, cut) of e: the value is `_pysrc`'s, the
-    precedence that of its outermost operator, and cut, for an And text
-    `x & c` with c an int or a Not text `x ^ mask`, the pair (`_r` of x, c
-    or mask). The Add/Sub cut rule and the ~~x fold read it.
-
-    An operand is written in parentheses only when its operator binds more
-    loosely than its context; the right operand of `+ - & ^ |` needs a
-    strictly tighter one, and a conditional's true arm and condition must
-    not be conditionals."""
-    t = type(e)
-    if t is Ref:
-        v = names[e.name]
-        if type(v) is str:
-            reads.append(v)
-        return v, _ATOM, None
-    if t is Slice:
-        v = _r(e.base, names, reads)
-        mask = (1 << e.width) - 1
-        if type(v[0]) is int:
-            return (v[0] >> e.lo) & mask, _ATOM, None
-        if e.lo:
-            v = f"{_wrap(v, _SHIFT)} >> {e.lo}", _SHIFT, None
-        if e.lo + e.width == e.base.width:
-            return v
-        return f"{_wrap(v, _AND)} & {hex(mask)}", _AND, (v, mask)
-    if t is Mux:
-        mark = len(reads)
-        cond = _truth(e.cond, names, reads)
-        if type(cond[0]) is int:
-            return _r(e.t if cond[0] else e.f, names, reads)
-        tv = _r(e.t, names, reads)
-        fv = _r(e.f, names, reads)
-        if tv[0] == fv[0]:  # equal arms: render one, and cond is not read
-            del reads[mark:]
-            return _r(e.t, names, reads)
-        return f"{_wrap(tv, _OR)} if {_wrap(cond, _OR)} else {_wrap(fv, _IF)}", _IF, None
-    if t is Shl:
-        v = _r(e.base, names, reads)
-        if type(v[0]) is int:
-            return v[0] << e.amount, _ATOM, None
-        return (f"{_wrap(v, _SHIFT)} << {e.amount}", _SHIFT, None) if e.amount else v
-    if t is Const:
-        return e.value, _ATOM, None
-    if t is Concat:
-        const, terms, offset = 0, [], 0
-        for p in reversed(e.parts):  # LSB side last in the tuple
-            v = _r(p, names, reads)
-            if type(v[0]) is int:
-                const |= v[0] << offset
-            else:
-                terms.append((f"{_wrap(v, _SHIFT)} << {offset}", _SHIFT, None) if offset else v)
-            offset += p.width
-        if not terms:
-            return const, _ATOM, None
-        if const:
-            terms.append((const, _ATOM, None))
-        if len(terms) == 1:
-            return terms[0]
-        # every term after the first is shifted or a literal, so needs no parentheses
-        return " | ".join(_wrap(v, _OR) for v in terms), _OR, None
-    if t is Repl:
-        v = _r(e.base, names, reads)
-        if e.count == 1:
-            return v
-        factor = ((1 << e.width) - 1) // ((1 << e.base.width) - 1)  # 1 at the bottom of each copy
-        if type(v[0]) is int:
-            return v[0] * factor, _ATOM, None
-        return f"{_wrap(v, _MUL)} * {hex(factor)}", _MUL, None
-    mask = (1 << e.width) - 1
-    if t is Not:
-        v = _r(e.base, names, reads)
-        if type(v[0]) is int:
-            return v[0] ^ mask, _ATOM, None
-        if v[1] == _XOR and v[2] and v[2][1] == mask:  # ~~x of one width is x
-            return v[2][0]
-        return f"{_wrap(v, _XOR)} ^ {hex(mask)}", _XOR, (v, mask)
-    if t not in (Add, Sub, And, Xor):
-        raise TypeError(f"unknown expression node {e!r}")
-    mark = len(reads)
-    if t is And:  # a bit replicated over the other operand selects it
-        for r, other in ((e.a, e.b), (e.b, e.a)):
-            if type(r) is Repl and r.base.width == 1:
-                bit = _truth(r.base, names, reads)
-                y = _r(other, names, reads) if bit[0] != 0 else (0, _ATOM, None)
-                if y[0] == 0:
-                    del reads[mark:]
-                    return 0, _ATOM, None
-                if type(bit[0]) is int:
-                    return y
-                return f"{_wrap(y, _OR)} if {_wrap(bit, _OR)} else 0x0", _IF, None
-    x = _r(e.a, names, reads)
-    y = _r(e.b, names, reads)
-    xv, yv = x[0], y[0]
-    if type(xv) is int and type(yv) is int:
-        return {Add: xv + yv, Sub: xv - yv, And: xv & yv, Xor: xv ^ yv}[t] & mask, _ATOM, None
-    if t is And:
-        if xv == 0 or yv == 0:
-            del reads[mark:]
-            return 0, _ATOM, None
-        if xv == mask or yv == mask:
-            return y if xv == mask else x
-        return (f"{_wrap(x, _AND)} & {_wrap(y, _SHIFT)}", _AND,
-                (x, yv) if type(yv) is int else None)
-    if yv == 0:
-        return x
-    if xv == 0 and t is not Sub:
-        return y
-    if t is Xor:
-        return f"{_wrap(x, _XOR)} ^ {_wrap(y, _AND)}", _XOR, None
-    # An operand cut to this width, `v & mask`, reads v: the sum keeps only
-    # the bits below mask.
-    if x[1] == _AND and x[2] and x[2][1] == mask:
-        x = x[2][0]
-    if y[1] == _AND and y[2] and y[2][1] == mask:
-        y = y[2][0]
-    s = f"{_wrap(x, _SUM)} {'+' if t is Add else '-'} {_wrap(y, _MUL)}", _SUM, None
-    return f"{s[0]} & {hex(mask)}", _AND, (s, mask)
-
-
-def _net(e, names: dict) -> tuple:
-    """(folded source, reads) of one expression: the flat identifiers the
-    source reads, in the order first read, as the keys of a dict."""
-    log: list = []
-    src = _pysrc(e, names, log)
-    return src, dict.fromkeys(log)
+def _repays(g: int, span: int) -> bool:
+    """Whether a table of the 2^g sums of g gated operands repays over `span`
+    cycles in a row: building it costs about a sum per entry, once, and
+    reading it saves g - 1 gated sums per cycle."""
+    return g >= 2 and span * (g - 1) >= 2 ** g
 
 
 def _fresh(origin: dict, where: tuple) -> str:
@@ -284,48 +119,35 @@ def _fresh(origin: dict, where: tuple) -> str:
     return ident
 
 
-def _uncut(e, cuts: dict):
-    """e with each Add or Sub operand that is a net of `cuts`, one driven by
-    `Slice(Ref(x), 0, w)`, replaced by that Slice, so that the sum reads x:
-    its own mask drops the bits above w. The walk follows Mux arms and
-    Add/Sub chains from the root; it keeps each node it does not change."""
-    t = type(e)
-    if t is Mux:
-        x, y = _uncut(e.t, cuts), _uncut(e.f, cuts)
-        return e if x is e.t and y is e.f else Mux(e.cond, x, y)
-    if t is Add or t is Sub:
-        x, y = (cuts.get(v.name, v) if type(v) is Ref else _uncut(v, cuts) for v in (e.a, e.b))
-        return e if x is e.a and y is e.b else t(x, y)
-    return e
-
-
 def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
              widths: dict, exprs: dict) -> None:
     """Add mod and the instances below it to the flat netlist.
 
     `names` maps mod's ports to the identifiers the caller bound them to, or
     to 0 for the top's rst. `origin` maps each fresh net identifier to its
-    (module, net name), `nets` each driven one to `_net` of its driver;
-    `regs` collects (identifier, reset, `_net` of the value after the edge),
-    `widths` the width of each driven net and register, and `exprs` the
-    expression and the instance's names each of those texts was rendered
-    from, so that a phase can render it again. Each expression is first
-    passed through `_uncut` with mod's cut nets, and `exprs` keeps the result.
+    (module, net name), `nets` each driven one to the (text, reads) of `_net`
+    of its driver; `regs` collects (identifier, reset, the same of the value
+    after the edge), `widths` the width of each driven net and register, and
+    `exprs` the expression and the instance's names each of those texts was
+    rendered from, so that a phase can render it again, with the text's
+    precedence and cut from `_net`. Each expression is first passed through
+    `_look` with mod's drivers, and `exprs` keeps the result.
     """
     names = dict(names)
-    cuts = {a.target: a.expr for a in mod.assigns
-            if type(a.expr) is Slice and a.expr.lo == 0 and type(a.expr.base) is Ref}
+    drivers = {a.target: a.expr for a in mod.assigns}
     for n in mod.nets:
         names[n.name] = _fresh(origin, (mod, n.name))
     for i, r in enumerate(mod.regs, len(regs)):
         names[r.name] = f"r{i}"
     for a in mod.assigns:
-        t, e = names[a.target], _uncut(a.expr, cuts)
-        nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
+        t, e = names[a.target], _look(a.expr, drivers)
+        src, reads, prec, cut = _net(e, names)
+        nets[t], widths[t], exprs[t] = (src, reads), e.width, (e, names, prec, cut)
     for r in mod.regs:  # the top's rst folds to 0, so only a child reset net keeps this mux
-        after = Mux(Ref("rst", 1), Const(r.width, r.reset), _uncut(r.next, cuts))
-        regs.append((names[r.name], r.reset, _net(after, names)))
-        widths[names[r.name]], exprs[names[r.name]] = r.width, (after, names)
+        t, e = names[r.name], Mux(Ref("rst", 1), Const(r.width, r.reset), _look(r.next, drivers))
+        src, reads, prec, cut = _net(e, names)
+        regs.append((t, r.reset, (src, reads)))
+        widths[t], exprs[t] = r.width, (e, names, prec, cut)
     kids = {child.name: child for child in mod.children}
     for inst in mod.instances:
         bound = {}
@@ -334,8 +156,9 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
                 bound[port] = names[e.name]
             else:
                 t = bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
-                e = _uncut(e, cuts)
-                nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
+                e = _look(e, drivers)
+                src, reads, prec, cut = _net(e, names)
+                nets[t], widths[t], exprs[t] = (src, reads), e.width, (e, names, prec, cut)
         _flatten(kids[inst.module_name], bound, origin, nets, regs, widths, exprs)
 
 
@@ -462,6 +285,29 @@ def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
             [t for t in order if t not in rep], rep)
 
 
+def _chain(e) -> list:
+    """The operands of the Add/Sub tree e, left to right, each with whether
+    the tree subtracts it: [(negated, operand)]."""
+    out, todo = [], [(False, e)]
+    while todo:
+        neg, x = todo.pop()
+        if type(x) is Add or type(x) is Sub:
+            todo += [(neg != (type(x) is Sub), x.b), (neg, x.a)]
+        else:
+            out.append((neg, x))
+    return out
+
+
+def _gate(x, names: dict, rep: dict, nets: dict, exprs: dict) -> tuple:
+    """(net, Mux, its names) when the sum operand x, read through `names`, is a
+    net driven by Mux(c, v, 0), else (None, None, None)."""
+    if type(x) is Ref and type(u := names[x.name]) is str:
+        u = rep.get(u, u)
+        if u in nets and type(m := exprs[u][0]) is Mux and type(m.f) is Const and not m.f.value:
+            return u, m, exprs[u][1]
+    return None, None, None
+
+
 class _Bound:
     """An instance's names as a phase renders them: each flat identifier
     renamed to its merge representative, then to the constant or identifier
@@ -549,78 +395,202 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         if not touched.isdisjoint(edges[t]):
             touched.add(t)
     tnets = [t for t in inner if t in touched]
-    specs: dict = {}  # (identifier, what it reads as bound) -> its text rendered under that
+    specs: dict = {}  # (identifier, what it reads as bound) -> `_net` of its text under that
     known = hoisted | {"a", "b", *[r[0] for r in dregs]}
 
     def spec(t: str, bound: dict) -> tuple:
-        """`_net` of t's expression with the bindings `bound`."""
+        """((text, reads), (precedence, cut)) of t's expression, `_net`
+        rendered with the bindings `bound`."""
         key = (t, *map(bound.get, edges[t]))
         if key not in specs:  # a Mux on a guard bound to a constant renders its arm
-            e, names = exprs[t]
-            specs[key] = _net(e, _Bound(names, rep, bound))
+            e, names = exprs[t][:2]
+            src, reads, prec, cut = _net(e, _Bound(names, rep, bound))
+            specs[key] = (src, reads), (prec, cut)
         return specs[key]
 
-    def phase(values: tuple) -> tuple:
+    # the sums that read two or more nets driven by Mux(c, v, 0): each one's
+    # signed operands, with the net, the Mux and its names where it is one
+    muxed = Counter(t for z in inner if type(m := exprs[z][0]) is Mux and type(m.f) is Const
+                    and not m.f.value for t in readers[z])
+    sums: dict = {}
+    for t in inner:
+        if muxed[t] >= 2 and type(e := exprs[t][0]) in (Add, Sub):
+            ops = [(neg, x, *_gate(x, exprs[t][1], rep, nets, exprs)) for neg, x in _chain(e)]
+            if sum(mux is not None for *_, mux, _ in ops) >= 2:
+                sums[t] = ops
+
+    def tables(live: dict, fixed: set, span: int, pnets: dict, marks: dict, bound: dict):
+        """Rewrite each sum of `sums` that the phase evaluates on every cycle
+        and whose g operands Mux(c_i, v_i, 0), c_i changing per cycle and v_i
+        `fixed`, make a table that repays over `span` cycles (`_repays`): the
+        sum then reads `rest + t<k>[i<k>] & M`. The index net i<k> packs the
+        c_i once per cycle, shared by every sum that reads the same bits; the
+        table net t<k> holds the 2^g signed subset sums of the v_i
+        (`_subsets`), built on entry, and a compound v_i is a net u<k> of its
+        own. Adds those nets to pnets, marks and fixed, and returns the live
+        nets in order with each placed before the first sum that reads it, or
+        None when no sum is rewritten."""
+        before: dict = {}  # sum -> the index and table nets placed before it
+        index: dict = {}  # the c_i texts, sorted -> their index net
+        table: dict = {}  # a table's text -> its net
+        held: dict = {}  # the text of a compound v_i -> its net
+        for t, ops in sums.items():
+            if t not in live or t in fixed:
+                continue
+            e, names = exprs[t][:2]
+            names = _Bound(names, rep, bound)
+            gated, rest = {}, []
+            for neg, x, u, mux, mnames in ops:
+                if u is not None and u not in bound:
+                    clog, vlog = [], []
+                    c = _r(mux.cond, _Bound(mnames, rep, bound), clog)
+                    if type(c[0]) is str and c[0] not in gated and not fixed.issuperset(clog):
+                        v = _r(mux.t, _Bound(mnames, rep, bound), vlog)
+                        if fixed.issuperset(vlog):
+                            gated[c[0]] = c, clog, neg, v, vlog
+                            continue
+                rest.append((neg, x))
+            if not _repays(len(gated), span):
+                continue
+            key = tuple(sorted(gated))
+            bits = [gated[k] for k in key]
+            ix = index.get(key)
+            if ix is None:
+                ix = index[key] = f"i{len(index)}"
+                pnets[ix] = (" | ".join(_wrap(c, _OR) if k == 0 else f"{_wrap(c, _SHIFT)} << {k}"
+                                        for k, (c, *_) in enumerate(bits)),
+                             dict.fromkeys(chain.from_iterable(b[1] for b in bits)))
+                marks[ix] = _OR, None
+                before.setdefault(t, []).append(ix)
+            mask = (1 << e.width) - 1
+            values, vreads = [], []
+            for _, _, neg, v, vlog in bits:
+                if v[1] == _AND and v[2] and v[2][1] == mask:  # the sum cuts each entry
+                    v = v[2][0]
+                if type(v[0]) is str and not v[0].isidentifier():  # computed once, on entry
+                    u = held.get(v[0])
+                    if u is None:
+                        u = held[v[0]] = f"u{len(held)}"
+                        pnets[u], marks[u] = (v[0], dict.fromkeys(vlog)), (v[1], None)
+                        fixed.add(u)
+                        before.setdefault(t, []).append(u)
+                    v, vlog = (u, _ATOM, None), [u]
+                values.append((neg, v))
+                vreads += vlog
+            text = _subsets(values)
+            tab = table.get(text)
+            if tab is None:
+                tab = table[text] = f"t{len(table)}"
+                pnets[tab] = text, dict.fromkeys(vreads)
+                marks[tab] = _ATOM, None
+                fixed.add(tab)
+                before.setdefault(t, []).append(tab)
+            rest_e = None
+            for neg, x in rest:
+                if rest_e is None:
+                    rest_e = Sub(Const(x.width, 0), x) if neg else x
+                else:
+                    rest_e = (Sub if neg else Add)(rest_e, x)
+            log: list = []
+            s = (0, _ATOM, None) if rest_e is None else _r(rest_e, names, log)
+            if s[1] == _AND and s[2] and s[2][1] == mask:
+                s = s[2][0]
+            rest = "" if s[0] == 0 and type(s[0]) is int else f"{_wrap(s, _SUM)} + "
+            pnets[t] = f"{rest}{tab}[{ix}] & {hex(mask)}", dict.fromkeys(log + [tab, ix])
+            marks[t] = _AND, (mask, _SUM if rest else _ATOM)
+        if not before:
+            return None
+        return [u for t in live for u in (*before.get(t, ()), t)]
+
+    def phase(values: tuple, span: int) -> tuple:
         """(lines, the hoisted nets read) of the block that runs the phase in
-        which the guards hold `values`, or ([], ()) when no register changes
-        in it."""
+        which the guards hold `values`, for `span` cycles in a row, or
+        ([], ()) when no register changes in it."""
         bound = dict(zip(guards, values))
         binds = bound.keys()
         pnets = dict(nets)
+        marks: dict = {}  # (precedence, cut) of each text not rendered by _flatten
+
         for t in tnets:
             if not binds.isdisjoint(edges[t]):
-                src, _ = pnets[t] = spec(t, bound)
-                if type(src) is int:  # its readers read the constant
-                    bound[t] = src
+                pnets[t], marks[t] = spec(t, bound)
+                if type(pnets[t][0]) is int:  # its readers read the constant
+                    bound[t] = pnets[t][0]
         changing = []
         for r, _, net in dregs:
             if not binds.isdisjoint(edges[r]):
-                net = spec(r, bound)
+                net = spec(r, bound)[0]
             if net[0] != r:
                 changing.append((r, net))
         if not changing:
             return [], ()
-        live = _live(inner, pnets, [reads for _, (_, reads) in changing])
-        count = Counter(chain.from_iterable(
-            [pnets[t][1] for t in live] + [reads for _, (_, reads) in changing]))
-        target = tup(wide) if wide and not count.keys().isdisjoint(wide) else "_"
-        # One walk forward. A net that reads only what the phase holds (the
-        # operands, the registers it does not load, the hoisted nets) is
-        # evaluated on entry. A net that one text reads, once, at the same
-        # point (on entry, or on every cycle) is written into that text, and
-        # so is a copy of a name into each text that reads it once. A text
-        # written in is put in parentheses unless it is a name or a literal,
-        # or the reader's whole value, since the context it lands in is not
-        # known. A write stops at _NEST: a text's nesting is at most its own
-        # "(" count plus the deepest such bound of a text written into it,
-        # plus the pair around that text.
+        roots = [reads for _, (_, reads) in changing]
+        live = _live(inner, pnets, roots)
+        # A net that reads only what the phase holds (the operands, the
+        # registers it does not load, the hoisted nets) is evaluated on entry.
         fixed = known.difference([r for r, _ in changing])
+        for t in live:
+            if fixed.issuperset(pnets[t][1]):
+                fixed.add(t)
+        if sums and _repays(2, span):  # the shortest run in which any table repays
+            order = tables(live, fixed, span, pnets, marks, bound)
+            if order:
+                live = _live(order, pnets, roots)
+        count = Counter(chain.from_iterable([pnets[t][1] for t in live] + roots))
+        target = tup(wide) if wide and not count.keys().isdisjoint(wide) else "_"
+        # One walk forward. A net that one text reads, once, at the same point
+        # (on entry, or on every cycle) is written into that text, and so is
+        # a copy of a name into each text that reads it once. A text written
+        # in is put in parentheses only where an operator next to it binds
+        # more tightly than its own (`_demand`); a cut `s & M` written into a
+        # sum that src cuts with the same M is written as s (`_summed`). A
+        # write stops at _NEST: a text's nesting is at most its own "(" count
+        # plus the deepest such bound of a text written into it, plus the
+        # pair around that text.
         left = count.copy()  # the texts that still read each net
         once = {t for t in live if count[t] == 1 or _name(pnets[t][0])}
         nest: dict = {}
 
-        def inline(src, reads: dict, entry: bool) -> tuple:
+        def inline(t, src, reads: dict, entry: bool) -> tuple:
             own = deepest = _lit(src).count("(")
             for r in reads:
-                if r in once and src.count(r) == 1:  # a name in src, and no name it begins
-                    rsrc = _lit(pnets[r][0])
-                    bare = src == r or _name(rsrc) or type(pnets[r][0]) is int
-                    deep = own + nest.get(r, rsrc.count("(")) + (not bare)
-                    if _name(rsrc) or count[r] == 1 and (r in fixed) == entry and deep <= _NEST:
-                        src = src.replace(r, rsrc if bare else f"({rsrc})")
-                        left[r] -= 1
-                        deepest = max(deepest, deep)
+                if r not in once or src.count(r) != 1:  # a name in src, and no name it begins
+                    continue
+                rsrc = pnets[r][0]
+                if _name(rsrc):  # a copy of a name
+                    src = src.replace(r, rsrc)
+                    left[r] -= 1
+                    continue
+                if count[r] != 1 or (r in fixed) != entry:
+                    continue
+                mark = marks[r] if r in marks else exprs[r]
+                rsrc, prec, cut = _lit(rsrc), mark[-2], mark[-1]
+                i = src.index(r)
+                j = i + len(r)
+                if cut and not cut[0] & (cut[0] + 1) and _summed(src, i, j, cut[0]):
+                    rsrc, prec = rsrc[:-len(hex(cut[0])) - 3], cut[1]
+                    if prec < _AND:
+                        rsrc = rsrc[1:-1]
+                # no name is a product's right operand, so _MUL is as tight as a site asks
+                bare = prec >= _MUL or src == r or prec >= _demand(src, i, j)
+                deep = own + nest.get(r, rsrc.count("(")) + (not bare)
+                if deep <= _NEST:
+                    mark = marks[t] if t in marks else exprs[t]
+                    if src == r:  # t's text is now r's
+                        marks[t] = prec, cut
+                    elif mark[-1] and not i and j + len(hex(mark[-1][0])) + 3 == len(src):
+                        marks[t] = mark[-2], (mark[-1][0], prec if bare else _ATOM)  # `r & M`
+                    src = src[:i] + (rsrc if bare else f"({rsrc})") + src[j:]
+                    left[r] -= 1
+                    deepest = max(deepest, deep)
             return src, deepest
 
         for t in live:
             src, reads = pnets[t]
-            entry = fixed.issuperset(reads)
-            if entry:
-                fixed.add(t)
             if not once.isdisjoint(reads):
-                src, nest[t] = inline(src, reads, entry)
+                src, nest[t] = inline(t, src, reads, t in fixed)
                 pnets[t] = src, reads
-        commits = [(r, inline(src, reads, False)[0]) for r, (src, reads) in changing]
+        commits = [(r, inline(r, src, reads, False)[0]) for r, (src, reads) in changing]
         live = [t for t in live if left[t]]
         return [*[assign(t, pnets[t][0], " " * 12) for t in live if t in fixed],
                 f"            for {target} in {'seg' if wide else 'range(seg)'}:",
@@ -632,9 +602,9 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
 
     def runner(phases: list) -> str:
         loop, needed = [], set(cone)
-        for i, values in enumerate(phases):
+        for i, (values, span) in enumerate(phases):
             if values not in blocks:
-                blocks[values] = phase(values)
+                blocks[values] = phase(values, span)
             lines, read = blocks[values]
             if lines:
                 loop += [f"        {'elif' if loop else 'if'} p == {i}:", *lines]
@@ -681,6 +651,9 @@ class Simulator:
                 raise ValueError(f"net {net} of module {mod.name} is read but never driven")
         order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
                        origin)
+        # a net that neither c nor a register reads, even through other nets, is dead
+        live = _live(order, nets, [{"c"}, *[reads for _, _, (_, reads) in regs]])
+        nets, order = {t: net for t, net in nets.items() if t in live}, list(live)
 
         nets, regs, order, rep = _merge(nets, regs, order, widths)
         self._sched_source, self._guards, self._wide, self._runner = _kernel(
@@ -689,6 +662,7 @@ class Simulator:
         exec(self._sched_source, ns)  # compiled once per configuration
         self._sched, self._run = ns["_sched"], None
         self._phases: dict = {}  # guard values -> phase number, in the order first met
+        self._spans: dict = {}  # guard values -> the longest run of the phase when first met
         self._plans: dict = {}  # cycles -> (the rows grouped into phases, last)
         self._plan(self.latency)
 
@@ -697,15 +671,16 @@ class Simulator:
         them, and last. Meeting a phase for the first time renders and
         compiles `_run` again, over every phase met so far."""
         rows, last = self._sched(cycles)
-        width, fresh, plan = len(self._guards), self._run is None, []
+        width, wide, phases, known = len(self._guards), self._wide, self._phases, self._spans
+        plan, spans = [], {}
         for values, segment in groupby(rows, itemgetter(slice(0, width))):
-            if values not in self._phases:
-                self._phases[values] = len(self._phases)
-                fresh = True
-            plan.append((self._phases[values], [row[width:] for row in segment] if self._wide
-                         else sum(1 for _ in segment)))
-        if fresh:
-            run = self._runner(list(self._phases))
+            seg = [row[width:] for row in segment] if wide else sum(1 for _ in segment)
+            if values not in known:
+                spans[values] = max(spans.get(values, 0), len(seg) if wide else seg)
+            plan.append((phases.setdefault(values, len(phases)), seg))
+        if self._run is None or spans:
+            self._spans.update(spans)
+            run = self._runner(list(self._spans.items()))
             ns: dict = {}
             exec(run, ns)
             self._run, self._source = ns["_run"], self._sched_source + "\n" + run

@@ -81,9 +81,11 @@ def cycle_contract(kind: ArchKind, m: int, n: int | None = None) -> int:
     return arch.latency(m, arch.digit(n))
 
 
-def run_sbm(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunTrace:
-    """Shift-add schoolbook multiplier: one conditional accumulate per bit of b."""
-    ArchKind.SBM.validate(m, mode, None)
+def run_sbm(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER,
+            n: int | None = None) -> RunTrace:
+    """Shift-add schoolbook multiplier: one conditional accumulate per bit of b.
+    Like every model, it validates its parameters with its kind's record."""
+    ArchKind.SBM.validate(m, mode, n)
     _check_operands(a, b, m)
     acc = 0
     for i in range(m):
@@ -95,9 +97,10 @@ def run_sbm(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunT
     return RunTrace(acc, m, m)
 
 
-def run_karatsuba2(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER) -> RunTrace:
+def run_karatsuba2(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER,
+                   n: int | None = None) -> RunTrace:
     """2-way Karatsuba: 3 parallel sub-products on (h+1)-bit operands."""
-    ArchKind.KARATSUBA2.validate(m, mode, None)
+    ArchKind.KARATSUBA2.validate(m, mode, n)
     _check_operands(a, b, m)
     h = _ceil_div(m, 2)
     a0, a1 = split(a, 2, h)
@@ -165,10 +168,11 @@ _INTS = types.SimpleNamespace(add=operator.add, sub=operator.sub, cmul=operator.
                               net=lambda name, v: v)
 
 
-def _run_toom(kind: ArchKind, points: tuple, interpolate, a: int, b: int, m: int) -> RunTrace:
+def _run_toom(kind: ArchKind, points: tuple, interpolate, a: int, b: int, m: int,
+              mode: ArithMode, n: int | None) -> RunTrace:
     """k-way Toom-Cook over 2k-1 points: split, evaluate, multiply pointwise,
-    interpolate, recombine; integer mode only."""
-    arch = kind.validate(m, ArithMode.INTEGER, None)
+    interpolate, recombine; kind's record refuses any mode but integer."""
+    arch = kind.validate(m, mode, n)
     _check_operands(a, b, m)
     k = (len(points) + 1) // 2
     h = _ceil_div(m, k)
@@ -182,14 +186,16 @@ def _run_toom(kind: ArchKind, points: tuple, interpolate, a: int, b: int, m: int
     return RunTrace(join(coeffs, h), arch.latency(m, None), len(points))
 
 
-def run_toom3(a: int, b: int, m: int) -> RunTrace:
+def run_toom3(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER,
+              n: int | None = None) -> RunTrace:
     """3-way Toom-Cook over points {0, 1, -1, 2, inf}; integer mode only."""
-    return _run_toom(ArchKind.TOOM3, TOOM3_POINTS, toom3_interpolate, a, b, m)
+    return _run_toom(ArchKind.TOOM3, TOOM3_POINTS, toom3_interpolate, a, b, m, mode, n)
 
 
-def run_toom4(a: int, b: int, m: int) -> RunTrace:
+def run_toom4(a: int, b: int, m: int, mode: ArithMode = ArithMode.INTEGER,
+              n: int | None = None) -> RunTrace:
     """4-way Toom-Cook over points {0, 1, -1, 2, -2, 3, inf}; integer mode only."""
-    return _run_toom(ArchKind.TOOM4, TOOM4_POINTS, toom4_interpolate, a, b, m)
+    return _run_toom(ArchKind.TOOM4, TOOM4_POINTS, toom4_interpolate, a, b, m, mode, n)
 
 
 def run_digit_serial(a: int, b: int, m: int, n: int,
@@ -215,8 +221,9 @@ def run_digit_serial(a: int, b: int, m: int, n: int,
 
 def run_model(kind: ArchKind, a: int, b: int, m: int,
               mode: ArithMode = ArithMode.INTEGER, n: int | None = None) -> RunTrace:
-    """Run the behavioural model of kind, for parameters its generator accepts."""
-    return kind.validate(m, mode, n).model(a, b, m, mode, n)
+    """Run the behavioural model of kind, for parameters its generator accepts;
+    the model validates them with kind's record, once."""
+    return kind.arch.model(a, b, m, mode, n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,22 +256,22 @@ ARCHES = {
         "sbm", min_m=4, gf2=True, needs_digit=False,
         latency=lambda m, n: m,
         billed=lambda m, n: m,
-        model=lambda a, b, m, mode, n: run_sbm(a, b, m, mode)),
+        model=run_sbm),
     ArchKind.KARATSUBA2: Arch(
         "km2", min_m=4, gf2=True, needs_digit=False,
         latency=lambda m, n: _ceil_div(m, 2) + 1,
         billed=lambda m, n: _ceil_div(m, 2),
-        model=lambda a, b, m, mode, n: run_karatsuba2(a, b, m, mode)),
+        model=run_karatsuba2),
     ArchKind.TOOM3: Arch(
         "tc3", min_m=6, gf2=False, needs_digit=False,
         latency=lambda m, n: _ceil_div(m, 3) + 2,
         billed=lambda m, n: _ceil_div(m, 3),
-        model=lambda a, b, m, mode, n: run_toom3(a, b, m)),
+        model=run_toom3),
     ArchKind.TOOM4: Arch(
         "tc4", min_m=8, gf2=False, needs_digit=False,
         latency=lambda m, n: _ceil_div(m, 4) + 3,
         billed=lambda m, n: _ceil_div(m, 4),
-        model=lambda a, b, m, mode, n: run_toom4(a, b, m)),
+        model=run_toom4),
     ArchKind.DIGIT_SERIAL: Arch(
         "serial", min_m=4, gf2=True, needs_digit=True,
         latency=lambda m, n: _ceil_div(m, n) * n,

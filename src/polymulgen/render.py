@@ -1,0 +1,393 @@
+"""Python text of RTL IR expressions, for the compiled simulator in `interp`.
+
+`_pysrc` (and `_net`, which also returns the reads, the precedence and the
+cut) renders an expression with constants folded in the same pass: an int
+when it is constant, else text. rst is the constant 0 during a run, so the
+top's rst folds away: a register's reset mux survives only where its
+module's rst is a net (toom's child reset `crst = rst | ld`, which folds to
+the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
+`x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...)
+drop their operator, zero Concat parts vanish, a Slice that reaches its
+base's top keeps no mask, and an Add or Sub reads an operand cut to its own
+width, `x & mask`, as x, since its own mask drops the bits above. Two more
+rules spare the loops work:
+
+- a bit replicated over the other operand of an And selects it:
+  `And(Repl(n, x), y)` with x one bit wide is `y if x else 0x0`, so the
+  wrapper's digit select slices b for the chosen digit only;
+- a bit read only for its truth (a Mux condition, the x above) below its
+  base's top is tested with one AND, `v & 2^lo`, not `v >> lo & 0x1`.
+
+`_look` gives an expression as the renderer reads it, looking through the
+module's own nets. An Add or Sub operand that is a net driven by
+`Slice(Ref(x), 0, w)` is read through that cut, as x, so a shift-add
+accumulator renders `(r << 1) + t & M`, masking `r << 1` once, not twice.
+A one-bit Slice of a net driven by `Slice(Ref(x), lo, w)` reads x's bit.
+A Concat whose parts are fields of one base X at one displacement s, each
+shifted left by the same k within its own width, renders as
+`((X >> s) << k) & M`, M clearing each field's low k bits: one shift for
+all the fields, as in SIMD within a register (Fisher & Dietz, "Compiling
+for SIMD Within a Register", LCPC 1998). When every part is a Mux on one
+condition, the Concat is first a Mux of two Concats. So toom's point
+multipliers step their column register, the limbs of b side by side, with
+one shift and one mask.
+
+A text holds only the parentheses Python's operator precedence needs, since
+the parser's time grows with every pair. `_net` returns each text's
+precedence and, when it is `x & M`, its cut, so a phase that writes one
+net's text into another's brackets it only where an operator next to it
+binds more tightly (`_demand`), and writes a cut `x & M` that a sum cut
+with the same M reads as x (`_summed`).
+
+A read that folds away is not a read, so hoisting, phases and the
+control/datapath split see only what the text reads.
+"""
+from __future__ import annotations
+
+import re
+
+from .ir import Add, And, Concat, Const, Mux, Not, Ref, Repl, Shl, Slice, Sub, Xor
+
+# Python's operator precedence, loosest first, for the operators the
+# renderer writes; an identifier or a literal is an atom
+_IF, _OR, _XOR, _AND, _SHIFT, _SUM, _MUL, _ATOM = range(8)
+
+
+def _lit(v) -> str:
+    return hex(v) if type(v) is int else v
+
+
+def _name(v) -> bool:
+    """Whether the rendered v is a bare identifier: a copy of that name."""
+    return type(v) is str and v.isidentifier()
+
+
+def _wrap(v: tuple, prec: int) -> str:
+    """The text of the rendered v as an operand whose operator binds at
+    least as tightly as `prec`: in parentheses when its own binds looser."""
+    src = v[0]
+    if v[1] < prec:
+        return f"({src})"
+    return src if type(src) is str else hex(src)
+
+
+# the binary operators the renderer writes, by precedence, and a token of
+# kernel text: a name or literal, a shift, or one other character
+_BINARY = {"|": _OR, "^": _XOR, "&": _AND, "<<": _SHIFT, ">>": _SHIFT, "+": _SUM, "-": _SUM,
+           "*": _MUL}
+_TOKEN = re.compile(r"\w+|<<|>>|\S")
+# what the neighbour on the left, and the one on the right, of a text asks
+# of its precedence: a right operand binds strictly more tightly than its
+# operator, a left operand at least as tightly, and a condition or a true
+# arm is no conditional
+_LEFT = {**{op: p + 1 for op, p in _BINARY.items()}, "if": _OR}
+_RIGHT = {**_BINARY, "if": _OR, "else": _OR}
+
+
+def _demand(src: str, i: int, j: int) -> int:
+    """The precedence a text written over src[i:j], a name in src, must reach
+    to need no parentheses there: what its neighbours ask (_LEFT, _RIGHT)."""
+    need = _IF
+    if src[i - 1:i] == " ":
+        need = _LEFT.get(src[src.rfind(" ", 0, i - 1) + 1:i - 1], _IF)
+    if src[j:j + 1] == " ":
+        end = src.find(" ", j + 1)
+        right = _RIGHT.get(src[j + 1:end] if end >= 0 else src[j + 1:], _IF)
+        if right > need:
+            return right
+    return need
+
+
+def _summed(src: str, i: int, j: int, mask: int) -> bool:
+    """Whether the name src[i:j] is an operand of a sum that src cuts with
+    `& mask`: next to a + or -, in a run of operands and operators that bind
+    at least as tightly as those, which `& mask` closes on the right, before
+    an operator no tighter than & or the end of the group. (The sum is no
+    shift amount: a shift's right operand is always a literal here.)"""
+    end = src.find(" ", j + 1)
+    near = (src[src.rfind(" ", 0, i - 1) + 1:i - 1] if src[i - 1:i] == " " else "",
+            src[j + 1:end if end >= 0 else len(src)] if src[j:j + 1] == " " else "")
+    if "*" in near or "+" not in near and "-" not in near:
+        return False
+    depth, tokens = 0, (m.group() for m in _TOKEN.finditer(src, j))
+    for tok in tokens:
+        if tok in ("(", "["):
+            depth += 1
+        elif tok in (")", "]", ","):
+            if not depth:
+                return False
+            depth -= tok != ","
+        elif not depth and (tok in ("if", "else") or _BINARY.get(tok, _SUM) < _SUM):
+            return tok == "&" and next(tokens, None) == hex(mask) and next(tokens, None) in (
+                None, ")", "]", ",", "&", "^", "|", "if", "else")
+    return False
+
+
+def _subsets(values: list) -> str:
+    """A tuple display of the 2^g sums of the subsets of `values`, g pairs
+    (negated, rendered value): entry k adds the values at the set bits of k,
+    subtracting those negated."""
+    entries = [""]
+    for neg, v in values:
+        first = f"-{_wrap(v, _ATOM)}" if neg else _wrap(v, _SUM)
+        more = f" {'-' if neg else '+'} {_wrap(v, _MUL)}"
+        entries += [e + more if e else first for e in entries]
+    return f"(0x0{''.join(', ' + e for e in entries[1:])})"
+
+
+def _truth(e, names: dict, reads: list) -> tuple:
+    """`_r` of the 1-bit e where only its truth is read: a bit below its
+    base's top is tested with one AND, `v & 2^lo`, and not shifted down."""
+    if type(e) is not Slice or e.lo + 1 == e.base.width:
+        return _r(e, names, reads)
+    v = _r(e.base, names, reads)
+    if type(v[0]) is int:
+        return (v[0] >> e.lo) & 1, _ATOM, None
+    return f"{_wrap(v, _AND)} & {hex(1 << e.lo)}", _AND, None
+
+
+def _pysrc(e, names: dict, reads: list):
+    """Python source of e with constants folded: an int when e is constant,
+    else text with only the parentheses Python's precedence needs. Appends
+    each flat identifier the text reads to `reads`; an int reads nothing."""
+    return _r(e, names, reads)[0]
+
+
+def _r(e, names: dict, reads: list) -> tuple:
+    """(value, precedence, cut) of e: the value is `_pysrc`'s, the
+    precedence that of its outermost operator, and cut, for an And text
+    `x & c` with c an int or a Not text `x ^ mask`, the pair (`_r` of x, c
+    or mask). The Add/Sub cut rule and the ~~x fold read it.
+
+    An operand is written in parentheses only when its operator binds more
+    loosely than its context; the right operand of `+ - & ^ |` needs a
+    strictly tighter one, and a conditional's true arm and condition must
+    not be conditionals."""
+    t = type(e)
+    if t is Ref:
+        v = names[e.name]
+        if type(v) is str:
+            reads.append(v)
+        return v, _ATOM, None
+    if t is Slice:
+        v = _r(e.base, names, reads)
+        mask = (1 << e.width) - 1
+        if type(v[0]) is int:
+            return (v[0] >> e.lo) & mask, _ATOM, None
+        if e.lo:
+            v = f"{_wrap(v, _SHIFT)} >> {e.lo}", _SHIFT, None
+        if e.lo + e.width == e.base.width:
+            return v
+        return f"{_wrap(v, _AND)} & {hex(mask)}", _AND, (v, mask)
+    if t is Mux:
+        mark = len(reads)
+        cond = _truth(e.cond, names, reads)
+        if type(cond[0]) is int:
+            return _r(e.t if cond[0] else e.f, names, reads)
+        tv = _r(e.t, names, reads)
+        fv = _r(e.f, names, reads)
+        if tv[0] == fv[0]:  # equal arms: render one, and cond is not read
+            del reads[mark:]
+            return _r(e.t, names, reads)
+        return f"{_wrap(tv, _OR)} if {_wrap(cond, _OR)} else {_wrap(fv, _IF)}", _IF, None
+    if t is Shl:
+        v = _r(e.base, names, reads)
+        if type(v[0]) is int:
+            return v[0] << e.amount, _ATOM, None
+        return (f"{_wrap(v, _SHIFT)} << {e.amount}", _SHIFT, None) if e.amount else v
+    if t is Const:
+        return e.value, _ATOM, None
+    if t is Concat:
+        const, terms, offset = 0, [], 0
+        for p in reversed(e.parts):  # LSB side last in the tuple
+            v = _r(p, names, reads)
+            if type(v[0]) is int:
+                const |= v[0] << offset
+            else:
+                terms.append((f"{_wrap(v, _SHIFT)} << {offset}", _SHIFT, None) if offset else v)
+            offset += p.width
+        if not terms:
+            return const, _ATOM, None
+        if const:
+            terms.append((const, _ATOM, None))
+        if len(terms) == 1:
+            return terms[0]
+        # every term after the first is shifted or a literal, so needs no parentheses
+        return " | ".join(_wrap(v, _OR) for v in terms), _OR, None
+    if t is Repl:
+        v = _r(e.base, names, reads)
+        if e.count == 1:
+            return v
+        factor = ((1 << e.width) - 1) // ((1 << e.base.width) - 1)  # 1 at the bottom of each copy
+        if type(v[0]) is int:
+            return v[0] * factor, _ATOM, None
+        return f"{_wrap(v, _MUL)} * {hex(factor)}", _MUL, None
+    mask = (1 << e.width) - 1
+    if t is Not:
+        v = _r(e.base, names, reads)
+        if type(v[0]) is int:
+            return v[0] ^ mask, _ATOM, None
+        if v[1] == _XOR and v[2] and v[2][1] == mask:  # ~~x of one width is x
+            return v[2][0]
+        return f"{_wrap(v, _XOR)} ^ {hex(mask)}", _XOR, (v, mask)
+    if t is _Moved:
+        v = _r(e.base, names, reads)
+        if type(v[0]) is int:
+            return (v[0] >> e.s << e.k) & e.mask, _ATOM, None
+        if e.s:
+            v = f"{_wrap(v, _SHIFT)} >> {e.s}", _SHIFT, None
+        if e.k:
+            v = f"{_wrap(v, _SHIFT)} << {e.k}", _SHIFT, None
+        return f"{_wrap(v, _AND)} & {hex(e.mask)}", _AND, (v, e.mask)
+    if t not in (Add, Sub, And, Xor):
+        raise TypeError(f"unknown expression node {e!r}")
+    mark = len(reads)
+    if t is And:  # a bit replicated over the other operand selects it
+        for r, other in ((e.a, e.b), (e.b, e.a)):
+            if type(r) is Repl and r.base.width == 1:
+                bit = _truth(r.base, names, reads)
+                y = _r(other, names, reads) if bit[0] != 0 else (0, _ATOM, None)
+                if y[0] == 0:
+                    del reads[mark:]
+                    return 0, _ATOM, None
+                if type(bit[0]) is int:
+                    return y
+                return f"{_wrap(y, _OR)} if {_wrap(bit, _OR)} else 0x0", _IF, None
+    x = _r(e.a, names, reads)
+    y = _r(e.b, names, reads)
+    xv, yv = x[0], y[0]
+    if type(xv) is int and type(yv) is int:
+        return {Add: xv + yv, Sub: xv - yv, And: xv & yv, Xor: xv ^ yv}[t] & mask, _ATOM, None
+    if t is And:
+        if xv == 0 or yv == 0:
+            del reads[mark:]
+            return 0, _ATOM, None
+        if xv == mask or yv == mask:
+            return y if xv == mask else x
+        return (f"{_wrap(x, _AND)} & {_wrap(y, _SHIFT)}", _AND,
+                (x, yv) if type(yv) is int else None)
+    if yv == 0:
+        return x
+    if xv == 0 and t is not Sub:
+        return y
+    if t is Xor:
+        return f"{_wrap(x, _XOR)} ^ {_wrap(y, _AND)}", _XOR, None
+    # An operand cut to this width, `v & mask`, reads v: the sum keeps only
+    # the bits below mask.
+    if x[1] == _AND and x[2] and x[2][1] == mask:
+        x = x[2][0]
+    if y[1] == _AND and y[2] and y[2][1] == mask:
+        y = y[2][0]
+    s = f"{_wrap(x, _SUM)} {'+' if t is Add else '-'} {_wrap(y, _MUL)}", _SUM, None
+    return f"{s[0]} & {hex(mask)}", _AND, (s, mask)
+
+
+def _net(e, names: dict) -> tuple:
+    """(folded source, reads, precedence, cut) of one expression: the flat
+    identifiers the source reads, in the order first read, as the keys of a
+    dict; the precedence of its outermost operator; and, when the source is
+    `x & M` with M a literal, the cut (M, the precedence of x), else None."""
+    log: list = []
+    src, prec, cut = _r(e, names, log)
+    if prec == _AND and cut and type(cut[1]) is int:
+        cut = cut[1], cut[0][1]
+    else:
+        cut = None
+    return src, dict.fromkeys(log), prec, cut
+
+
+def _field(e, drivers: dict):
+    """The driver of the module's net that e reads, or e itself."""
+    return drivers.get(e.name, e) if type(e) is Ref else e
+
+
+def _shifted(p, drivers: dict):
+    """(X, lo, k) when the Concat part p is a field Slice(Ref(X), lo, w)
+    shifted left by k within its own width, Slice(Shl(field, k), 0, w), or the
+    field itself (k = 0), looking through the module's nets; else None."""
+    p, k = _field(p, drivers), 0
+    if type(p) is Slice and p.lo == 0 and type(q := _field(p.base, drivers)) is Shl:
+        w, k, p = p.width, q.amount, _field(q.base, drivers)
+        if p.width != w:
+            return None
+    if type(p) is Slice and type(p.base) is Ref:
+        return p.base, p.lo, k
+    return None
+
+
+def _fields(parts, width: int, drivers: dict):
+    """The Concat of `parts`, `width` bits, when they are fields of one base X
+    at one displacement s, each shifted left by the same k within its own
+    width: `((X >> s) << k) & M`, M clearing each field's low k bits. Parts
+    that are all Muxes on one condition make a Mux of two such Concats. None
+    when neither applies."""
+    top = _field(parts[0], drivers)
+    if type(top) is Mux:
+        parts = [_field(p, drivers) for p in parts]
+        if not all(type(p) is Mux and p.cond == top.cond for p in parts):
+            return None
+        x, y = [p.t for p in parts], [p.f for p in parts]
+        fx, fy = _fields(x, width, drivers), _fields(y, width, drivers)
+        if fx is fy is None:
+            return None
+        return Mux(top.cond, fx or Concat(tuple(x)), fy or Concat(tuple(y)))
+    if type(top) is not Slice:
+        return None
+    base, offset, mask = None, width, 0
+    for p in parts:  # most significant first
+        offset -= p.width
+        got = _shifted(p, drivers)
+        if got is None or base is not None and got != (base, offset + s, k):
+            return None
+        base, lo, k = got
+        s = lo - offset
+        mask |= ((1 << p.width) - 1) >> k << (offset + k)
+    return _Moved(base, s, k, mask, width) if mask else Const(width, 0)
+
+
+class _Moved:
+    """`((base >> s) << k) & mask`, `width` bits: `_fields`'s Concat of
+    shifted fields, as `_r` renders it."""
+
+    __slots__ = ("base", "s", "k", "mask", "width")
+
+    def __init__(self, base: Ref, s: int, k: int, mask: int, width: int):
+        self.base, self.s, self.k, self.mask, self.width = base, s, k, mask, width
+
+
+_LOOKED = {Mux, Add, Sub, Slice, Concat}  # the nodes _look may rewrite
+
+
+def _look(e, drivers: dict):
+    """e as the renderer reads it, looking through the module's own nets
+    (`drivers` maps each to its driver): an Add or Sub operand that is a net
+    driven by `Slice(Ref(x), 0, w)` is that Slice, so the sum reads x and its
+    own mask drops the bits above w; a one-bit Slice of a net driven by
+    `Slice(Ref(x), lo, w)` is a Slice of x; and a Concat of shifted fields is
+    `_fields`'s shift and mask. The walk follows Mux arms and Add/Sub chains
+    from the root; it keeps each node it does not change."""
+    t = type(e)
+    if t not in _LOOKED:
+        return e
+    if t is Mux:
+        x, y = _look(e.t, drivers), _look(e.f, drivers)
+        return e if x is e.t and y is e.f else Mux(e.cond, x, y)
+    if t is Add or t is Sub:
+        x, y = e.a, e.b
+        if type(x) is not Ref:
+            x = _look(x, drivers)
+        elif type(d := drivers.get(x.name)) is Slice and not d.lo and type(d.base) is Ref:
+            x = d
+        if type(y) is not Ref:
+            y = _look(y, drivers)
+        elif type(d := drivers.get(y.name)) is Slice and not d.lo and type(d.base) is Ref:
+            y = d
+        return e if x is e.a and y is e.b else t(x, y)
+    if t is Slice and e.width == 1 and type(e.base) is Ref:
+        f = drivers.get(e.base.name)
+        if type(f) is Slice and type(f.base) is Ref:
+            return Slice(f.base, f.lo + e.lo, 1)
+        return e
+    if t is Concat and type(e.parts[0]) not in (Const, Repl):  # _zext, _sext and _asr do
+        return _fields(e.parts, e.width, drivers) or e
+    return e

@@ -372,11 +372,11 @@ def test_mux_arm_gating_rule():
             "  qacc, pacc, = ((qacc ^ a) ^ mixed), ((pacc + ((tick ^ b) ^ mixed)) & 0xff),"]
     loads = ["for tick, mixed,", "  p1 = ((tick + b) & 0xff)",
              "  acc, qacc, pacc, = ((p1 + p1) & 0xff), ((qacc ^ p1) ^ mixed), "
-             "((pacc + ((((tick {} & 0xff) + (tick ^ b)) & 0xff)) & 0xff),"]
+             "((pacc + (tick {} + (tick ^ b))) & 0xff),"]
     assert _listing(sim, mod) == _normed({
         "odd=0 hi=0": held, "odd=0 hi=1": held,
-        "odd=1 hi=0": loads[:2] + [loads[2].format("- b)")],
-        "odd=1 hi=1": loads[:2] + [loads[2].format("+ a)")]})
+        "odd=1 hi=0": loads[:2] + [loads[2].format("- b")],
+        "odd=1 hi=1": loads[:2] + [loads[2].format("+ a")]})
 
 
 def test_mux_arm_guards():
@@ -768,8 +768,8 @@ def test_kernel_has_nothing_left_to_fold(params):
         if isinstance(node.op, ast.BitAnd):
             assert not any(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult)
                            for x in (node.left, node.right)), text
-        # a sum masked by M reads no operand through a cut (v & M); an
-        # inner sum written in from a net keeps the mask of its own text
+        # a sum masked by M reads no operand through a cut (v & M), not even
+        # an inner sum written in from a net
         if isinstance(node.op, ast.BitAnd) and const(node.right):
             todo = [node.left]
             while todo:
@@ -777,7 +777,7 @@ def test_kernel_has_nothing_left_to_fold(params):
                 if sum_(x):
                     for y in (x.left, x.right):
                         assert not (isinstance(y, ast.BinOp) and isinstance(y.op, ast.BitAnd)
-                                    and not sum_(y.left) and const(y.right)
+                                    and const(y.right)
                                     and y.right.value == node.right.value), text
                         todo.append(y)
     if params.kind is ArchKind.DIGIT_SERIAL:
@@ -1101,3 +1101,160 @@ def test_phase_met_after_the_latency_is_rendered_on_demand():
     for a in _corners(4):
         for b in _corners(4):
             assert sim.run(a, b) == _reference_outputs(mod, a, b, 1)[-1], (a, b)
+
+
+def _main_loop(sim: Simulator) -> tuple:
+    """(the statements on entry, the cycle loop) of the phase that runs the
+    most cycles of a transaction."""
+    cycles: dict = {}
+    for i, segment in sim._plans[sim.latency][0]:
+        cycles[i] = cycles.get(i, 0) + (segment if type(segment) is int else len(segment))
+    main = max(cycles, key=cycles.get)
+    return next(block for values, block in _phases(sim).items() if sim._phases[values] == main)
+
+
+def _reads_table(node) -> bool:
+    return any(isinstance(x, ast.Subscript) for x in ast.walk(node))
+
+
+@pytest.mark.parametrize("kind, m", [(ArchKind.TOOM3, 13), (ArchKind.TOOM4, 25)],
+                         ids=["toom3_13", "toom4_25"])
+def test_tables_and_field_shifts_match_reference_stepper(kind, m):
+    # the smallest widths at which the point multipliers' loop runs long
+    # enough to repay a table (toom3: 4 cycles for 3 gated sums; toom4: 6 for
+    # 4), so both rules fire; one limb bit fewer, no table is built
+    top = generate(GenParams(kind, m))
+    sim = compile_sim(top, design_library(top))
+    assert _reads_table(_main_loop(sim)[1])
+    assert not _reads_table(_main_loop(_sim(kind, m - 1))[1])
+    for a in _corners(m):
+        for b in _corners(m):
+            want = _reference_outputs(top, a, b, sim.latency + 3)
+            assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == want, (a, b)
+
+
+def test_toom4_loop_shifts_once_and_reads_one_entry_per_sum():
+    # the main loop's commit steps the merged column register with one shift
+    # and one mask, each of the five multi-term point multipliers adds one
+    # table entry to its shifted accumulator, and the index of those entries
+    # is the loop's one assignment before the commit
+    entry, loop = _main_loop(_sim(ArchKind.TOOM4, 25))
+    *cycle, commit = loop.body
+    assert [type(stmt) for stmt in cycle] == [ast.Assign]
+    index = cycle[0].targets[0].id
+    values = commit.value.elts
+    shifts = [v for v in values if isinstance(v, ast.BinOp) and isinstance(v.op, ast.BitAnd)
+              and isinstance(v.left, ast.BinOp) and isinstance(v.left.op, ast.LShift)
+              and isinstance(v.left.left, ast.Name) and isinstance(v.right, ast.Constant)]
+    cols = [v for v in shifts if bin(v.right.value).count("0") > 2]  # a mask with holes
+    assert len(cols) == 1
+    reads = [[x for x in ast.walk(v) if isinstance(x, ast.Subscript)] for v in values]
+    assert sorted(map(len, reads)) == [0] * (len(values) - 5) + [1] * 5
+    assert {x.slice.id for r in reads for x in r} == {index}
+    assert {x.value.id for r in reads for x in r} <= {
+        t.id for stmt in entry for t in stmt.targets}
+
+
+def _checked(regs: tuple, nets: tuple) -> Simulator:
+    """A simulator of a module with the registers `regs` and the nets `nets`,
+    the last of them c, and a latency of 8 edges, after checking its values
+    against the reference stepper for every cycle count 0..8 on the corner
+    operands."""
+    mod = _module("rules", nets, regs, latency=8, wc=nets[-1][1].width)
+    sim = Simulator(mod, {mod.name: mod})
+    for a in _corners(4):
+        for b in _corners(4):
+            assert [sim.run(a, b, cycles=k) for k in range(9)] == \
+                _reference_outputs(mod, a, b, 8), (a, b)
+    return sim
+
+
+# a one-hot schedule: first on the edge after reset, then seven cycles of a
+# loop, then done; sh loads b on the first cycle and shifts left in the loop
+_FIRST, _DONE, _SH = Ref("first", 1), Ref("done", 1), Ref("sh", 4)
+_SCHED = (RegDef("sched", 9, 1, Mux(_DONE, Ref("sched", 9),
+                                    Slice(Shl(Ref("sched", 9), 1), 0, 9))),
+          RegDef("sh", 4, 0, Mux(_FIRST, Ref("b", 4), Slice(Shl(_SH, 1), 0, 4))))
+_STEPS = (("first", Slice(Ref("sched", 9), 0, 1)), ("done", Slice(Ref("sched", 9), 8, 1)))
+
+
+def _gated(name: str, bit: int, value) -> tuple:
+    return name, Mux(Slice(_SH, bit, 1), value, Const(8, 0))
+
+
+def test_gated_sums_keep_their_signs():
+    # acc' = g0 - (acc + g1) - g2: the gated operand on the left of a Sub is
+    # added, those on its right subtracted, and the loop reads a table of
+    # the eight signed sums; in sum3 the arm of g3 reads acc, so changes
+    # every cycle: it stays a gated sum, and the other two make a table
+    acc, acc3 = Ref("acc", 8), Ref("acc3", 8)
+    za, zb = _zext8(Ref("a", 4)), _zext8(Ref("b", 4))
+    nets = _STEPS + (
+        _gated("g0", 3, za), _gated("g1", 2, zb), _gated("g2", 1, Xor(za, zb)),
+        _gated("g3", 0, acc), _gated("g4", 2, Add(za, za)),
+        ("step", Sub(Sub(Ref("g0", 8), Add(acc, Ref("g1", 8))), Ref("g2", 8))),
+        ("sum3", Add(Add(Ref("g3", 8), acc3), Sub(Ref("g4", 8), Ref("g0", 8)))),
+        ("c", Concat((Slice(acc, 0, 4), Slice(acc3, 0, 4)))))
+    regs = _SCHED + (RegDef("acc", 8, 0, Mux(_FIRST, Const(8, 0), Ref("step", 8))),
+                     RegDef("acc3", 8, 0, Mux(_FIRST, Const(8, 0), Ref("sum3", 8))))
+    _, loop = _main_loop(_checked(regs, nets))
+    commit = loop.body[-1].value.elts
+    assert [len([x for x in ast.walk(v) if isinstance(x, ast.Subscript)]) for v in commit] \
+        == [0, 1, 1]  # sh, acc, acc3
+    assert sum(isinstance(x, ast.IfExp) for x in ast.walk(commit[2])) == 1
+
+
+def _field(name: str, base: Ref, lo: int) -> tuple:
+    return name, Slice(base, lo, 4)
+
+
+def _shifted_field(name: str, field: str) -> tuple:
+    return name, Slice(Shl(Ref(field, 4), 1), 0, 4)
+
+
+@pytest.mark.parametrize("parts, fires", [
+    (("s1", "s0"), True),  # fields of hold at 4 and 0: one shift, one mask
+    (("s0", "s1"), False),  # the halves swapped: unequal displacements
+    (("s2", "s0"), False),  # fields of two bases
+    (("m1", "m0"), True),  # Muxes on one condition
+    (("m1", "n0"), False),  # Muxes on two conditions, which differ on the fifth edge
+], ids=["one_base", "unequal_displacements", "two_bases", "one_condition", "two_conditions"])
+def test_field_shifts_fire_only_on_one_base_and_displacement(parts, fires):
+    hold, other = Ref("hold", 8), Ref("other", 8)
+    nets = _STEPS + (
+        _field("f0", hold, 0), _field("f1", hold, 4), _field("f2", other, 4),
+        _shifted_field("s0", "f0"), _shifted_field("s1", "f1"), _shifted_field("s2", "f2"),
+        ("m0", Mux(_FIRST, Slice(Ref("b", 4), 0, 4), Ref("s0", 4))),
+        ("m1", Mux(_FIRST, Ref("a", 4), Ref("s1", 4))),
+        ("n0", Mux(Slice(Ref("sched", 9), 4, 1), Ref("a", 4), Ref("s0", 4))),
+        ("c", Xor(hold, other)))
+    loaded = Concat((Ref("a", 4), Ref("b", 4)))
+    regs = _SCHED + (
+        RegDef("hold", 8, 0x5A, Mux(_FIRST, loaded, Concat(tuple(Ref(p, 4) for p in parts)))),
+        RegDef("other", 8, 0xC3, Mux(_FIRST, Xor(loaded, Const(8, 0xFF)), Slice(
+            Shl(other, 3), 0, 8))))
+    sim = _checked(regs, nets)
+    _, loop = _main_loop(sim)
+    hold_next = loop.body[-1].value.elts[1]
+    assert (ast.unparse(hold_next) == "r2 << 1 & 238") == fires, ast.unparse(hold_next)
+
+
+def test_written_in_cut_keeps_its_sum_bracketed():
+    # x = t & 0xf is written into the child's b - x & 0xf without its cut;
+    # t's sum was written into x first, so what the child's sum reads is
+    # that sum, `r + a & 0x1f`, and it stays in parentheses
+    kid = _module("kid", (("c", Sub(Ref("b", 4), Ref("a", 4))),), wc=4)
+    acc = Ref("acc", 4)
+    top = _module("cuts", (
+        ("t", Add(Concat((Const(1, 0), acc)), Concat((Const(1, 0), Ref("a", 4))))),
+        ("x", Slice(Ref("t", 5), 0, 4)), ("c", _zext8(acc))),
+        regs=(RegDef("acc", 4, 3, Ref("k", 4)),), latency=8, children=(kid,),
+        instances=(Instance("u_kid", "kid", (
+            ("clk", Ref("clk", 1)), ("rst", Ref("rst", 1)), ("a", Ref("x", 4)),
+            ("b", Ref("b", 4)), ("c", Ref("k", 4)))),), bare=(Net("k", 4),))
+    sim = Simulator(top, design_library(top))
+    for a in _corners(4):
+        for b in _corners(4):
+            assert [sim.run(a, b, cycles=k) for k in range(9)] == \
+                _reference_outputs(top, a, b, 8), (a, b)
+    assert "r0, = b - (r0 + a & 0x1f) & 0xf," in sim.source
