@@ -34,7 +34,8 @@ design compiles into two functions:
   segment) pairs, a segment holding the run's wider values (the wrapper's
   digit ring), or its length when there are none. `_run` has three parts:
   - hoist: nets that read only the operands a/b, constants and other such
-    nets are computed once, above every loop;
+    nets are computed once, above every loop. A datapath net that is a copy
+    of a name is that name: every text reads the name instead;
   - phases: `for p, seg in rows:` dispatches to one block per phase, which
     steps it with `for <wider values> in seg:` (or `range(seg)`). A block
     is the datapath with the phase's guards bound as constants: every net
@@ -83,6 +84,23 @@ each cycle saves g - 1 gated sums, so the phase must run at least
 m = 25). The run that counts is the phase's longest in the schedule in which
 the simulator first meets it.
 
+The same tables step a bit-serial accumulate phase K cycles per loop
+iteration, as the digit-serial form consumes n bits of b per cycle. Where
+every register a phase changes is a column register, `s << 1 & M`, or an
+accumulator, `(r << 1) + v & M` (or - v, or ^ v) with v fixed for the phase
+and gated by one bit p >= K - 1 of a column register, and the loop reads
+no wide row value, the block first runs `for _ in range(seg // K)` (or
+`len(seg)`) with `s << K & M` and `(r << K) + t[ix] & M`: ix is the K bits
+of s from p down, one shift, and t the 2^K subset sums of v << j, j < K,
+built with the design's own + or ^ (`_sums`) in the hoist when v reads only
+a/b, else on entry. The one-cycle loop then runs the `seg % K` cycles left,
+so `run(a, b, cycles=k)` stays exact for every k. `render._serial` matches
+the registers' shapes, and K comes from a cost rule on the phase's longest
+run and how many runs it has (`_steps`): sbm's main
+loop steps from m = 88, six cycles at a time at m = 1024; karatsuba2's three
+cores from m = 173; the wrapper's digit loop from m = 89 with n = m and from
+four digits with n = 32. Toom's point multipliers keep one step.
+
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
 """
@@ -93,9 +111,9 @@ from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .ir import Add, Const, Mux, Ref, RtlModule, Sub, ref_nodes
+from .ir import Add, Const, Mux, Ref, RtlModule, Sub, Xor, ref_nodes
 from .render import (_AND, _ATOM, _MUL, _OR, _SHIFT, _SUM, _demand, _lit, _look, _name,
-                     _net, _r, _subsets, _summed, _wrap)
+                     _net, _r, _serial, _subsets, _summed, _wrap)
 from .render import _pysrc  # noqa: F401  (the renderer on its own, read through interp)
 
 # the deepest nesting of parentheses a phase lets a text reach by writing
@@ -104,6 +122,9 @@ _NEST = 150
 # a flat net or register identifier in kernel text, where no other token
 # (a, b, c, hex and decimal literals, operators, if/else) holds an n or an r
 _IDENT = re.compile(r"([nr][0-9]+)")
+# what compiling a K-step's table and loop costs, in cycles of the loop it
+# replaces (`_steps`)
+_TEXT = 48
 
 
 def _repays(g: int, span: int) -> bool:
@@ -111,6 +132,44 @@ def _repays(g: int, span: int) -> bool:
     cycles in a row: building it costs about a sum per entry, once, and
     reading it saves g - 1 gated sums per cycle."""
     return g >= 2 and span * (g - 1) >= 2 ** g
+
+
+def _steps(span: int, runs: int, held: bool) -> int:
+    """How many cycles K a bit-serial accumulate phase steps per loop
+    iteration, when it runs `runs` times per transaction for at most `span`
+    cycles in a row and builds its tables once per transaction (`held`, in
+    the hoist) or on every entry. Counted in cycles of the one-cycle loop:
+    each iteration saves K - 1, each run sets up one more loop (about 2),
+    and a table of 2^K sums costs about 2^K. K is the one with the largest
+    gain, or 1 (no K-step) unless the gain also repays compiling the text
+    of the tables and the loops (_TEXT cycles).
+
+    The break-even, measured on a 2-core Xeon (the K-step against the
+    one-cycle loop, compile time and time per vector each best of 40): the
+    K-step's compile time is repaid after about 80 vectors for sbm at
+    m = 32, 31 at m = 64, 11 at m = 96 and 4 at m = 128; after 11 and 14
+    for karatsuba2 at m = 163 and 192; after 9 for the wrapper at m = n = 96
+    and 15 at 128/32. _TEXT puts the threshold near 16 vectors: sbm steps
+    from m = 88 (K = 3) and six cycles at a time at m = 1024, karatsuba2
+    from m = 173, the wrapper with n = m from m = 89, with n = 32 from four
+    digits and with n = 8 from 28."""
+    def gain(k: int) -> int:
+        return runs * (span // k * (k - 1) - 2) - 2 ** k * (1 if held else runs)
+    if runs * (span - 2) < _TEXT:  # no K gains that much
+        return 1
+    k = max(range(2, 8), key=gain)
+    return k if gain(k) >= _TEXT else 1
+
+
+def _sums(v: int, k: int, xor: int) -> list:
+    """The table a K-step reads (`_steps`), built with the design's own
+    operator: the 2^k sums, or XORs, of the subsets of v << j, j < k, entry
+    i holding those at the set bits of i."""
+    t = [0]
+    for _ in range(k):
+        t += [x ^ v for x in t] if xor else [x + v for x in t]
+        v <<= 1
+    return t
 
 
 def _fresh(origin: dict, where: tuple) -> str:
@@ -365,6 +424,27 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
     dnets, dregs = [t for t in order if t in data], [r for r in regs if r[0] in data]
     cnets, cregs = [t for t in order if t not in data], [r for r in regs if r[0] not in data]
     hoisted = _hoist(dnets, nets, {"a", "b"})
+    # A datapath net that is a copy of a name is that name: each text that
+    # reads it reads the name instead, and a phase renders it so through rep.
+    copy: dict = {}
+    for t in dnets:
+        if t != "c" and ((src := nets[t][0]) in edges or src in ("a", "b")):  # a bare name
+            copy[t] = copy.get(src, src)
+    if copy:
+        nets, dnets = dict(nets), [t for t in dnets if t not in copy]
+        rep = {**{t: copy.get(u, u) for t, u in rep.items()}, **copy}
+
+        def renamed(net: tuple) -> tuple:
+            parts = _IDENT.split(net[0])
+            parts[1::2] = [copy.get(i, i) for i in parts[1::2]]
+            return "".join(parts), dict.fromkeys(copy.get(i, i) for i in net[1])
+
+        moved = {u for t in copy for u in readers.get(t, ())}
+        for t in moved & nets.keys():
+            nets[t] = renamed(nets[t])
+            edges[t] = nets[t][1].keys()
+        dregs = [(r, reset, renamed(net) if r in moved else net) for r, reset, net in dregs]
+        edges.update((r, net[1].keys()) for r, _, net in dregs if r in moved)
     inner = [t for t in dnets if t not in hoisted]
     # the control values the datapath's nets and registers read, the 1-bit
     # guards first, and those c's cone reads after the last edge
@@ -502,10 +582,54 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             return None
         return [u for t in live for u in (*before.get(t, ()), t)]
 
-    def phase(values: tuple, span: int) -> tuple:
-        """(lines, the hoisted nets read) of the block that runs the phase in
-        which the guards hold `values`, for `span` cycles in a row, or
-        ([], ()) when no register changes in it."""
+    named: dict = {}  # the text of a K-step table -> its name, h<j>
+
+    def stepped(changing: list, fixed: set, bound: dict, span: int, runs: int):
+        """The K-step of a bit-serial accumulate phase (`_serial`) that runs
+        `runs` times per transaction, at most `span` cycles in a row: (K, its
+        commit, the tables it reads as {name: (its line, its reads, whether
+        it is built in the hoist)}), or None. Each accumulator's v must be
+        fixed for the phase and its tested bit p at least K - 1, K from
+        `_steps`. A column register steps as `s << K & M`, an accumulator
+        adds t[ix], ix the K bits of s from p down and t the 2^K sums of the
+        subsets of v << j, j < K, built with the design's own operator."""
+        def opened(v):
+            if v in nets and v not in fixed:
+                return exprs[v][0], _Bound(exprs[v][1], rep, bound)
+            return None
+
+        shapes = _serial([(r, exprs[r][0], _Bound(exprs[r][1], rep, bound)) for r, _ in changing],
+                         opened)
+        if shapes is None:
+            return None
+        accs = []
+        for r, op, s, p, v, names in shapes[1]:
+            log: list = []
+            accs.append((r, op, s, p, _lit(_r(v, names, log)[0]), log))
+            if not fixed.issuperset(log):
+                return None
+        held = all(hoisted.issuperset(log) for *_, log in accs)
+        k = _steps(span, runs, held)
+        if k == 1 or any(p < k - 1 for _, _, _, p, _, _ in accs):
+            return None
+        step, tabs = {s: f"{s} << {k} & {hex((1 << widths[s]) - 1)}" for s in shapes[0]}, {}
+        for r, op, s, p, v, log in accs:
+            text = f"_sums({v}, {k}, {int(op is Xor)})"
+            h = named.setdefault(text, f"h{len(named)}")
+            tabs[h] = f"{h} = {text}", log, held
+            ix = f"{s} >> {p - k + 1}" if p - k + 1 else s
+            if p != widths[s] - 1:  # below s's top bit
+                ix = f"{ix} & {hex((1 << k) - 1)}"
+            mask = hex((1 << widths[r]) - 1)
+            step[r] = (f"({r} << {k} ^ {h}[{ix}]) & {mask}" if op is Xor else
+                       f"({r} << {k}) {'-' if op is Sub else '+'} {h}[{ix}] & {mask}")
+        return k, [(r, step[r]) for r, _ in changing], tabs
+
+    def phase(values: tuple, span: int, runs: int) -> tuple:
+        """(lines, the hoisted nets read, the tables built in the hoist) of
+        the block that runs the phase in which the guards hold `values`,
+        `runs` times per transaction and for at most `span` cycles in a row,
+        or ([], (), {}) when no register changes in it."""
         bound = dict(zip(guards, values))
         binds = bound.keys()
         pnets = dict(nets)
@@ -523,7 +647,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if net[0] != r:
                 changing.append((r, net))
         if not changing:
-            return [], ()
+            return [], (), {}
         roots = [reads for _, (_, reads) in changing]
         live = _live(inner, pnets, roots)
         # A net that reads only what the phase holds (the operands, the
@@ -532,11 +656,15 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         for t in live:
             if fixed.issuperset(pnets[t][1]):
                 fixed.add(t)
-        if sums and _repays(2, span):  # the shortest run in which any table repays
+        step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, True) > 1 \
+            else None
+        if step is None and sums and _repays(2, span):  # the shortest run a table repays
             order = tables(live, fixed, span, pnets, marks, bound)
             if order:
                 live = _live(order, pnets, roots)
-        count = Counter(chain.from_iterable([pnets[t][1] for t in live] + roots))
+        tabs = step[2] if step else {}
+        count = Counter(chain.from_iterable([pnets[t][1] for t in live] + roots
+                                            + [reads for _, reads, _ in tabs.values()]))
         target = tup(wide) if wide and not count.keys().isdisjoint(wide) else "_"
         # One walk forward. A net that one text reads, once, at the same point
         # (on entry, or on every cycle) is written into that text, and so is
@@ -592,28 +720,37 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
                 pnets[t] = src, reads
         commits = [(r, inline(r, src, reads, False)[0]) for r, (src, reads) in changing]
         live = [t for t in live if left[t]]
-        return [*[assign(t, pnets[t][0], " " * 12) for t in live if t in fixed],
-                f"            for {target} in {'seg' if wide else 'range(seg)'}:",
+        lines = [assign(t, pnets[t][0], " " * 12) for t in live if t in fixed]
+        cycles = "seg" if wide else "range(seg)"
+        if step:  # K cycles per iteration, then the rest one at a time
+            k, seg = step[0], "len(seg)" if wide else "seg"
+            lines += [" " * 12 + line for line, _, held in tabs.values() if not held]
+            lines += [f"            for _ in range({seg} // {k}):", commit(step[1], " " * 16)]
+            cycles = f"range({seg} % {k})"
+        return [*lines, f"            for {target} in {cycles}:",
                 *[assign(t, pnets[t][0], " " * 16) for t in live if t not in fixed],
-                commit(commits, " " * 16)], hoisted.intersection(count)
+                commit(commits, " " * 16)], hoisted.intersection(count), \
+            {h: text for h, (text, _, held) in tabs.items() if held}
 
     tail = [assign(t, nets[t][0], "    ") for t in dnets if t in cone and t not in hoisted]
     blocks: dict = {}  # guard values -> phase(values)
 
     def runner(phases: list) -> str:
-        loop, needed = [], set(cone)
-        for i, (values, span) in enumerate(phases):
+        loop, needed, held = [], set(cone), {}
+        for i, (values, (span, runs)) in enumerate(phases):
             if values not in blocks:
-                blocks[values] = phase(values, span)
-            lines, read = blocks[values]
+                blocks[values] = phase(values, span, runs)
+            lines, read, tabs = blocks[values]
             if lines:
                 loop += [f"        {'elif' if loop else 'if'} p == {i}:", *lines]
                 needed.update(read)
+                held.update(tabs)
         for t in reversed(dnets):  # and the hoisted nets those read
             if t in needed and t in hoisted:
                 needed.update(edges[t])
         run = ["def _run(a, b, rows, last):",
-               *[assign(t, nets[t][0], "    ") for t in dnets if t in hoisted and t in needed]]
+               *[assign(t, nets[t][0], "    ") for t in dnets if t in hoisted and t in needed],
+               *["    " + line for line in held.values()]]
         if dregs:
             run.append(f"    {tup([r[0] for r in dregs])} = {', '.join(hex(r[1]) for r in dregs)},")
         if loop:
@@ -662,7 +799,7 @@ class Simulator:
         exec(self._sched_source, ns)  # compiled once per configuration
         self._sched, self._run = ns["_sched"], None
         self._phases: dict = {}  # guard values -> phase number, in the order first met
-        self._spans: dict = {}  # guard values -> the longest run of the phase when first met
+        self._spans: dict = {}  # guard values -> (its longest run, its runs) when first met
         self._plans: dict = {}  # cycles -> (the rows grouped into phases, last)
         self._plan(self.latency)
 
@@ -675,13 +812,14 @@ class Simulator:
         plan, spans = [], {}
         for values, segment in groupby(rows, itemgetter(slice(0, width))):
             seg = [row[width:] for row in segment] if wide else sum(1 for _ in segment)
-            if values not in known:
-                spans[values] = max(spans.get(values, 0), len(seg) if wide else seg)
+            if values not in known:  # the longest run, and how many
+                span, runs = spans.get(values, (0, 0))
+                spans[values] = max(span, len(seg) if wide else seg), runs + 1
             plan.append((phases.setdefault(values, len(phases)), seg))
         if self._run is None or spans:
             self._spans.update(spans)
             run = self._runner(list(self._spans.items()))
-            ns: dict = {}
+            ns: dict = {"_sums": _sums}
             exec(run, ns)
             self._run, self._source = ns["_run"], self._sched_source + "\n" + run
         self._plans[cycles] = plan, last

@@ -391,3 +391,68 @@ def _look(e, drivers: dict):
     if t is Concat and type(e.parts[0]) not in (Const, Repl):  # _zext, _sext and _asr do
         return _fields(e.parts, e.width, drivers) or e
     return e
+
+
+def _through(e, names, opened) -> tuple:
+    """(e, names) read past each Mux whose condition folds to a constant and
+    each Ref to a net that `opened` gives the (expression, names) of."""
+    while True:
+        if type(e) is Mux and type(c := _r(e.cond, names, [])[0]) is int:
+            e = e.t if c else e.f
+        elif type(e) is Ref and (got := opened(names[e.name])) is not None:
+            e, names = got
+        else:
+            return e, names
+
+
+def _doubled(e, names, opened):
+    """The identifier x when e is x shifted left by one within x's width,
+    Slice(Shl(x, 1), 0, w), else None."""
+    e, names = _through(e, names, opened)
+    if type(e) is Slice and not e.lo:
+        x, names = _through(e.base, names, opened)
+        if type(x) is Shl and x.amount == 1:
+            y, names = _through(x.base, names, opened)
+            if type(y) is Ref and y.width == e.width:
+                return names[y.name]
+    return None
+
+
+def _tested(e, names, opened):
+    """(s, p, v, its names) when e is Mux(Slice(s, p, 1), v, 0), s an
+    identifier, else None."""
+    e, names = _through(e, names, opened)
+    if type(e) is Mux and _r(e.f, names, [])[0] == 0:
+        bit, bnames = _through(e.cond, names, opened)
+        if type(bit) is Slice:
+            s, snames = _through(bit.base, bnames, opened)
+            if type(s) is Ref:
+                return snames[s.name], bit.lo, e.t, names
+    return None
+
+
+def _serial(regs: list, opened):
+    """The registers of a bit-serial accumulate phase, `regs` holding each
+    register's (identifier, next state, its names) and `opened` giving the
+    (expression, names) of each net that changes in the phase: (the column
+    registers, each x' = Slice(Shl(x, 1), 0, w); the accumulators, each
+    (r, Add, Sub or Xor, s, p, v, v's names) for r' = Slice(Shl(r, 1), 0, w)
+    + Mux(Slice(s, p, 1), v, 0), or -, or ^, s a column register), or None
+    when a register is neither or no accumulator is."""
+    cols, accs = [], []
+    for r, e, names in regs:
+        e, names = _through(e, names, opened)
+        if _doubled(e, names, opened) == r:
+            cols.append(r)
+            continue
+        if type(e) not in (Add, Sub, Xor):
+            return None
+        for x, y in ((e.a, e.b), (e.b, e.a))[:1 + (type(e) is not Sub)]:
+            if _doubled(x, names, opened) == r and (g := _tested(y, names, opened)):
+                accs.append((r, type(e), *g))
+                break
+        else:
+            return None
+    if not accs or any(s not in cols for _, _, s, *_ in accs):
+        return None
+    return cols, accs

@@ -264,14 +264,21 @@ def test_gated_registers_exact_every_cycle():
 
 def _phases(sim: Simulator) -> dict:
     """Each phase block of `_run`, by the guards' values: (the statements it
-    runs on entry, its cycle loop), parsed."""
+    runs on entry, its cycle loop, its K-step loop or None), parsed. A block
+    that steps K cycles per iteration runs `for _ in range(seg // K)` first
+    and its cycle loop over the `seg % K` cycles left."""
     run = next(f for f in ast.parse(sim.source).body
                if isinstance(f, ast.FunctionDef) and f.name == "_run")
-    outer = next(node for node in run.body if isinstance(node, ast.For))
+    outer = next(node for node in run.body if isinstance(node, ast.For)
+                 and ast.unparse(node.iter) == "rows")
     phase = {i: values for values, i in sim._phases.items()}
     blocks, node = {}, outer.body[0]
     while node:  # if p == 0: ... elif p == 1: ...
-        blocks[phase[node.test.comparators[0].value]] = node.body[:-1], node.body[-1]
+        loops = [stmt for stmt in node.body if isinstance(stmt, ast.For)]
+        entry = node.body[:node.body.index(loops[0])]
+        assert node.body == entry + loops and len(loops) <= 2, ast.unparse(node)[:200]
+        blocks[phase[node.test.comparators[0].value]] = \
+            entry, loops[-1], loops[0] if len(loops) == 2 else None
         node = node.orelse[0] if node.orelse else None
     return blocks
 
@@ -306,7 +313,8 @@ def _listing(sim: Simulator, mod: RtlModule) -> dict:
                             ast.get_source_segment(sim.source, node))
 
     out = {}
-    for values, (entry, loop) in _phases(sim).items():
+    for values, (entry, loop, step) in _phases(sim).items():
+        assert step is None
         label = " ".join(f"{names[g]}={v}" for g, v in zip(sim._guards, values))
         out[label] = [text(stmt) for stmt in entry] + [f"for {text(loop.target)}"] + \
             [text(stmt, "  ") for stmt in loop.body]
@@ -519,7 +527,7 @@ def test_wrapper_digit_select_runs_once_per_window():
         for i, segment in sim._plans[sim.latency][0]:
             runs[i] = max(runs.get(i, 0), segment if type(segment) is int else len(segment))
         long, short = [], []
-        for values, (_, loop) in _phases(sim).items():
+        for values, (_, loop, _) in _phases(sim).items():
             size = sum(1 for stmt in loop.body for _ in ast.walk(stmt))
             (long if runs[sim._phases[values]] > 1 else short).append(size)
         return sorted(long), max(short)
@@ -556,7 +564,9 @@ def test_widest_designs_compile_and_match_oracle(params):
 
 def test_kernel_source_is_independent_of_hash_seed():
     code = ("from polymulgen import *\n"
-            "for p in (GenParams(ArchKind.TOOM4, 64), GenParams(ArchKind.DIGIT_SERIAL, 64, n=8)):\n"
+            "for p in (GenParams(ArchKind.TOOM4, 64), GenParams(ArchKind.DIGIT_SERIAL, 64, n=8),\n"
+            "          GenParams(ArchKind.SBM, 1024),\n"
+            "          GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS)):\n"
             "    top = generate(p)\n"
             "    print(compile_sim(top, design_library(top)).source)\n")
     src = str(pathlib.Path(__file__).parents[1] / "src")
@@ -568,6 +578,7 @@ def test_kernel_source_is_independent_of_hash_seed():
                              check=True, timeout=120)
         outs.append(run.stdout)
     assert b"def _sched(cycles):" in outs[0] and b"def _run(a, b, rows, last):" in outs[0]
+    assert b" = _sums(" in outs[0] and b"range(seg // " in outs[0]  # the K-step's text
     assert outs[0] == outs[1]
 
 
@@ -783,13 +794,25 @@ def test_kernel_has_nothing_left_to_fold(params):
     if params.kind is ArchKind.DIGIT_SERIAL:
         # the load phase tests each digit's bit of the ring, once: a select
         # per digit, each reading its slice of b only when chosen
-        ring = {t.id for _, loop in _phases(sim).values() for t in ast.walk(loop.target)
+        ring = {t.id for _, loop, _ in _phases(sim).values() for t in ast.walk(loop.target)
                 if isinstance(t, ast.Name)}
         selects = [sum(isinstance(x, ast.IfExp) and {n.id for n in ast.walk(x.test)
                                                       if isinstance(n, ast.Name)} <= ring
-                       for stmt in entry + [loop] for x in ast.walk(stmt))
-                   for entry, loop in _phases(sim).values()]
+                       for stmt in entry + [loop, step] if stmt for x in ast.walk(stmt))
+                   for entry, loop, step in _phases(sim).values()]
         assert max(selects) == -(-params.m // params.n), selects
+
+
+def _flat_merge(top: RtlModule) -> tuple:
+    """(nets, regs, order, rep, widths): top's flat netlist after `_merge`."""
+    nets: dict = {}
+    regs: list = []
+    origin: dict = {}
+    widths: dict = {}
+    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, nets, regs, widths, {})
+    order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
+                   origin)
+    return (*_merge(nets, regs, order, widths), widths)
 
 
 @pytest.mark.parametrize("params", [
@@ -801,14 +824,7 @@ def test_kernel_has_nothing_left_to_merge(params):
     # copy of each, so no two registers of equal width and reset have the
     # same next-state text and no two nets of equal width the same text.
     top = generate(params)
-    nets: dict = {}
-    regs: list = []
-    origin: dict = {}
-    widths: dict = {}
-    _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, nets, regs, widths, {})
-    order = _order({t: sorted(reads.keys() & nets.keys()) for t, (_, reads) in nets.items()},
-                   origin)
-    nets, regs, order, rep = _merge(nets, regs, order, widths)
+    nets, regs, order, rep, widths = _flat_merge(top)
     assert set(order) == nets.keys() and rep.keys().isdisjoint(order)
     same: dict = {}
     for r, reset, (src, _) in regs:
@@ -853,7 +869,7 @@ def test_toom_child_reset_is_the_ld_bit(kind):
     held = children(targets.strip().rstrip(",").split(", "))
     assert commit[0].count(f" if {crst} else ") == len(held)
     assert set(re.findall(rf"\b(0x[0-9a-f]+) if {crst} else ", values)) <= resets
-    loads = [(entry, loop) for values, (entry, loop) in _phases(sim).items()
+    loads = [(entry, loop) for values, (entry, loop, _) in _phases(sim).items()
              if values[sim._guards.index(crst)] == 1]
     assert len(loads) == 1
     load = loads[0][1].body[-1]  # the commit of the phase's cycle
@@ -891,9 +907,9 @@ def test_loop_computes_no_control_state(params):
     sim = compile_sim(top, design_library(top))
     phases = _phases(sim)
     assert phases
-    for entry, loop in phases.values():
+    for entry, loop, step in phases.values():
         targets = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
-        for stmt in entry + loop.body:
+        for stmt in entry + (step.body if step else []) + loop.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                     assert node.id not in control, ast.unparse(stmt)[:120]
@@ -1031,11 +1047,14 @@ def test_merge_splits_up_a_shift_chain():
 
 def test_merge_keeps_nets_of_unequal_width_apart():
     # (e) narrow and wide both render as the bare b; merged, the slice of
-    # wide would become a mask on the 4-bit narrow that keeps every bit
+    # wide would become a mask on the 4-bit narrow that keeps every bit.
+    # Both are copies of b in the hoist, which c reads as b, so the kernel
+    # text is the same either way: the merge itself must keep them apart.
     wide = Ref("wide", 8)
-    source = _merged((), (("narrow", Ref("b", 4)), ("wide", _zext8(Ref("b", 4))),
-                          ("c", Add(Concat((Ref("narrow", 4), Slice(wide, 0, 4))), wide))))
-    assert "    n0 = b\n" in source and "    n1 = b\n" in source
+    nets = (("narrow", Ref("b", 4)), ("wide", _zext8(Ref("b", 4))),
+            ("c", Add(Concat((Ref("narrow", 4), Slice(wide, 0, 4))), wide)))
+    assert "    c = (b & 0xf | b << 4) + b & 0xff\n" in _merged((), nets)
+    assert _flat_merge(_module("merge", nets, wc=8))[3] == {}
 
 
 def test_merge_reads_twins_on_every_cycle():
@@ -1070,15 +1089,12 @@ def test_phase_loops_hold_no_invariant_work(params, count, longest):
     sim = _sim(params.kind, params.m, params.mode, params.n)
     phases = _phases(sim)
     assert len(phases) == len(sim._phases) == count
-    for _, loop in phases.values():
-        for stmt in loop.body:
+    for _, loop, step in phases.values():
+        for stmt in (step.body if step else []) + loop.body:
             assert not _SIGN_EXTEND.search(ast.unparse(stmt))
-    cycles: dict = {}
-    for i, segment in sim._plans[sim.latency][0]:
-        cycles[i] = cycles.get(i, 0) + (segment if type(segment) is int else len(segment))
-    main = max(cycles, key=cycles.get)
-    loop = next(loop for values, (_, loop) in phases.items() if sim._phases[values] == main)
-    assert len(loop.body[-1].targets[0].elts) == longest
+    _, loop, step = _main_loop(sim)
+    for commit in [loop.body[-1]] + (step.body if step else []):
+        assert len(commit.targets[0].elts) == longest
 
 
 def test_phase_met_after_the_latency_is_rendered_on_demand():
@@ -1104,8 +1120,8 @@ def test_phase_met_after_the_latency_is_rendered_on_demand():
 
 
 def _main_loop(sim: Simulator) -> tuple:
-    """(the statements on entry, the cycle loop) of the phase that runs the
-    most cycles of a transaction."""
+    """(the statements on entry, the cycle loop, the K-step loop or None) of
+    the phase that runs the most cycles of a transaction."""
     cycles: dict = {}
     for i, segment in sim._plans[sim.latency][0]:
         cycles[i] = cycles.get(i, 0) + (segment if type(segment) is int else len(segment))
@@ -1138,7 +1154,8 @@ def test_toom4_loop_shifts_once_and_reads_one_entry_per_sum():
     # and one mask, each of the five multi-term point multipliers adds one
     # table entry to its shifted accumulator, and the index of those entries
     # is the loop's one assignment before the commit
-    entry, loop = _main_loop(_sim(ArchKind.TOOM4, 25))
+    entry, loop, step = _main_loop(_sim(ArchKind.TOOM4, 25))
+    assert step is None
     *cycle, commit = loop.body
     assert [type(stmt) for stmt in cycle] == [ast.Assign]
     index = cycle[0].targets[0].id
@@ -1197,7 +1214,7 @@ def test_gated_sums_keep_their_signs():
         ("c", Concat((Slice(acc, 0, 4), Slice(acc3, 0, 4)))))
     regs = _SCHED + (RegDef("acc", 8, 0, Mux(_FIRST, Const(8, 0), Ref("step", 8))),
                      RegDef("acc3", 8, 0, Mux(_FIRST, Const(8, 0), Ref("sum3", 8))))
-    _, loop = _main_loop(_checked(regs, nets))
+    _, loop, _ = _main_loop(_checked(regs, nets))
     commit = loop.body[-1].value.elts
     assert [len([x for x in ast.walk(v) if isinstance(x, ast.Subscript)]) for v in commit] \
         == [0, 1, 1]  # sh, acc, acc3
@@ -1234,7 +1251,7 @@ def test_field_shifts_fire_only_on_one_base_and_displacement(parts, fires):
         RegDef("other", 8, 0xC3, Mux(_FIRST, Xor(loaded, Const(8, 0xFF)), Slice(
             Shl(other, 3), 0, 8))))
     sim = _checked(regs, nets)
-    _, loop = _main_loop(sim)
+    _, loop, _ = _main_loop(sim)
     hold_next = loop.body[-1].value.elts[1]
     assert (ast.unparse(hold_next) == "r2 << 1 & 238") == fires, ast.unparse(hold_next)
 
@@ -1258,3 +1275,138 @@ def test_written_in_cut_keeps_its_sum_bracketed():
             assert [sim.run(a, b, cycles=k) for k in range(9)] == \
                 _reference_outputs(top, a, b, 8), (a, b)
     assert "r0, = b - (r0 + a & 0x1f) & 0xf," in sim.source
+
+
+def _hoisted(sim: Simulator) -> dict:
+    """The names `_run` assigns above its loop over the rows, each with its
+    statement, parsed."""
+    run = next(f for f in ast.parse(sim.source).body
+               if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    body = run.body[:next(i for i, node in enumerate(run.body) if isinstance(node, ast.For))]
+    return {t.id: stmt for stmt in body for t in ast.walk(stmt.targets[0])
+            if isinstance(t, ast.Name)}
+
+
+# the smallest widths at which the main loop steps K cycles per iteration:
+# sbm from m = 88, karatsuba2 from m = 173 (cores of 88 bits), the wrapper
+# with 32-bit digits from four digits, m = 97
+_FIRST_STEPPED = [(ArchKind.SBM, 88, None), (ArchKind.KARATSUBA2, 173, None),
+                  (ArchKind.DIGIT_SERIAL, 97, 32)]
+
+
+@pytest.mark.parametrize("params, fires", [
+    (GenParams(kind, m - below, mode, n), not below)
+    for kind, m, n in _FIRST_STEPPED for mode in ArithMode for below in (0, 1)],
+    ids=[f"{kind.name}_{mode.name}_{m - below}"
+         for kind, m, _ in _FIRST_STEPPED for mode in ArithMode for below in (0, 1)])
+def test_k_step_matches_reference_stepper(params, fires):
+    # at the smallest width at which the K-step fires, and one bit below,
+    # where it must not: every cycle count, so each remainder seg % K of the
+    # main phase runs, against the hierarchical IR stepped one cycle at a time
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    assert (_main_loop(sim)[2] is not None) == fires
+    for a in _corners(params.m):
+        for b in _corners(params.m):
+            want = _reference_outputs(top, a, b, sim.latency + 3)
+            assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == want, (a, b)
+
+
+def _serial(variant: str) -> Simulator:
+    """A bit-serial multiplier by hand, 100 loop cycles long, after checking
+    it against the reference stepper for every cycle count on the corner
+    operands: the column register sh, 104 bits of b repeated, shifts left
+    by one per cycle, and acc' = (acc << 1) + (v if bit p of sh else 0),
+    v = a. Each variant changes one thing: `fires` none; `read` adds a
+    register that reads sh on every cycle; `changing` gates acc itself as v;
+    `ring` gates a AND a 4-bit control ring, a wide row value; `low` tests
+    bit 1 of sh."""
+    loop, w = 100, 104
+    sched, sh, acc = Ref("sched", loop + 2), Ref("sh", w), Ref("acc", 12)
+    first, done, ring = Ref("first", 1), Ref("done", 1), Ref("ring", 4)
+    value = {"changing": acc, "ring": And(_zext(Ref("a", 4), 12), _zext(ring, 12))}.get(
+        variant, _zext(Ref("a", 4), 12))
+    bit = Slice(sh, 1 if variant == "low" else w - 1, 1)
+    step = Add(Slice(Shl(acc, 1), 0, 12), Mux(bit, value, Const(12, 0)))
+    regs = (RegDef("sched", loop + 2, 1, Mux(done, sched, Slice(Shl(sched, 1), 0, loop + 2))),
+            RegDef("ring", 4, 1, Concat((Slice(ring, 0, 3), Slice(ring, 3, 1)))),
+            RegDef("sh", w, 0, Mux(first, Concat((Ref("b", 4),) * (w // 4)),
+                                   Slice(Shl(sh, 1), 0, w))),
+            RegDef("acc", 12, 0, Mux(first, Const(12, 0), step)),
+            RegDef("tap", 12, 0, Mux(first, Const(12, 0), Xor(Ref("tap", 12), Slice(sh, 0, 12)))
+                   if variant == "read" else Ref("tap", 12)))
+    nets = (("first", Slice(sched, 0, 1)), ("done", Slice(sched, loop + 1, 1)),
+            ("c", Xor(acc, Ref("tap", 12))))
+    mod = _module("serial", nets, regs, latency=loop + 1, wc=12)
+    sim = Simulator(mod, {mod.name: mod})
+    for a in _corners(4):
+        for b in _corners(4):
+            assert [sim.run(a, b, cycles=k) for k in range(loop + 5)] == \
+                _reference_outputs(mod, a, b, loop + 4), (variant, a, b)
+    return sim
+
+
+def _zext(e, width: int):
+    return Concat((Const(width - e.width, 0), e))
+
+
+@pytest.mark.parametrize("variant", ["fires", "read", "changing", "ring", "low"])
+def test_k_step_fires_only_on_bit_serial_accumulate_phases(variant):
+    # the rule fires only where every register the loop changes is a column
+    # register or an accumulator of a fixed, gated value, and the loop reads
+    # no wide row value; a tested bit below K - 1 would index below bit 0
+    _, _, step = _main_loop(_serial(variant))
+    assert (step is not None) == (variant == "fires")
+
+
+@pytest.mark.parametrize("params, k, cores", [
+    (GenParams(ArchKind.SBM, 1024), 6, 1), (GenParams(ArchKind.KARATSUBA2, 1024), 5, 3),
+    (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3)],
+    ids=["sbm", "karatsuba2", "karatsuba2_gf2"])
+def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cores):
+    # the main loop runs seg // K iterations of K cycles, then the seg % K
+    # cycles left; in an iteration each column register steps with one
+    # shift and one mask, and each accumulator with one shift and one read
+    # of a table built in the hoist, at one shift of its column register
+    sim = _sim(params.kind, params.m, params.mode)
+    _, loop, step = _main_loop(sim)
+    assert (ast.unparse(step.iter), ast.unparse(loop.iter)) == \
+        (f"range(seg // {k})", f"range(seg % {k})")
+    [commit] = step.body
+    targets = [t.id for t in commit.targets[0].elts]
+    tables = _hoisted(sim)
+    shifts, reads = {}, {}
+    for target, value in zip(targets, commit.value.elts):
+        shifts[target] = [(ast.unparse(x.left), x.right.value) for x in ast.walk(value)
+                          if isinstance(x, ast.BinOp) and isinstance(x.op, ast.LShift)]
+        reads[target] = [x for x in ast.walk(value) if isinstance(x, ast.Subscript)]
+        assert shifts[target] == [(target, k)], ast.unparse(value)
+    cols = [t for t in targets if not reads[t]]
+    accs = [t for t in targets if reads[t]]
+    assert len(cols) == len(accs) == cores
+    for t in accs:
+        [read] = reads[t]
+        assert ast.unparse(tables[read.value.id].value).startswith("_sums(")
+        assert isinstance(read.slice, ast.BinOp) and isinstance(read.slice.op, ast.RShift)
+        assert read.slice.left.id in cols
+
+
+@st.composite
+def _stepped_designs(draw):
+    """(kind, m, n, mode): sbm, karatsuba2 or the wrapper, from just below
+    the width at which its main loop steps K cycles per iteration up to 256
+    bits, the wrapper with a digit width whose loop may fire."""
+    kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL]))
+    m = draw(st.integers({ArchKind.SBM: 86, ArchKind.KARATSUBA2: 170}.get(kind, 92), 256))
+    n = draw(st.sampled_from([16, 32, m])) if kind is ArchKind.DIGIT_SERIAL else None
+    return kind, m, n, draw(st.sampled_from(list(ArithMode)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_stepped_designs_match_oracle_property(data):
+    kind, m, n, mode = data.draw(_stepped_designs())
+    sim = _sim(kind, m, mode, n)
+    for _ in range(3):
+        a, b = data.draw(_operand(m)), data.draw(_operand(m))
+        assert sim.run(a, b) == oracle_mul(a, b, mode), (hex(a), hex(b))
