@@ -32,7 +32,8 @@ design compiles into two functions:
   are the row values one bit wide; a phase is one tuple of their values, and
   `rows` is the schedule grouped into maximal runs of equal guards: (phase,
   segment) pairs, a segment holding the run's wider values (the wrapper's
-  digit ring), or its length when there are none. `_run` has three parts:
+  digit ring) where the phase's block reads them, else the run's length.
+  `_run` has three parts:
   - hoist: nets that read only the operands a/b, constants and other such
     nets are computed once, above every loop. A datapath net that is a copy
     of a name is that name: every text reads the name instead;
@@ -87,19 +88,19 @@ the simulator first meets it.
 The same tables step a bit-serial accumulate phase K cycles per loop
 iteration, as the digit-serial form consumes n bits of b per cycle. Where
 every register a phase changes is a column register, `s << 1 & M`, or an
-accumulator, `(r << 1) + v & M` (or - v, or ^ v) with v fixed for the phase
-and gated by one bit p >= K - 1 of a column register, and the loop reads
-no wide row value, the block first runs `for _ in range(seg // K)` (or
-`len(seg)`) with `s << K & M` and `(r << K) + t[ix] & M`: ix is the K bits
-of s from p down, one shift, and t the 2^K subset sums of v << j, j < K,
-built with the design's own + or ^ (`_sums`) in the hoist when v reads only
-a/b, else on entry. The one-cycle loop then runs the `seg % K` cycles left,
-so `run(a, b, cycles=k)` stays exact for every k. `render._serial` matches
-the registers' shapes, and K comes from a cost rule on the phase's longest
-run and how many runs it has (`_steps`): sbm's main
-loop steps from m = 88, six cycles at a time at m = 1024; karatsuba2's three
-cores from m = 173; the wrapper's digit loop from m = 89 with n = m and from
-four digits with n = 32. Toom's point multipliers keep one step.
+accumulator, `r << 1` plus a signed Add/Sub (or an Xor) chain of operands
+gated by a bit p_i >= K - 1 of a column register, each v_i fixed for the
+phase, and the loop reads no wide row value, the block first runs
+`for _ in range(seg // K)` with `s << K & M'` and `(r << K) + h_i[ix_i]
+... & M`: ix_i is the K bits of s from p_i down, shared by the operands
+that read them, and h_i the 2^K subset sums of v_i << j, j < K (`_sums`),
+built in the hoist when v_i reads only a/b, else on entry, and shared by
+operands equal up to a left shift (`h[ix] << k`). The one-cycle loop runs
+the `seg % K` cycles left, so `run(a, b, cycles=k)` stays exact for every
+k. `render._serial` matches the shapes, and `_steps` picks K from the
+phase's longest run, its runs and its tables: sbm steps from m = 88 (K = 6
+at m = 1024), karatsuba2 from m = 173, the wrapper from m = 89 with n = m
+and from four digits with n = 32, toom3 from m = 241 and toom4 from 321.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -111,9 +112,9 @@ from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .ir import Add, Const, Mux, Ref, RtlModule, Sub, Xor, ref_nodes
+from .ir import Add, Const, Mux, Ref, RtlModule, Sub, ref_nodes
 from .render import (_AND, _ATOM, _MUL, _OR, _SHIFT, _SUM, _demand, _lit, _look, _name,
-                     _net, _r, _serial, _subsets, _summed, _wrap)
+                     _net, _operands, _r, _serial, _subsets, _summed, _wrap)
 from .render import _pysrc  # noqa: F401  (the renderer on its own, read through interp)
 
 # the deepest nesting of parentheses a phase lets a text reach by writing
@@ -134,15 +135,17 @@ def _repays(g: int, span: int) -> bool:
     return g >= 2 and span * (g - 1) >= 2 ** g
 
 
-def _steps(span: int, runs: int, held: bool) -> int:
+def _steps(span: int, runs: int, built: float) -> int:
     """How many cycles K a bit-serial accumulate phase steps per loop
     iteration, when it runs `runs` times per transaction for at most `span`
-    cycles in a row and builds its tables once per transaction (`held`, in
-    the hoist) or on every entry. Counted in cycles of the one-cycle loop:
-    each iteration saves K - 1, each run sets up one more loop (about 2),
-    and a table of 2^K sums costs about 2^K. K is the one with the largest
-    gain, or 1 (no K-step) unless the gain also repays compiling the text
-    of the tables and the loops (_TEXT cycles).
+    cycles in a row and builds `built` tables per transaction for each of
+    its gated operands (a table built in the hoist once, one built on entry
+    `runs` times). Counted in cycles of the one-cycle loop, a cycle adding
+    each gated operand once: each iteration saves K - 1, each run sets up
+    one more loop (about 2), and a table of 2^K sums costs about 2^K gated
+    sums. K is the one with the largest gain, or 1 (no K-step) unless the
+    gain also repays compiling the text of the tables and the loops (_TEXT
+    cycles).
 
     The break-even, measured on a 2-core Xeon (the K-step against the
     one-cycle loop, compile time and time per vector each best of 40): the
@@ -152,9 +155,17 @@ def _steps(span: int, runs: int, held: bool) -> int:
     and 15 at 128/32. _TEXT puts the threshold near 16 vectors: sbm steps
     from m = 88 (K = 3) and six cycles at a time at m = 1024, karatsuba2
     from m = 173, the wrapper with n = m from m = 89, with n = 32 from four
-    digits and with n = 8 from 28."""
-    def gain(k: int) -> int:
-        return runs * (span // k * (k - 1) - 2) - 2 ** k * (1 if held else runs)
+    digits and with n = 8 from 28.
+
+    Toom's point multipliers (tables built on entry, about 5 for 11 gated
+    operands in toom3 and 10 for 22 in toom4) step from m = 241 (toom3,
+    K = 4) and m = 321 (toom4, K = 4), five at a time at m = 1024. Measured
+    the same way (best of 60), the K-step repays after about 7 vectors for
+    toom3 at m = 241 and 1 at 1024, and after 9 for toom4 at m = 321 and 2
+    at 1024; below the threshold it would repay after 7-12 (toom3 at m =
+    160-240, toom4 at 240-320), so the rule is conservative there."""
+    def gain(k: int) -> float:
+        return runs * (span // k * (k - 1) - 2) - 2 ** k * built
     if runs * (span - 2) < _TEXT:  # no K gains that much
         return 1
     k = max(range(2, 8), key=gain)
@@ -344,19 +355,6 @@ def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
             [t for t in order if t not in rep], rep)
 
 
-def _chain(e) -> list:
-    """The operands of the Add/Sub tree e, left to right, each with whether
-    the tree subtracts it: [(negated, operand)]."""
-    out, todo = [], [(False, e)]
-    while todo:
-        neg, x = todo.pop()
-        if type(x) is Add or type(x) is Sub:
-            todo += [(neg != (type(x) is Sub), x.b), (neg, x.a)]
-        else:
-            out.append((neg, x))
-    return out
-
-
 def _gate(x, names: dict, rep: dict, nets: dict, exprs: dict) -> tuple:
     """(net, Mux, its names) when the sum operand x, read through `names`, is a
     net driven by Mux(c, v, 0), else (None, None, None)."""
@@ -388,10 +386,11 @@ class _Bound:
 def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep: dict) -> tuple:
     """The kernel of a flat netlist that drives c, its nets in dependency
     `order`: (source of `_sched(cycles)`, the guards that lead each row,
-    whether wider values follow them, `runner`). `runner(phases)` returns the
-    source of `_run(a, b, rows, last)` with one block per phase, a tuple of
-    the guards' values each; a phase renders a text again from `exprs`, seen
-    through the merge's `rep`, with the guards bound."""
+    `runner`). `runner(phases)` returns the source of `_run(a, b, rows,
+    last)` with one block per phase, a tuple of the guards' values each, and
+    the phases whose blocks iterate the wider values that follow the guards
+    in a row; a phase renders a text again from `exprs`, seen through the
+    merge's `rep`, with the guards bound."""
     edges = {t: reads.keys() for t, (_, reads) in nets.items()}
     edges.update((r, reads.keys()) for r, _, (_, reads) in regs)
     # What a or b reaches is the datapath; the rest, the control state, runs
@@ -495,7 +494,8 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
     sums: dict = {}
     for t in inner:
         if muxed[t] >= 2 and type(e := exprs[t][0]) in (Add, Sub):
-            ops = [(neg, x, *_gate(x, exprs[t][1], rep, nets, exprs)) for neg, x in _chain(e)]
+            ops = [(neg, x, *_gate(x, exprs[t][1], rep, nets, exprs))
+                   for neg, x, _ in _operands(e, exprs[t][1], lambda v: None)]
             if sum(mux is not None for *_, mux, _ in ops) >= 2:
                 sums[t] = ops
 
@@ -586,50 +586,77 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
 
     def stepped(changing: list, fixed: set, bound: dict, span: int, runs: int):
         """The K-step of a bit-serial accumulate phase (`_serial`) that runs
-        `runs` times per transaction, at most `span` cycles in a row: (K, its
-        commit, the tables it reads as {name: (its line, its reads, whether
-        it is built in the hoist)}), or None. Each accumulator's v must be
-        fixed for the phase and its tested bit p at least K - 1, K from
-        `_steps`. A column register steps as `s << K & M`, an accumulator
-        adds t[ix], ix the K bits of s from p down and t the 2^K sums of the
-        subsets of v << j, j < K, built with the design's own operator."""
+        `runs` times per transaction, at most `span` cycles in a row: (K, the
+        lines of an iteration, the tables it reads as {name: (its line, its
+        reads, whether it is built in the hoist)}), or None. Each gated
+        operand's v must be fixed for the phase and its tested bit p must see
+        K bits of its column register: bits p - K + 1..p, moved up to p one
+        cycle at a time by the one-cycle shift's mask. K comes from `_steps`.
+        A column register steps as `s << K & M`, M clearing each field's low
+        K bits; an accumulator adds, or subtracts, `h[ix] << k` for each gated
+        v = x << k: ix is the K bits of s from p down, shared by every operand
+        that reads them, and h the 2^K sums of the subsets of x << j, j < K,
+        built with the design's own operator, shared by every operand of x."""
         def opened(v):
-            if v in nets and v not in fixed:
-                return exprs[v][0], _Bound(exprs[v][1], rep, bound)
-            return None
+            return (exprs[v][0], _Bound(exprs[v][1], rep, bound)) if v in nets else None
 
         shapes = _serial([(r, exprs[r][0], _Bound(exprs[r][1], rep, bound)) for r, _ in changing],
                          opened)
         if shapes is None:
             return None
-        accs = []
-        for r, op, s, p, v, names in shapes[1]:
-            log: list = []
-            accs.append((r, op, s, p, _lit(_r(v, names, log)[0]), log))
-            if not fixed.issuperset(log):
-                return None
-        held = all(hoisted.issuperset(log) for *_, log in accs)
-        k = _steps(span, runs, held)
-        if k == 1 or any(p < k - 1 for _, _, _, p, _, _ in accs):
+        cols, accs = shapes
+        terms, built = [], {}  # built: (x's text, XOR or not) -> (its reads, whether hoisted)
+        for r, xor, gated in accs:
+            for neg, s, p, x, shift, names in gated:
+                log: list = []
+                key = _lit(_r(x, names, log)[0]), int(xor)
+                if not fixed.issuperset(log):
+                    return None
+                built[key] = log, hoisted.issuperset(log)
+                terms.append((r, neg, s, p, key, shift))
+        k = _steps(span, runs, sum(1 if held else runs for _, held in built.values()) / len(terms))
+        ones = (1 << k - 1) - 1  # bits p - K + 2..p of a one-cycle mask
+        if k == 1 or any(p < k - 1 or cols[s] >> p - k + 2 & ones != ones
+                         for _, _, s, p, _, _ in terms):
             return None
-        step, tabs = {s: f"{s} << {k} & {hex((1 << widths[s]) - 1)}" for s in shapes[0]}, {}
-        for r, op, s, p, v, log in accs:
-            text = f"_sums({v}, {k}, {int(op is Xor)})"
+        step = {}
+        for s, mask in cols.items():
+            for _ in range(k - 1):
+                mask &= mask << 1
+            step[s] = f"{s} << {k} & {hex(mask & (1 << widths[s]) - 1)}"
+        shared = Counter((s, p) for _, _, s, p, _, _ in terms)
+        index, lines, tabs, sums = {}, [], {}, {r: [] for r, _, _ in accs}
+        for r, neg, s, p, key, shift in terms:
+            if (s, p) not in index:
+                ix = f"{s} >> {p - k + 1}" if p - k + 1 else s
+                if p != widths[s] - 1:  # below s's top bit
+                    ix = f"{ix} & {hex((1 << k) - 1)}"
+                if shared[s, p] > 1:  # computed once per iteration
+                    lines.append(f"j{len(lines)} = {ix}")
+                    ix = f"j{len(lines) - 1}"
+                index[s, p] = ix
+            text = f"_sums({key[0]}, {k}, {key[1]})"
             h = named.setdefault(text, f"h{len(named)}")
-            tabs[h] = f"{h} = {text}", log, held
-            ix = f"{s} >> {p - k + 1}" if p - k + 1 else s
-            if p != widths[s] - 1:  # below s's top bit
-                ix = f"{ix} & {hex((1 << k) - 1)}"
+            tabs[h] = f"{h} = {text}", *built[key]
+            read = f"{h}[{index[s, p]}]"
+            if key[1]:  # << binds more tightly than ^, and less than + and -
+                sums[r].append(f" ^ {read} << {shift}" if shift else f" ^ {read}")
+            else:
+                read = f"({read} << {shift})" if shift else read
+                sums[r].append(f" {'-' if neg else '+'} {read}")
+        for r, xor, _ in accs:
             mask = hex((1 << widths[r]) - 1)
-            step[r] = (f"({r} << {k} ^ {h}[{ix}]) & {mask}" if op is Xor else
-                       f"({r} << {k}) {'-' if op is Sub else '+'} {h}[{ix}] & {mask}")
-        return k, [(r, step[r]) for r, _ in changing], tabs
+            step[r] = (f"({r} << {k}{''.join(sums[r])}) & {mask}" if xor else
+                       f"({r} << {k}){''.join(sums[r])} & {mask}")
+        return k, lines + [commit([(r, step[r]) for r, _ in changing], "")], tabs
 
     def phase(values: tuple, span: int, runs: int) -> tuple:
-        """(lines, the hoisted nets read, the tables built in the hoist) of
-        the block that runs the phase in which the guards hold `values`,
-        `runs` times per transaction and for at most `span` cycles in a row,
-        or ([], (), {}) when no register changes in it."""
+        """(lines, the hoisted nets read, the tables built in the hoist,
+        whether it iterates the wide row values) of the block that runs the
+        phase in which the guards hold `values`, `runs` times per transaction
+        and for at most `span` cycles in a row, or ([], (), {}, False) when
+        no register changes in it. A block that iterates the wide values
+        takes the list of them as its segment, any other its length."""
         bound = dict(zip(guards, values))
         binds = bound.keys()
         pnets = dict(nets)
@@ -647,7 +674,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if net[0] != r:
                 changing.append((r, net))
         if not changing:
-            return [], (), {}
+            return [], (), {}, False
         roots = [reads for _, (_, reads) in changing]
         live = _live(inner, pnets, roots)
         # A net that reads only what the phase holds (the operands, the
@@ -656,16 +683,18 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         for t in live:
             if fixed.issuperset(pnets[t][1]):
                 fixed.add(t)
-        step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, True) > 1 \
+        # a K-step fires only where it would gain even with tables for free
+        step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, 0) > 1 \
             else None
-        if step is None and sums and _repays(2, span):  # the shortest run a table repays
-            order = tables(live, fixed, span, pnets, marks, bound)
+        rest = span % step[0] if step else span  # what the one-cycle loop runs
+        if sums and _repays(2, rest):  # the shortest run a table repays
+            order = tables(live, fixed, rest, pnets, marks, bound)
             if order:
                 live = _live(order, pnets, roots)
         tabs = step[2] if step else {}
         count = Counter(chain.from_iterable([pnets[t][1] for t in live] + roots
                                             + [reads for _, reads, _ in tabs.values()]))
-        target = tup(wide) if wide and not count.keys().isdisjoint(wide) else "_"
+        rowed = not count.keys().isdisjoint(wide)  # whether the block iterates the wide values
         # One walk forward. A net that one text reads, once, at the same point
         # (on entry, or on every cycle) is written into that text, and so is
         # a copy of a name into each text that reads it once. A text written
@@ -721,26 +750,29 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         commits = [(r, inline(r, src, reads, False)[0]) for r, (src, reads) in changing]
         live = [t for t in live if left[t]]
         lines = [assign(t, pnets[t][0], " " * 12) for t in live if t in fixed]
-        cycles = "seg" if wide else "range(seg)"
+        cycles = "seg" if rowed else "range(seg)"
         if step:  # K cycles per iteration, then the rest one at a time
-            k, seg = step[0], "len(seg)" if wide else "seg"
+            k, seg = step[0], "len(seg)" if rowed else "seg"
             lines += [" " * 12 + line for line, _, held in tabs.values() if not held]
-            lines += [f"            for _ in range({seg} // {k}):", commit(step[1], " " * 16)]
+            lines.append(f"            for _ in range({seg} // {k}):")
+            lines += [" " * 16 + line for line in step[1]]
             cycles = f"range({seg} % {k})"
-        return [*lines, f"            for {target} in {cycles}:",
+        return [*lines, f"            for {tup(wide) if rowed else '_'} in {cycles}:",
                 *[assign(t, pnets[t][0], " " * 16) for t in live if t not in fixed],
                 commit(commits, " " * 16)], hoisted.intersection(count), \
-            {h: text for h, (text, _, held) in tabs.items() if held}
+            {h: text for h, (text, _, held) in tabs.items() if held}, rowed
 
     tail = [assign(t, nets[t][0], "    ") for t in dnets if t in cone and t not in hoisted]
     blocks: dict = {}  # guard values -> phase(values)
 
-    def runner(phases: list) -> str:
-        loop, needed, held = [], set(cone), {}
+    def runner(phases: list) -> tuple:
+        loop, needed, held, rowed = [], set(cone), {}, set()
         for i, (values, (span, runs)) in enumerate(phases):
             if values not in blocks:
                 blocks[values] = phase(values, span, runs)
-            lines, read, tabs = blocks[values]
+            lines, read, tabs, iterates = blocks[values]
+            if iterates:
+                rowed.add(values)
             if lines:
                 loop += [f"        {'elif' if loop else 'if'} p == {i}:", *lines]
                 needed.update(read)
@@ -756,9 +788,9 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         if loop:
             run += ["    for p, seg in rows:", *loop]
         run += [f"    {tup(last)} = last"] if last else []
-        return "\n".join([*run, *tail, "    return c"]) + "\n"
+        return "\n".join([*run, *tail, "    return c"]) + "\n", rowed
 
-    return "\n".join(sched) + "\n", guards, bool(wide), runner
+    return "\n".join(sched) + "\n", guards, runner
 
 
 class Simulator:
@@ -793,7 +825,7 @@ class Simulator:
         nets, order = {t: net for t, net in nets.items() if t in live}, list(live)
 
         nets, regs, order, rep = _merge(nets, regs, order, widths)
-        self._sched_source, self._guards, self._wide, self._runner = _kernel(
+        self._sched_source, self._guards, self._runner = _kernel(
             nets, regs, order, widths, exprs, rep)
         ns: dict = {}
         exec(self._sched_source, ns)  # compiled once per configuration
@@ -805,23 +837,29 @@ class Simulator:
 
     def _plan(self, cycles: int) -> tuple:
         """The rows of a run of `cycles` grouped into phases, as `_run` takes
-        them, and last. Meeting a phase for the first time renders and
-        compiles `_run` again, over every phase met so far."""
+        them, and last: each run of a phase as the list of its rows' wider
+        values where the phase's block iterates them, else as its length.
+        Meeting a phase for the first time renders and compiles `_run` again,
+        over every phase met so far."""
         rows, last = self._sched(cycles)
-        width, wide, phases, known = len(self._guards), self._wide, self._phases, self._spans
-        plan, spans = [], {}
+        width, phases, known = len(self._guards), self._phases, self._spans
+        segments, spans, start = [], {}, 0
         for values, segment in groupby(rows, itemgetter(slice(0, width))):
-            seg = [row[width:] for row in segment] if wide else sum(1 for _ in segment)
+            n = sum(1 for _ in segment)
             if values not in known:  # the longest run, and how many
                 span, runs = spans.get(values, (0, 0))
-                spans[values] = max(span, len(seg) if wide else seg), runs + 1
-            plan.append((phases.setdefault(values, len(phases)), seg))
+                spans[values] = max(span, n), runs + 1
+            segments.append((phases.setdefault(values, len(phases)), values, start, n))
+            start += n
         if self._run is None or spans:
             self._spans.update(spans)
-            run = self._runner(list(self._spans.items()))
+            run, self._rowed = self._runner(list(self._spans.items()))
             ns: dict = {"_sums": _sums}
             exec(run, ns)
             self._run, self._source = ns["_run"], self._sched_source + "\n" + run
+        rowed = self._rowed
+        plan = [(p, [row[width:] for row in rows[i:i + n]] if values in rowed else n)
+                for p, values, i, n in segments]
         self._plans[cycles] = plan, last
         return plan, last
 

@@ -405,16 +405,21 @@ def _through(e, names, opened) -> tuple:
             return e, names
 
 
-def _doubled(e, names, opened):
-    """The identifier x when e is x shifted left by one within x's width,
-    Slice(Shl(x, 1), 0, w), else None."""
+def _column(e, names, opened):
+    """(s, m) when e is the identifier s shifted left by one within its width
+    and cut with the mask m: Slice(Shl(s, 1), 0, w), m all of s's bits but
+    bit 0, or `_fields`'s `s << 1 & m` of the side-by-side fields of s, m
+    clearing each field's bit 0; else None."""
     e, names = _through(e, names, opened)
-    if type(e) is Slice and not e.lo:
+    if type(e) is _Moved:
+        if not e.s and e.k == 1 and e.base.width == e.width:
+            return names[e.base.name], e.mask
+    elif type(e) is Slice and not e.lo:
         x, names = _through(e.base, names, opened)
         if type(x) is Shl and x.amount == 1:
             y, names = _through(x.base, names, opened)
             if type(y) is Ref and y.width == e.width:
-                return names[y.name]
+                return names[y.name], (1 << e.width) - 2
     return None
 
 
@@ -431,28 +436,65 @@ def _tested(e, names, opened):
     return None
 
 
+def _scaled(v, names, opened, width: int) -> tuple:
+    """(x, k, x's names) with v = x << k modulo 2^width: v read past each left
+    shift, and each low cut that keeps the bits below `width`."""
+    k = 0
+    while True:
+        e, enames = _through(v, names, opened)
+        if type(e) is Shl:
+            k += e.amount
+        elif type(e) is not Slice or e.lo or e.width + k < width:
+            return v, k, names
+        v, names = e.base, enames
+
+
+def _operands(e, names, opened) -> list:
+    """The operands of the Add/Sub tree, or the Xor tree, e, left to right,
+    looking through each net `opened` gives: [(negated, operand, its
+    names)], negated where the tree subtracts the operand."""
+    kinds = (Xor,) if type(e) is Xor else (Add, Sub)
+    out, todo = [], [(False, e, names)]
+    while todo:
+        neg, x, xnames = todo.pop()
+        x, xnames = _through(x, xnames, opened)
+        if type(x) in kinds:
+            todo += [(neg != (type(x) is Sub), x.b, xnames), (neg, x.a, xnames)]
+        else:
+            out.append((neg, x, xnames))
+    return out
+
+
 def _serial(regs: list, opened):
     """The registers of a bit-serial accumulate phase, `regs` holding each
     register's (identifier, next state, its names) and `opened` giving the
-    (expression, names) of each net that changes in the phase: (the column
-    registers, each x' = Slice(Shl(x, 1), 0, w); the accumulators, each
-    (r, Add, Sub or Xor, s, p, v, v's names) for r' = Slice(Shl(r, 1), 0, w)
-    + Mux(Slice(s, p, 1), v, 0), or -, or ^, s a column register), or None
-    when a register is neither or no accumulator is."""
-    cols, accs = [], []
+    (expression, names) of each net: (the column registers {s: m}, each
+    s' = s << 1 & m (`_column`); the accumulators, each (r, whether it XORs,
+    its gated operands [(negated, s, p, x, k, x's names)])), r' = Slice(Shl(r,
+    1), 0, w) plus a signed Add/Sub chain, or an Xor chain, of the operands
+    Mux(Slice(s, p, 1), v, 0), s a column register and v = x << k modulo 2^w
+    (`_scaled`). None when a register is neither or no accumulator is."""
+    cols, accs = {}, []
     for r, e, names in regs:
         e, names = _through(e, names, opened)
-        if _doubled(e, names, opened) == r:
-            cols.append(r)
+        col = _column(e, names, opened)
+        if col and col[0] == r:
+            cols[r] = col[1]
             continue
         if type(e) not in (Add, Sub, Xor):
             return None
-        for x, y in ((e.a, e.b), (e.b, e.a))[:1 + (type(e) is not Sub)]:
-            if _doubled(x, names, opened) == r and (g := _tested(y, names, opened)):
-                accs.append((r, type(e), *g))
-                break
-        else:
+        doubled, gated = False, []
+        for neg, x, xnames in _operands(e, names, opened):
+            if not doubled and not neg and _column(x, xnames, opened) == (r, (1 << e.width) - 2):
+                doubled = True
+            elif g := _tested(x, xnames, opened):
+                s, p, v, vnames = g
+                gated.append((neg, s, p, *_scaled(v, vnames, opened, e.width)))
+            else:
+                return None
+        if not doubled or not gated:
             return None
-    if not accs or any(s not in cols for _, _, s, *_ in accs):
+        accs.append((r, type(e) is Xor, gated))
+    if not accs or any(s not in cols for *_, gated in accs for _, s, *_ in gated):
         return None
     return cols, accs

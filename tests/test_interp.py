@@ -535,6 +535,22 @@ def test_wrapper_digit_select_runs_once_per_window():
     assert work(64)[1] > 4 * max(work(64)[0])  # 16 digits selected on the load cycle alone
 
 
+def test_plan_lists_row_values_only_where_a_block_reads_them():
+    # wrapper 1024/64: sixteen windows, each a load cycle that reads the
+    # digit ring, 62 cycles of the digit loop and a last cycle; only the
+    # load cycles' segments list their rows' ring values, and only their
+    # block iterates them, the others count cycles
+    sim = _sim(ArchKind.DIGIT_SERIAL, 1024, n=64)
+    plan, _ = sim._plans[sim.latency]
+    listed = {i for i, segment in plan if type(segment) is not int}
+    assert [len(segment) for _, segment in plan if type(segment) is not int] == [1] * 16
+    assert sorted(segment for _, segment in plan if type(segment) is int) == [1] * 16 + [62] * 16
+    for values, (_, loop, step) in _phases(sim).items():
+        rowed = sim._phases[values] in listed
+        assert (ast.unparse(loop.target) != "_") == rowed
+        assert (ast.unparse((step or loop).iter).startswith("range(")) != rowed
+
+
 @pytest.mark.parametrize("mode", list(ArithMode))
 def test_wrapper_single_bit_and_single_digit(mode):
     # n=1 (d=m one-bit digits) and n=m (d=1: no digit shift, one window)
@@ -565,7 +581,7 @@ def test_widest_designs_compile_and_match_oracle(params):
 def test_kernel_source_is_independent_of_hash_seed():
     code = ("from polymulgen import *\n"
             "for p in (GenParams(ArchKind.TOOM4, 64), GenParams(ArchKind.DIGIT_SERIAL, 64, n=8),\n"
-            "          GenParams(ArchKind.SBM, 1024),\n"
+            "          GenParams(ArchKind.SBM, 1024), GenParams(ArchKind.TOOM4, 1024),\n"
             "          GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS)):\n"
             "    top = generate(p)\n"
             "    print(compile_sim(top, design_library(top)).source)\n")
@@ -1289,16 +1305,18 @@ def _hoisted(sim: Simulator) -> dict:
 
 # the smallest widths at which the main loop steps K cycles per iteration:
 # sbm from m = 88, karatsuba2 from m = 173 (cores of 88 bits), the wrapper
-# with 32-bit digits from four digits, m = 97
+# with 32-bit digits from four digits, m = 97, toom3 from m = 241 and toom4
+# from m = 321 (point multipliers of 81 bits)
 _FIRST_STEPPED = [(ArchKind.SBM, 88, None), (ArchKind.KARATSUBA2, 173, None),
-                  (ArchKind.DIGIT_SERIAL, 97, 32)]
+                  (ArchKind.DIGIT_SERIAL, 97, 32), (ArchKind.TOOM3, 241, None),
+                  (ArchKind.TOOM4, 321, None)]
 
 
 @pytest.mark.parametrize("params, fires", [
     (GenParams(kind, m - below, mode, n), not below)
-    for kind, m, n in _FIRST_STEPPED for mode in ArithMode for below in (0, 1)],
+    for kind, m, n in _FIRST_STEPPED for mode in _modes(kind) for below in (0, 1)],
     ids=[f"{kind.name}_{mode.name}_{m - below}"
-         for kind, m, _ in _FIRST_STEPPED for mode in ArithMode for below in (0, 1)])
+         for kind, m, _ in _FIRST_STEPPED for mode in _modes(kind) for below in (0, 1)])
 def test_k_step_matches_reference_stepper(params, fires):
     # at the smallest width at which the K-step fires, and one bit below,
     # where it must not: every cycle count, so each remainder seg % K of the
@@ -1320,18 +1338,32 @@ def _serial(variant: str) -> Simulator:
     v = a. Each variant changes one thing: `fires` none; `read` adds a
     register that reads sh on every cycle; `changing` gates acc itself as v;
     `ring` gates a AND a 4-bit control ring, a wide row value; `low` tests
-    bit 1 of sh."""
+    bit 1 of sh. The chain variants subtract a second gated operand,
+    (2a if bit 51 of sh else 0), and change one thing more: `chain` none;
+    `fields` shifts sh as 26 fields of 4 bits, each emptied after four
+    cycles, and `narrow` as 52 fields of 2 bits, narrower than K;
+    `ungated` adds a; `changing_term` gates acc as the second v; `low_term`
+    tests bit 1 of sh for it."""
     loop, w = 100, 104
     sched, sh, acc = Ref("sched", loop + 2), Ref("sh", w), Ref("acc", 12)
     first, done, ring = Ref("first", 1), Ref("done", 1), Ref("ring", 4)
-    value = {"changing": acc, "ring": And(_zext(Ref("a", 4), 12), _zext(ring, 12))}.get(
-        variant, _zext(Ref("a", 4), 12))
+    za = _zext(Ref("a", 4), 12)
+    value = {"changing": acc, "ring": And(za, _zext(ring, 12))}.get(variant, za)
     bit = Slice(sh, 1 if variant == "low" else w - 1, 1)
     step = Add(Slice(Shl(acc, 1), 0, 12), Mux(bit, value, Const(12, 0)))
+    if variant in ("chain", "fields", "narrow", "ungated", "changing_term", "low_term"):
+        twice = acc if variant == "changing_term" else Slice(Shl(za, 1), 0, 12)
+        bit = Slice(sh, 1 if variant == "low_term" else 51, 1)
+        step = Sub(step, Mux(bit, twice, Const(12, 0)))
+        if variant == "ungated":
+            step = Add(step, za)
+    shift = Slice(Shl(sh, 1), 0, w)
+    if size := {"fields": 4, "narrow": 2}.get(variant):
+        shift = Concat(tuple(Slice(Shl(Slice(sh, lo, size), 1), 0, size)
+                             for lo in range(w - size, -1, -size)))
     regs = (RegDef("sched", loop + 2, 1, Mux(done, sched, Slice(Shl(sched, 1), 0, loop + 2))),
             RegDef("ring", 4, 1, Concat((Slice(ring, 0, 3), Slice(ring, 3, 1)))),
-            RegDef("sh", w, 0, Mux(first, Concat((Ref("b", 4),) * (w // 4)),
-                                   Slice(Shl(sh, 1), 0, w))),
+            RegDef("sh", w, 0, Mux(first, Concat((Ref("b", 4),) * (w // 4)), shift)),
             RegDef("acc", 12, 0, Mux(first, Const(12, 0), step)),
             RegDef("tap", 12, 0, Mux(first, Const(12, 0), Xor(Ref("tap", 12), Slice(sh, 0, 12)))
                    if variant == "read" else Ref("tap", 12)))
@@ -1350,53 +1382,86 @@ def _zext(e, width: int):
     return Concat((Const(width - e.width, 0), e))
 
 
-@pytest.mark.parametrize("variant", ["fires", "read", "changing", "ring", "low"])
+@pytest.mark.parametrize("variant", ["fires", "read", "changing", "ring", "low", "chain",
+                                     "fields", "narrow", "ungated", "changing_term",
+                                     "low_term"])
 def test_k_step_fires_only_on_bit_serial_accumulate_phases(variant):
     # the rule fires only where every register the loop changes is a column
-    # register or an accumulator of a fixed, gated value, and the loop reads
+    # register or an accumulator of fixed, gated values, and the loop reads
     # no wide row value; a tested bit below K - 1 would index below bit 0
     _, _, step = _main_loop(_serial(variant))
-    assert (step is not None) == (variant == "fires")
+    assert (step is not None) == (variant in ("fires", "chain", "fields"))
+    if variant in ("chain", "fields"):  # a and a << 1 read one table
+        reads = [x for x in ast.walk(step) if isinstance(x, ast.Subscript)]
+        assert len(reads) == 2 and len({x.value.id for x in reads}) == 1
 
 
-@pytest.mark.parametrize("params, k, cores", [
-    (GenParams(ArchKind.SBM, 1024), 6, 1), (GenParams(ArchKind.KARATSUBA2, 1024), 5, 3),
-    (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3)],
-    ids=["sbm", "karatsuba2", "karatsuba2_gf2"])
-def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cores):
+def _column_read(ix, cols: list) -> bool:
+    """Whether the table index ix is one shift of a column register of
+    `cols`, masked below its top bit or not."""
+    if isinstance(ix, ast.BinOp) and isinstance(ix.op, ast.BitAnd):
+        ix = ix.left
+    if isinstance(ix, ast.BinOp) and isinstance(ix.op, ast.RShift):
+        ix = ix.left
+    return isinstance(ix, ast.Name) and ix.id in cols
+
+
+@pytest.mark.parametrize("params, k, cols, operands", [
+    (GenParams(ArchKind.SBM, 1024), 6, 1, [1]),
+    (GenParams(ArchKind.KARATSUBA2, 1024), 5, 3, [1, 1, 1]),
+    (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3, [1, 1, 1]),
+    (GenParams(ArchKind.TOOM3, 1024), 5, 3, [1, 1, 3, 3, 3]),
+    (GenParams(ArchKind.TOOM4, 1024), 5, 3, [1, 1, 4, 4, 4, 4, 4])],
+    ids=["sbm", "karatsuba2", "karatsuba2_gf2", "toom3", "toom4"])
+def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands):
     # the main loop runs seg // K iterations of K cycles, then the seg % K
     # cycles left; in an iteration each column register steps with one
-    # shift and one mask, and each accumulator with one shift and one read
-    # of a table built in the hoist, at one shift of its column register
+    # shift and one mask, and each accumulator with one shift of itself and
+    # one read per gated operand of a table of `_sums` built in the hoist or
+    # on entry, at one shift of a column register (toom's multi-term point
+    # multipliers read the merged one); the index of bits that several
+    # operands read is computed once, and no table of the one-cycle loop
+    # (t<k>, indexed by i<k>) is read
     sim = _sim(params.kind, params.m, params.mode)
-    _, loop, step = _main_loop(sim)
+    entry, loop, step = _main_loop(sim)
     assert (ast.unparse(step.iter), ast.unparse(loop.iter)) == \
         (f"range(seg // {k})", f"range(seg % {k})")
-    [commit] = step.body
+    *index, commit = step.body
+    shared = {stmt.targets[0].id: stmt.value for stmt in index}
+    tables = {**_hoisted(sim), **{stmt.targets[0].id: stmt for stmt in entry}}
     targets = [t.id for t in commit.targets[0].elts]
-    tables = _hoisted(sim)
-    shifts, reads = {}, {}
+    reads = {}
     for target, value in zip(targets, commit.value.elts):
-        shifts[target] = [(ast.unparse(x.left), x.right.value) for x in ast.walk(value)
-                          if isinstance(x, ast.BinOp) and isinstance(x.op, ast.LShift)]
+        shifts = [x for x in ast.walk(value) if isinstance(x, ast.BinOp)
+                  and isinstance(x.op, ast.LShift)]
+        own = [x.right.value for x in shifts if ast.unparse(x.left) == target]
+        assert own == [k], ast.unparse(value)
+        assert len(shifts) == 1 + sum(isinstance(x.left, ast.Subscript) for x in shifts)
         reads[target] = [x for x in ast.walk(value) if isinstance(x, ast.Subscript)]
-        assert shifts[target] == [(target, k)], ast.unparse(value)
-    cols = [t for t in targets if not reads[t]]
-    accs = [t for t in targets if reads[t]]
-    assert len(cols) == len(accs) == cores
-    for t in accs:
-        [read] = reads[t]
+    col = [t for t in targets if not reads[t]]
+    assert len(col) == cols
+    assert sorted(len(r) for r in reads.values() if r) == operands
+    for read in [x for r in reads.values() for x in r]:
         assert ast.unparse(tables[read.value.id].value).startswith("_sums(")
-        assert isinstance(read.slice, ast.BinOp) and isinstance(read.slice.op, ast.RShift)
-        assert read.slice.left.id in cols
+        ix = read.slice
+        assert _column_read(shared.get(ix.id, ix) if isinstance(ix, ast.Name) else ix, col)
+    assert len(shared) == len({ast.unparse(v) for v in shared.values()})
+    assert all(_column_read(v, col) for v in shared.values())
+    assert not [x.id for x in ast.walk(step) if isinstance(x, ast.Name)
+                and re.fullmatch(r"[ti]\d+", x.id)]
 
 
 @st.composite
 def _stepped_designs(draw):
     """(kind, m, n, mode): sbm, karatsuba2 or the wrapper, from just below
     the width at which its main loop steps K cycles per iteration up to 256
-    bits, the wrapper with a digit width whose loop may fire."""
-    kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL]))
+    bits, the wrapper with a digit width whose loop may fire; or toom3 or
+    toom4 from just below that width up to 400 bits."""
+    kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL,
+                                 ArchKind.TOOM3, ArchKind.TOOM4]))
+    if kind in (ArchKind.TOOM3, ArchKind.TOOM4):
+        m = draw(st.integers(238 if kind is ArchKind.TOOM3 else 318, 400))
+        return kind, m, None, ArithMode.INTEGER
     m = draw(st.integers({ArchKind.SBM: 86, ArchKind.KARATSUBA2: 170}.get(kind, 92), 256))
     n = draw(st.sampled_from([16, 32, m])) if kind is ArchKind.DIGIT_SERIAL else None
     return kind, m, n, draw(st.sampled_from(list(ArithMode)))
