@@ -96,11 +96,12 @@ phase, and the loop reads no wide row value, the block first runs
 that read them, and h_i the 2^K subset sums of v_i << j, j < K (`_sums`),
 built in the hoist when v_i reads only a/b, else on entry, and shared by
 operands equal up to a left shift (`h[ix] << k`). The one-cycle loop runs
-the `seg % K` cycles left, so `run(a, b, cycles=k)` stays exact for every
-k. `render._serial` matches the shapes, and `_steps` picks K from the
-phase's longest run, its runs and its tables: sbm steps from m = 88 (K = 6
-at m = 1024), karatsuba2 from m = 173, the wrapper from m = 89 with n = m
-and from four digits with n = 32, toom3 from m = 241 and toom4 from 321.
+the `seg % K` cycles left, with no table (fewer than K cycles), so
+`run(a, b, cycles=k)` stays exact for every k. `render._serial` matches
+the shapes, and `_steps` picks K from the phase's longest run, its runs
+and its tables: sbm steps from m = 88 (K = 6 at m = 1024), karatsuba2
+from m = 173, the wrapper from m = 89 with n = m and from four digits
+with n = 32, toom3 from m = 241 and toom4 from 321.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -686,9 +687,9 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         # a K-step fires only where it would gain even with tables for free
         step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, 0) > 1 \
             else None
-        rest = span % step[0] if step else span  # what the one-cycle loop runs
-        if sums and _repays(2, rest):  # the shortest run a table repays
-            order = tables(live, fixed, rest, pnets, marks, bound)
+        # the one-cycle loop after a K-step runs fewer than K cycles: no tables
+        if step is None and sums and _repays(2, span):  # the shortest run a table repays
+            order = tables(live, fixed, span, pnets, marks, bound)
             if order:
                 live = _live(order, pnets, roots)
         tabs = step[2] if step else {}

@@ -1406,29 +1406,37 @@ def _column_read(ix, cols: list) -> bool:
     return isinstance(ix, ast.Name) and ix.id in cols
 
 
-@pytest.mark.parametrize("params, k, cols, operands", [
-    (GenParams(ArchKind.SBM, 1024), 6, 1, [1]),
-    (GenParams(ArchKind.KARATSUBA2, 1024), 5, 3, [1, 1, 1]),
-    (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3, [1, 1, 1]),
-    (GenParams(ArchKind.TOOM3, 1024), 5, 3, [1, 1, 3, 3, 3]),
-    (GenParams(ArchKind.TOOM4, 1024), 5, 3, [1, 1, 4, 4, 4, 4, 4])],
-    ids=["sbm", "karatsuba2", "karatsuba2_gf2", "toom3", "toom4"])
-def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands):
+@pytest.mark.parametrize("params, k, cols, operands, hoisted", [
+    (GenParams(ArchKind.SBM, 1024), 6, 1, [1], True),
+    (GenParams(ArchKind.KARATSUBA2, 1024), 5, 3, [1, 1, 1], True),
+    (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3, [1, 1, 1], True),
+    (GenParams(ArchKind.TOOM3, 1024), 5, 3, [1, 1, 3, 3, 3], False),
+    (GenParams(ArchKind.TOOM3, 539), 5, 3, [1, 1, 3, 3, 3], False),
+    (GenParams(ArchKind.TOOM4, 1024), 5, 3, [1, 1, 4, 4, 4, 4, 4], False)],
+    ids=["sbm", "karatsuba2", "karatsuba2_gf2", "toom3", "toom3_539", "toom4"])
+def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands, hoisted):
     # the main loop runs seg // K iterations of K cycles, then the seg % K
     # cycles left; in an iteration each column register steps with one
     # shift and one mask, and each accumulator with one shift of itself and
-    # one read per gated operand of a table of `_sums` built in the hoist or
-    # on entry, at one shift of a column register (toom's multi-term point
-    # multipliers read the merged one); the index of bits that several
-    # operands read is computed once, and no table of the one-cycle loop
-    # (t<k>, indexed by i<k>) is read
+    # one read per gated operand of a table of `_sums`, and no table of the
+    # one-cycle loop (t<k>, indexed by i<k>) is read. Where the operands are
+    # fixed for the transaction (`hoisted`) each table is built in the hoist
+    # and read as it is, at `s >> n` of a column register s. Toom's
+    # multi-term point multipliers build theirs on entry, read those of
+    # operands equal up to a left shift as `h[ix] << k`, index the merged
+    # column register with one shift and a mask below its top bit, and
+    # compute the index of bits that several operands read once. The seg % K
+    # cycles left build no table either, even where, as at toom3 m = 539,
+    # four are left, a span over which a one-cycle table would repay.
     sim = _sim(params.kind, params.m, params.mode)
     entry, loop, step = _main_loop(sim)
     assert (ast.unparse(step.iter), ast.unparse(loop.iter)) == \
         (f"range(seg // {k})", f"range(seg % {k})")
     *index, commit = step.body
+    assert not (hoisted and index)
     shared = {stmt.targets[0].id: stmt.value for stmt in index}
-    tables = {**_hoisted(sim), **{stmt.targets[0].id: stmt for stmt in entry}}
+    tables = _hoisted(sim) if hoisted else \
+        {**_hoisted(sim), **{stmt.targets[0].id: stmt for stmt in entry}}
     targets = [t.id for t in commit.targets[0].elts]
     reads = {}
     for target, value in zip(targets, commit.value.elts):
@@ -1436,7 +1444,8 @@ def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands)
                   and isinstance(x.op, ast.LShift)]
         own = [x.right.value for x in shifts if ast.unparse(x.left) == target]
         assert own == [k], ast.unparse(value)
-        assert len(shifts) == 1 + sum(isinstance(x.left, ast.Subscript) for x in shifts)
+        shifted = [x for x in shifts if isinstance(x.left, ast.Subscript)]
+        assert len(shifts) == 1 + len(shifted) and not (hoisted and shifted), ast.unparse(value)
         reads[target] = [x for x in ast.walk(value) if isinstance(x, ast.Subscript)]
     col = [t for t in targets if not reads[t]]
     assert len(col) == cols
@@ -1444,11 +1453,18 @@ def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands)
     for read in [x for r in reads.values() for x in r]:
         assert ast.unparse(tables[read.value.id].value).startswith("_sums(")
         ix = read.slice
-        assert _column_read(shared.get(ix.id, ix) if isinstance(ix, ast.Name) else ix, col)
+        if hoisted:
+            assert isinstance(ix, ast.BinOp) and isinstance(ix.op, ast.RShift)
+            assert isinstance(ix.left, ast.Name) and ix.left.id in col
+            assert isinstance(ix.right, ast.Constant)
+        else:
+            assert _column_read(shared.get(ix.id, ix) if isinstance(ix, ast.Name) else ix, col)
     assert len(shared) == len({ast.unparse(v) for v in shared.values()})
     assert all(_column_read(v, col) for v in shared.values())
     assert not [x.id for x in ast.walk(step) if isinstance(x, ast.Name)
                 and re.fullmatch(r"[ti]\d+", x.id)]
+    assert not [t.id for stmt in entry for t in ast.walk(stmt.targets[0])
+                if isinstance(t, ast.Name) and re.fullmatch(r"[ti]\d+", t.id)]
 
 
 @st.composite
