@@ -70,38 +70,27 @@ toom's point multipliers shift the limbs of b in their column register
 that way. Each text keeps its precedence and cut, so a phase writes one
 net's text into another's with only the parentheses Python needs.
 
-Gated sums read a table, as in distributed arithmetic (White, "Applications
-of Distributed Arithmetic to Digital Signal Processing: A Tutorial Review",
-IEEE ASSP Magazine 1989). A phase takes each per-cycle Add/Sub chain with
-g >= 2 operands that are nets driven by Mux(c_i, v_i, 0), c_i changing per
-cycle and v_i fixed for the phase, and reads it as `rest + t[ix] & M`: t
-holds the 2^g signed subset sums of the v_i, built on entry to the block,
-and ix packs the c_i once per cycle, shared by every chain that reads the
-same bits (toom4's five multi-term point multipliers all read the merged
-column register). A table is built only where the schedule runs the phase
-long enough to repay it: building it costs about a sum per entry, once, and
-each cycle saves g - 1 gated sums, so the phase must run at least
-2^g / (g - 1) cycles in a row (`_repays`; toom3 from m = 13, toom4 from
-m = 25). The run that counts is the phase's longest in the schedule in which
-the simulator first meets it.
-
-The same tables step a bit-serial accumulate phase K cycles per loop
-iteration, as the digit-serial form consumes n bits of b per cycle. Where
-every register a phase changes is a column register, `s << 1 & M`, or an
-accumulator, `r << 1` plus a signed Add/Sub (or an Xor) chain of operands
-gated by a bit p_i >= K - 1 of a column register, each v_i fixed for the
-phase, and the loop reads no wide row value, the block first runs
-`for _ in range(seg // K)` with `s << K & M'` and `(r << K) + h_i[ix_i]
+A bit-serial accumulate phase steps K cycles per loop iteration, reading a
+table of gated sums as in distributed arithmetic (White, "Applications of
+Distributed Arithmetic to Digital Signal Processing: A Tutorial Review",
+IEEE ASSP Magazine 1989), as the digit-serial form consumes n bits of b per
+cycle. Where every register a phase changes is a column register,
+`s << 1 & M`, or an accumulator, `r << 1` plus a signed Add/Sub (or an Xor)
+chain of operands gated by a bit p_i >= K - 1 of a column register, each v_i
+fixed for the phase, and the loop reads no wide row value, the block first
+runs `for _ in range(seg // K)` with `s << K & M'` and `(r << K) + h_i[ix_i]
 ... & M`: ix_i is the K bits of s from p_i down, shared by the operands
 that read them, and h_i the 2^K subset sums of v_i << j, j < K (`_sums`),
 built in the hoist when v_i reads only a/b, else on entry, and shared by
 operands equal up to a left shift (`h[ix] << k`). The one-cycle loop runs
-the `seg % K` cycles left, with no table (fewer than K cycles), so
-`run(a, b, cycles=k)` stays exact for every k. `render._serial` matches
-the shapes, and `_steps` picks K from the phase's longest run, its runs
-and its tables: sbm steps from m = 88 (K = 6 at m = 1024), karatsuba2
-from m = 173, the wrapper from m = 89 with n = m and from four digits
-with n = 32, toom3 from m = 241 and toom4 from 321.
+the `seg % K` cycles left, and every cycle of a phase that does not step,
+adding each gated operand on its own, so `run(a, b, cycles=k)` stays exact
+for every k. These tables are the only ones a kernel reads. `render._serial`
+matches the shapes, and `_steps` picks K from the phase's longest run in the
+schedule in which the simulator first meets it, its runs and its tables: sbm
+steps from m = 88 (K = 6 at m = 1024), karatsuba2 from m = 173, the wrapper
+from m = 89 with n = m and from four digits with n = 32, toom3 from m = 241
+and toom4 from 321.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -113,9 +102,8 @@ from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 
-from .ir import Add, Const, Mux, Ref, RtlModule, Sub, ref_nodes
-from .render import (_AND, _ATOM, _MUL, _OR, _SHIFT, _SUM, _demand, _lit, _look, _name,
-                     _net, _operands, _r, _serial, _subsets, _summed, _wrap)
+from .ir import Const, Mux, Ref, RtlModule, ref_nodes
+from .render import _AND, _ATOM, _MUL, _demand, _lit, _look, _name, _net, _r, _serial, _summed
 from .render import _pysrc  # noqa: F401  (the renderer on its own, read through interp)
 
 # the deepest nesting of parentheses a phase lets a text reach by writing
@@ -127,13 +115,6 @@ _IDENT = re.compile(r"([nr][0-9]+)")
 # what compiling a K-step's table and loop costs, in cycles of the loop it
 # replaces (`_steps`)
 _TEXT = 48
-
-
-def _repays(g: int, span: int) -> bool:
-    """Whether a table of the 2^g sums of g gated operands repays over `span`
-    cycles in a row: building it costs about a sum per entry, once, and
-    reading it saves g - 1 gated sums per cycle."""
-    return g >= 2 and span * (g - 1) >= 2 ** g
 
 
 def _steps(span: int, runs: int, built: float) -> int:
@@ -161,10 +142,13 @@ def _steps(span: int, runs: int, built: float) -> int:
     Toom's point multipliers (tables built on entry, about 5 for 11 gated
     operands in toom3 and 10 for 22 in toom4) step from m = 241 (toom3,
     K = 4) and m = 321 (toom4, K = 4), five at a time at m = 1024. Measured
-    the same way (best of 60), the K-step repays after about 7 vectors for
-    toom3 at m = 241 and 1 at 1024, and after 9 for toom4 at m = 321 and 2
-    at 1024; below the threshold it would repay after 7-12 (toom3 at m =
-    160-240, toom4 at 240-320), so the rule is conservative there."""
+    the same way (best of 60), against a one-cycle loop that adds each gated
+    operand on its own, the K-step repays after about 6 vectors for toom3 at
+    m = 241 and 1-2 at 1024, and after 6 for toom4 at m = 321 and 1 at 1024.
+    Below the threshold it would repay after 5-22 vectors (toom3 at m =
+    160-240) and 5-12 (toom4 at 240-320): its compile time is 0.3-0.9 ms
+    dearer there, and compile plus 16 vectors moves by less than 0.6 ms
+    either way."""
     def gain(k: int) -> float:
         return runs * (span // k * (k - 1) - 2) - 2 ** k * built
     if runs * (span - 2) < _TEXT:  # no K gains that much
@@ -356,16 +340,6 @@ def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
             [t for t in order if t not in rep], rep)
 
 
-def _gate(x, names: dict, rep: dict, nets: dict, exprs: dict) -> tuple:
-    """(net, Mux, its names) when the sum operand x, read through `names`, is a
-    net driven by Mux(c, v, 0), else (None, None, None)."""
-    if type(x) is Ref and type(u := names[x.name]) is str:
-        u = rep.get(u, u)
-        if u in nets and type(m := exprs[u][0]) is Mux and type(m.f) is Const and not m.f.value:
-            return u, m, exprs[u][1]
-    return None, None, None
-
-
 class _Bound:
     """An instance's names as a phase renders them: each flat identifier
     renamed to its merge representative, then to the constant or identifier
@@ -488,101 +462,6 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             specs[key] = (src, reads), (prec, cut)
         return specs[key]
 
-    # the sums that read two or more nets driven by Mux(c, v, 0): each one's
-    # signed operands, with the net, the Mux and its names where it is one
-    muxed = Counter(t for z in inner if type(m := exprs[z][0]) is Mux and type(m.f) is Const
-                    and not m.f.value for t in readers[z])
-    sums: dict = {}
-    for t in inner:
-        if muxed[t] >= 2 and type(e := exprs[t][0]) in (Add, Sub):
-            ops = [(neg, x, *_gate(x, exprs[t][1], rep, nets, exprs))
-                   for neg, x, _ in _operands(e, exprs[t][1], lambda v: None)]
-            if sum(mux is not None for *_, mux, _ in ops) >= 2:
-                sums[t] = ops
-
-    def tables(live: dict, fixed: set, span: int, pnets: dict, marks: dict, bound: dict):
-        """Rewrite each sum of `sums` that the phase evaluates on every cycle
-        and whose g operands Mux(c_i, v_i, 0), c_i changing per cycle and v_i
-        `fixed`, make a table that repays over `span` cycles (`_repays`): the
-        sum then reads `rest + t<k>[i<k>] & M`. The index net i<k> packs the
-        c_i once per cycle, shared by every sum that reads the same bits; the
-        table net t<k> holds the 2^g signed subset sums of the v_i
-        (`_subsets`), built on entry, and a compound v_i is a net u<k> of its
-        own. Adds those nets to pnets, marks and fixed, and returns the live
-        nets in order with each placed before the first sum that reads it, or
-        None when no sum is rewritten."""
-        before: dict = {}  # sum -> the index and table nets placed before it
-        index: dict = {}  # the c_i texts, sorted -> their index net
-        table: dict = {}  # a table's text -> its net
-        held: dict = {}  # the text of a compound v_i -> its net
-        for t, ops in sums.items():
-            if t not in live or t in fixed:
-                continue
-            e, names = exprs[t][:2]
-            names = _Bound(names, rep, bound)
-            gated, rest = {}, []
-            for neg, x, u, mux, mnames in ops:
-                if u is not None and u not in bound:
-                    clog, vlog = [], []
-                    c = _r(mux.cond, _Bound(mnames, rep, bound), clog)
-                    if type(c[0]) is str and c[0] not in gated and not fixed.issuperset(clog):
-                        v = _r(mux.t, _Bound(mnames, rep, bound), vlog)
-                        if fixed.issuperset(vlog):
-                            gated[c[0]] = c, clog, neg, v, vlog
-                            continue
-                rest.append((neg, x))
-            if not _repays(len(gated), span):
-                continue
-            key = tuple(sorted(gated))
-            bits = [gated[k] for k in key]
-            ix = index.get(key)
-            if ix is None:
-                ix = index[key] = f"i{len(index)}"
-                pnets[ix] = (" | ".join(_wrap(c, _OR) if k == 0 else f"{_wrap(c, _SHIFT)} << {k}"
-                                        for k, (c, *_) in enumerate(bits)),
-                             dict.fromkeys(chain.from_iterable(b[1] for b in bits)))
-                marks[ix] = _OR, None
-                before.setdefault(t, []).append(ix)
-            mask = (1 << e.width) - 1
-            values, vreads = [], []
-            for _, _, neg, v, vlog in bits:
-                if v[1] == _AND and v[2] and v[2][1] == mask:  # the sum cuts each entry
-                    v = v[2][0]
-                if type(v[0]) is str and not v[0].isidentifier():  # computed once, on entry
-                    u = held.get(v[0])
-                    if u is None:
-                        u = held[v[0]] = f"u{len(held)}"
-                        pnets[u], marks[u] = (v[0], dict.fromkeys(vlog)), (v[1], None)
-                        fixed.add(u)
-                        before.setdefault(t, []).append(u)
-                    v, vlog = (u, _ATOM, None), [u]
-                values.append((neg, v))
-                vreads += vlog
-            text = _subsets(values)
-            tab = table.get(text)
-            if tab is None:
-                tab = table[text] = f"t{len(table)}"
-                pnets[tab] = text, dict.fromkeys(vreads)
-                marks[tab] = _ATOM, None
-                fixed.add(tab)
-                before.setdefault(t, []).append(tab)
-            rest_e = None
-            for neg, x in rest:
-                if rest_e is None:
-                    rest_e = Sub(Const(x.width, 0), x) if neg else x
-                else:
-                    rest_e = (Sub if neg else Add)(rest_e, x)
-            log: list = []
-            s = (0, _ATOM, None) if rest_e is None else _r(rest_e, names, log)
-            if s[1] == _AND and s[2] and s[2][1] == mask:
-                s = s[2][0]
-            rest = "" if s[0] == 0 and type(s[0]) is int else f"{_wrap(s, _SUM)} + "
-            pnets[t] = f"{rest}{tab}[{ix}] & {hex(mask)}", dict.fromkeys(log + [tab, ix])
-            marks[t] = _AND, (mask, _SUM if rest else _ATOM)
-        if not before:
-            return None
-        return [u for t in live for u in (*before.get(t, ()), t)]
-
     named: dict = {}  # the text of a K-step table -> its name, h<j>
 
     def stepped(changing: list, fixed: set, bound: dict, span: int, runs: int):
@@ -652,12 +531,13 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         return k, lines + [commit([(r, step[r]) for r, _ in changing], "")], tabs
 
     def phase(values: tuple, span: int, runs: int) -> tuple:
-        """(lines, the hoisted nets read, the tables built in the hoist,
-        whether it iterates the wide row values) of the block that runs the
-        phase in which the guards hold `values`, `runs` times per transaction
-        and for at most `span` cycles in a row, or ([], (), {}, False) when
-        no register changes in it. A block that iterates the wide values
-        takes the list of them as its segment, any other its length."""
+        """(lines, the hoisted nets read, the K-step's tables built in the
+        hoist, whether it iterates the wide row values) of the block that
+        runs the phase in which the guards hold `values`, or ([], (), {},
+        False) when no register changes in it. `span`, the phase's longest
+        run, and `runs`, its runs per transaction, only pick its K
+        (`_steps`). A block that iterates the wide values takes the list of
+        them as its segment, any other its length."""
         bound = dict(zip(guards, values))
         binds = bound.keys()
         pnets = dict(nets)
@@ -687,11 +567,6 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         # a K-step fires only where it would gain even with tables for free
         step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, 0) > 1 \
             else None
-        # the one-cycle loop after a K-step runs fewer than K cycles: no tables
-        if step is None and sums and _repays(2, span):  # the shortest run a table repays
-            order = tables(live, fixed, span, pnets, marks, bound)
-            if order:
-                live = _live(order, pnets, roots)
         tabs = step[2] if step else {}
         count = Counter(chain.from_iterable([pnets[t][1] for t in live] + roots
                                             + [reads for _, reads, _ in tabs.values()]))
@@ -832,7 +707,9 @@ class Simulator:
         exec(self._sched_source, ns)  # compiled once per configuration
         self._sched, self._run = ns["_sched"], None
         self._phases: dict = {}  # guard values -> phase number, in the order first met
-        self._spans: dict = {}  # guard values -> (its longest run, its runs) when first met
+        # guard values -> (its longest run, its runs) when first met, from
+        # which `_steps` picks the phase's K
+        self._spans: dict = {}
         self._plans: dict = {}  # cycles -> (the rows grouped into phases, last)
         self._plan(self.latency)
 

@@ -123,18 +123,6 @@ def _summed(src: str, i: int, j: int, mask: int) -> bool:
     return False
 
 
-def _subsets(values: list) -> str:
-    """A tuple display of the 2^g sums of the subsets of `values`, g pairs
-    (negated, rendered value): entry k adds the values at the set bits of k,
-    subtracting those negated."""
-    entries = [""]
-    for neg, v in values:
-        first = f"-{_wrap(v, _ATOM)}" if neg else _wrap(v, _SUM)
-        more = f" {'-' if neg else '+'} {_wrap(v, _MUL)}"
-        entries += [e + more if e else first for e in entries]
-    return f"(0x0{''.join(', ' + e for e in entries[1:])})"
-
-
 def _truth(e, names: dict, reads: list) -> tuple:
     """`_r` of the 1-bit e where only its truth is read: a bit below its
     base's top is tested with one AND, `v & 2^lo`, and not shifted down."""

@@ -1149,15 +1149,27 @@ def _reads_table(node) -> bool:
     return any(isinstance(x, ast.Subscript) for x in ast.walk(node))
 
 
+def _column_shifts(values: list) -> list:
+    """The commit values `r << 1 & M` that step side-by-side fields: M has
+    a hole besides bit 0."""
+    shifts = [v for v in values if isinstance(v, ast.BinOp) and isinstance(v.op, ast.BitAnd)
+              and isinstance(v.left, ast.BinOp) and isinstance(v.left.op, ast.LShift)
+              and isinstance(v.left.left, ast.Name) and isinstance(v.right, ast.Constant)]
+    return [v for v in shifts if bin(v.right.value).count("0") > 2]  # a mask with holes
+
+
 @pytest.mark.parametrize("kind, m", [(ArchKind.TOOM3, 13), (ArchKind.TOOM4, 25)],
                          ids=["toom3_13", "toom4_25"])
-def test_tables_and_field_shifts_match_reference_stepper(kind, m):
-    # the smallest widths at which the point multipliers' loop runs long
-    # enough to repay a table (toom3: 4 cycles for 3 gated sums; toom4: 6 for
-    # 4), so both rules fire; one limb bit fewer, no table is built
+def test_field_shifts_match_reference_stepper(kind, m):
+    # below the K-step's widths the point multipliers' loop steps the merged
+    # column register, the limbs of b side by side, with one shift and one
+    # mask and adds each gated operand on its own: at m and at m - 1 it
+    # reads no table
     top = generate(GenParams(kind, m))
     sim = compile_sim(top, design_library(top))
-    assert _reads_table(_main_loop(sim)[1])
+    _, loop, step = _main_loop(sim)
+    assert step is None and len(_column_shifts(loop.body[-1].value.elts)) == 1
+    assert not _reads_table(loop)
     assert not _reads_table(_main_loop(_sim(kind, m - 1))[1])
     for a in _corners(m):
         for b in _corners(m):
@@ -1165,27 +1177,23 @@ def test_tables_and_field_shifts_match_reference_stepper(kind, m):
             assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == want, (a, b)
 
 
-def test_toom4_loop_shifts_once_and_reads_one_entry_per_sum():
+def test_toom4_loop_shifts_once_and_reads_no_table():
     # the main loop's commit steps the merged column register with one shift
-    # and one mask, each of the five multi-term point multipliers adds one
-    # table entry to its shifted accumulator, and the index of those entries
-    # is the loop's one assignment before the commit
-    entry, loop, step = _main_loop(_sim(ArchKind.TOOM4, 25))
+    # and one mask, and each of the five multi-term point multipliers adds
+    # its gated operands one by one: the loop assigns only bits of that
+    # register, each tested by several sums, and no index, and reads no
+    # table
+    _, loop, step = _main_loop(_sim(ArchKind.TOOM4, 25))
     assert step is None
     *cycle, commit = loop.body
-    assert [type(stmt) for stmt in cycle] == [ast.Assign]
-    index = cycle[0].targets[0].id
-    values = commit.value.elts
-    shifts = [v for v in values if isinstance(v, ast.BinOp) and isinstance(v.op, ast.BitAnd)
-              and isinstance(v.left, ast.BinOp) and isinstance(v.left.op, ast.LShift)
-              and isinstance(v.left.left, ast.Name) and isinstance(v.right, ast.Constant)]
-    cols = [v for v in shifts if bin(v.right.value).count("0") > 2]  # a mask with holes
+    cols = _column_shifts(commit.value.elts)
     assert len(cols) == 1
-    reads = [[x for x in ast.walk(v) if isinstance(x, ast.Subscript)] for v in values]
-    assert sorted(map(len, reads)) == [0] * (len(values) - 5) + [1] * 5
-    assert {x.slice.id for r in reads for x in r} == {index}
-    assert {x.value.id for r in reads for x in r} <= {
-        t.id for stmt in entry for t in stmt.targets}
+    col = cols[0].left.left.id
+    for stmt in cycle:  # `s >> p & 1`, or `s >> p` for the top bit
+        bit = stmt.value.left if isinstance(stmt.value.op, ast.BitAnd) else stmt.value
+        assert isinstance(bit.op, ast.RShift) and bit.left.id == col, ast.unparse(stmt)
+        assert stmt.value is bit or stmt.value.right.value == 1, ast.unparse(stmt)
+    assert not _reads_table(loop)
 
 
 def _checked(regs: tuple, nets: tuple) -> Simulator:
@@ -1217,9 +1225,10 @@ def _gated(name: str, bit: int, value) -> tuple:
 
 def test_gated_sums_keep_their_signs():
     # acc' = g0 - (acc + g1) - g2: the gated operand on the left of a Sub is
-    # added, those on its right subtracted, and the loop reads a table of
-    # the eight signed sums; in sum3 the arm of g3 reads acc, so changes
-    # every cycle: it stays a gated sum, and the other two make a table
+    # added, those on its right subtracted; in sum3 the arm of g3 reads acc,
+    # so changes every cycle. The loop reads no table: each sum adds its
+    # gated operands one by one, those read once written in as conditionals
+    # (g0, which both sums read, is a net of its own)
     acc, acc3 = Ref("acc", 8), Ref("acc3", 8)
     za, zb = _zext8(Ref("a", 4)), _zext8(Ref("b", 4))
     nets = _STEPS + (
@@ -1233,8 +1242,8 @@ def test_gated_sums_keep_their_signs():
     _, loop, _ = _main_loop(_checked(regs, nets))
     commit = loop.body[-1].value.elts
     assert [len([x for x in ast.walk(v) if isinstance(x, ast.Subscript)]) for v in commit] \
-        == [0, 1, 1]  # sh, acc, acc3
-    assert sum(isinstance(x, ast.IfExp) for x in ast.walk(commit[2])) == 1
+        == [0, 0, 0]  # sh, acc, acc3
+    assert [sum(isinstance(x, ast.IfExp) for x in ast.walk(v)) for v in commit] == [0, 2, 2]
 
 
 def _field(name: str, base: Ref, lo: int) -> tuple:
@@ -1418,16 +1427,15 @@ def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands,
     # the main loop runs seg // K iterations of K cycles, then the seg % K
     # cycles left; in an iteration each column register steps with one
     # shift and one mask, and each accumulator with one shift of itself and
-    # one read per gated operand of a table of `_sums`, and no table of the
-    # one-cycle loop (t<k>, indexed by i<k>) is read. Where the operands are
-    # fixed for the transaction (`hoisted`) each table is built in the hoist
-    # and read as it is, at `s >> n` of a column register s. Toom's
+    # one read per gated operand of a table of `_sums`. Where the operands
+    # are fixed for the transaction (`hoisted`) each table is built in the
+    # hoist and read as it is, at `s >> n` of a column register s. Toom's
     # multi-term point multipliers build theirs on entry, read those of
     # operands equal up to a left shift as `h[ix] << k`, index the merged
     # column register with one shift and a mask below its top bit, and
     # compute the index of bits that several operands read once. The seg % K
-    # cycles left build no table either, even where, as at toom3 m = 539,
-    # four are left, a span over which a one-cycle table would repay.
+    # cycles left read no table, even where, as at toom3 m = 539, four are
+    # left.
     sim = _sim(params.kind, params.m, params.mode)
     entry, loop, step = _main_loop(sim)
     assert (ast.unparse(step.iter), ast.unparse(loop.iter)) == \
@@ -1461,10 +1469,24 @@ def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands,
             assert _column_read(shared.get(ix.id, ix) if isinstance(ix, ast.Name) else ix, col)
     assert len(shared) == len({ast.unparse(v) for v in shared.values()})
     assert all(_column_read(v, col) for v in shared.values())
-    assert not [x.id for x in ast.walk(step) if isinstance(x, ast.Name)
-                and re.fullmatch(r"[ti]\d+", x.id)]
-    assert not [t.id for stmt in entry for t in ast.walk(stmt.targets[0])
-                if isinstance(t, ast.Name) and re.fullmatch(r"[ti]\d+", t.id)]
+    assert not _reads_table(loop)
+
+
+@pytest.mark.parametrize("kind, m", [
+    (ArchKind.SBM, 88), (ArchKind.KARATSUBA2, 192), (ArchKind.TOOM3, 13), (ArchKind.TOOM3, 163),
+    (ArchKind.TOOM3, 241), (ArchKind.TOOM4, 25), (ArchKind.TOOM4, 192), (ArchKind.TOOM4, 321)],
+    ids=["sbm_88", "karatsuba2_192", "toom3_13", "toom3_163", "toom3_241", "toom4_25",
+         "toom4_192", "toom4_321"])
+def test_every_table_read_is_a_k_step_sum(kind, m):
+    # the K-step's tables are the only ones a kernel reads: every subscript
+    # in `_run` indexes a name bound to `_sums(...)`, above the loops or on
+    # entry to a block
+    run = next(f for f in ast.parse(_sim(kind, m).source).body
+               if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    bound = {t.id: stmt.value for stmt in ast.walk(run) if isinstance(stmt, ast.Assign)
+             for t in ast.walk(stmt.targets[0]) if isinstance(t, ast.Name)}
+    for read in [x for x in ast.walk(run) if isinstance(x, ast.Subscript)]:
+        assert ast.unparse(bound[read.value.id]).startswith("_sums("), ast.unparse(read)
 
 
 @st.composite
