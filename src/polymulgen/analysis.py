@@ -248,7 +248,7 @@ def sweep_report(rows) -> SweepReport:
     headers = ("label", "m", "n", "d", "freq_mhz", "cycles", "latency_us", "area", "power", "fom_area", "fom_power", "best")
     table = []
     for r in computed:
-        marks = ("A" if r.is_argmax_area else "") + ("P" if r.is_argmax_power else "")
+        argmax = ("A" if r.is_argmax_area else "") + ("P" if r.is_argmax_power else "")
         table.append(
             [
                 r.label,
@@ -262,7 +262,7 @@ def sweep_report(rows) -> SweepReport:
                 _cell(r.power) or "-",
                 _fmt(r.fom_area, "e"),
                 _fmt(r.fom_power, "e"),
-                marks or "-",
+                argmax or "-",
             ]
         )
     widths = [max(len(headers[i]), max(len(row[i]) for row in table)) for i in range(len(headers))]

@@ -449,8 +449,11 @@ def _cmd_analyze(args) -> int:
     except OSError as e:
         print(f"cannot read csv: {e}", file=sys.stderr)
         return 2
-    rows = analysis.read_rows(text, freq_col=args.freq_col)
-    report = analysis.sweep_report(rows)
+    try:
+        report = analysis.sweep_report(analysis.read_rows(text, freq_col=args.freq_col))
+    except ValueError as e:  # BadInput, BadFrequency, or a cell that is no number
+        print(f"csv error: {e}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.table_text)
     if args.out:
         out = Path(args.out)

@@ -48,10 +48,9 @@ design compiles into two functions:
     A net that reads only what the phase holds (the operands, the hoisted
     nets, the registers it does not load, and other such nets) is evaluated
     once on entry to the block, so toom's held point operands are
-    sign-extended once per phase, not once per cycle. A net that one text
-    reads, once, at the same point (on entry or on every cycle) is written
-    into that text, and so is a copy of a name, unless the text would nest
-    too deep for Python's parser (the wrapper's d-way digit select);
+    sign-extended once per phase, not once per cycle. Every other live net
+    keeps a line of its own, except a copy of a name, which is written into
+    each text that reads it;
   - output cone: c's cone is evaluated once, after the loops, from the final
     state and `last`, so `run(a, b, cycles=k)` returns what c shows after k
     posedges for every k.
@@ -67,8 +66,7 @@ Each expression is rendered by `render`, which folds constants in the same
 pass and, while `_flatten` looks through a module's own nets (`_look`),
 steps a register of side-by-side fields with one shift and one mask:
 toom's point multipliers shift the limbs of b in their column register
-that way. Each text keeps its precedence and cut, so a phase writes one
-net's text into another's with only the parentheses Python needs.
+that way.
 
 A bit-serial accumulate phase steps K cycles per loop iteration, reading a
 table of gated sums as in distributed arithmetic (White, "Applications of
@@ -99,16 +97,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 
 from .ir import Const, Mux, Ref, RtlModule, ref_nodes
-from .render import _AND, _ATOM, _MUL, _demand, _lit, _look, _name, _net, _r, _serial, _summed
-from .render import _pysrc  # noqa: F401  (the renderer on its own, read through interp)
+from .render import _lit, _look, _name, _net, _r, _serial
 
-# the deepest nesting of parentheses a phase lets a text reach by writing
-# other nets into it; Python's parser refuses a line nested 200 deep
-_NEST = 150
 # a flat net or register identifier in kernel text, where no other token
 # (a, b, c, hex and decimal literals, operators, if/else) holds an n or an r
 _IDENT = re.compile(r"([nr][0-9]+)")
@@ -168,6 +162,16 @@ def _sums(v: int, k: int, xor: int) -> list:
     return t
 
 
+def _renamed(net: tuple, to: dict) -> tuple:
+    """The (text, reads) `net` with each identifier in `to` renamed to what
+    `to` maps it to."""
+    if to.keys().isdisjoint(net[1]):
+        return net
+    parts = _IDENT.split(net[0])
+    parts[1::2] = [to.get(i, i) for i in parts[1::2]]
+    return "".join(parts), dict.fromkeys(to.get(i, i) for i in net[1])
+
+
 def _fresh(origin: dict, where: tuple) -> str:
     ident = f"n{len(origin)}"
     origin[ident] = where
@@ -184,9 +188,9 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
     of its driver; `regs` collects (identifier, reset, the same of the value
     after the edge), `widths` the width of each driven net and register, and
     `exprs` the expression and the instance's names each of those texts was
-    rendered from, so that a phase can render it again, with the text's
-    precedence and cut from `_net`. Each expression is first passed through
-    `_look` with mod's drivers, and `exprs` keeps the result.
+    rendered from, so that a phase can render it again. Each expression is
+    first passed through `_look` with mod's drivers, and `exprs` keeps the
+    result.
     """
     names = dict(names)
     drivers = {a.target: a.expr for a in mod.assigns}
@@ -196,13 +200,11 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
         names[r.name] = f"r{i}"
     for a in mod.assigns:
         t, e = names[a.target], _look(a.expr, drivers)
-        src, reads, prec, cut = _net(e, names)
-        nets[t], widths[t], exprs[t] = (src, reads), e.width, (e, names, prec, cut)
+        nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
     for r in mod.regs:  # the top's rst folds to 0, so only a child reset net keeps this mux
         t, e = names[r.name], Mux(Ref("rst", 1), Const(r.width, r.reset), _look(r.next, drivers))
-        src, reads, prec, cut = _net(e, names)
-        regs.append((t, r.reset, (src, reads)))
-        widths[t], exprs[t] = r.width, (e, names, prec, cut)
+        regs.append((t, r.reset, _net(e, names)))
+        widths[t], exprs[t] = r.width, (e, names)
     kids = {child.name: child for child in mod.children}
     for inst in mod.instances:
         bound = {}
@@ -212,8 +214,7 @@ def _flatten(mod: RtlModule, names: dict, origin: dict, nets: dict, regs: list,
             else:
                 t = bound[port] = _fresh(origin, (mod, f"{inst.name}.{port}"))
                 e = _look(e, drivers)
-                src, reads, prec, cut = _net(e, names)
-                nets[t], widths[t], exprs[t] = (src, reads), e.width, (e, names, prec, cut)
+                nets[t], widths[t], exprs[t] = _net(e, names), e.width, (e, names)
         _flatten(kids[inst.module_name], bound, origin, nets, regs, widths, exprs)
 
 
@@ -407,17 +408,11 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
     if copy:
         nets, dnets = dict(nets), [t for t in dnets if t not in copy]
         rep = {**{t: copy.get(u, u) for t, u in rep.items()}, **copy}
-
-        def renamed(net: tuple) -> tuple:
-            parts = _IDENT.split(net[0])
-            parts[1::2] = [copy.get(i, i) for i in parts[1::2]]
-            return "".join(parts), dict.fromkeys(copy.get(i, i) for i in net[1])
-
         moved = {u for t in copy for u in readers.get(t, ())}
         for t in moved & nets.keys():
-            nets[t] = renamed(nets[t])
+            nets[t] = _renamed(nets[t], copy)
             edges[t] = nets[t][1].keys()
-        dregs = [(r, reset, renamed(net) if r in moved else net) for r, reset, net in dregs]
+        dregs = [(r, reset, _renamed(net, copy)) for r, reset, net in dregs]
         edges.update((r, net[1].keys()) for r, _, net in dregs if r in moved)
     inner = [t for t in dnets if t not in hoisted]
     # the control values the datapath's nets and registers read, the 1-bit
@@ -453,13 +448,12 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
     known = hoisted | {"a", "b", *[r[0] for r in dregs]}
 
     def spec(t: str, bound: dict) -> tuple:
-        """((text, reads), (precedence, cut)) of t's expression, `_net`
-        rendered with the bindings `bound`."""
+        """(text, reads) of t's expression, `_net` rendered with the bindings
+        `bound`."""
         key = (t, *map(bound.get, edges[t]))
         if key not in specs:  # a Mux on a guard bound to a constant renders its arm
-            e, names = exprs[t][:2]
-            src, reads, prec, cut = _net(e, _Bound(names, rep, bound))
-            specs[key] = (src, reads), (prec, cut)
+            e, names = exprs[t]
+            specs[key] = _net(e, _Bound(names, rep, bound))
         return specs[key]
 
     named: dict = {}  # the text of a K-step table -> its name, h<j>
@@ -541,23 +535,20 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         bound = dict(zip(guards, values))
         binds = bound.keys()
         pnets = dict(nets)
-        marks: dict = {}  # (precedence, cut) of each text not rendered by _flatten
-
         for t in tnets:
             if not binds.isdisjoint(edges[t]):
-                pnets[t], marks[t] = spec(t, bound)
+                pnets[t] = spec(t, bound)
                 if type(pnets[t][0]) is int:  # its readers read the constant
                     bound[t] = pnets[t][0]
         changing = []
         for r, _, net in dregs:
             if not binds.isdisjoint(edges[r]):
-                net = spec(r, bound)[0]
+                net = spec(r, bound)
             if net[0] != r:
                 changing.append((r, net))
         if not changing:
             return [], (), {}, False
-        roots = [reads for _, (_, reads) in changing]
-        live = _live(inner, pnets, roots)
+        live = _live(inner, pnets, [reads for _, (_, reads) in changing])
         # A net that reads only what the phase holds (the operands, the
         # registers it does not load, the hoisted nets) is evaluated on entry.
         fixed = known.difference([r for r, _ in changing])
@@ -568,63 +559,19 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, 0) > 1 \
             else None
         tabs = step[2] if step else {}
-        count = Counter(chain.from_iterable([pnets[t][1] for t in live] + roots
-                                            + [reads for _, reads, _ in tabs.values()]))
-        rowed = not count.keys().isdisjoint(wide)  # whether the block iterates the wide values
-        # One walk forward. A net that one text reads, once, at the same point
-        # (on entry, or on every cycle) is written into that text, and so is
-        # a copy of a name into each text that reads it once. A text written
-        # in is put in parentheses only where an operator next to it binds
-        # more tightly than its own (`_demand`); a cut `s & M` written into a
-        # sum that src cuts with the same M is written as s (`_summed`). A
-        # write stops at _NEST: a text's nesting is at most its own "(" count
-        # plus the deepest such bound of a text written into it, plus the
-        # pair around that text.
-        left = count.copy()  # the texts that still read each net
-        once = {t for t in live if count[t] == 1 or _name(pnets[t][0])}
-        nest: dict = {}
-
-        def inline(t, src, reads: dict, entry: bool) -> tuple:
-            own = deepest = _lit(src).count("(")
-            for r in reads:
-                if r not in once or src.count(r) != 1:  # a name in src, and no name it begins
-                    continue
-                rsrc = pnets[r][0]
-                if _name(rsrc):  # a copy of a name
-                    src = src.replace(r, rsrc)
-                    left[r] -= 1
-                    continue
-                if count[r] != 1 or (r in fixed) != entry:
-                    continue
-                mark = marks[r] if r in marks else exprs[r]
-                rsrc, prec, cut = _lit(rsrc), mark[-2], mark[-1]
-                i = src.index(r)
-                j = i + len(r)
-                if cut and not cut[0] & (cut[0] + 1) and _summed(src, i, j, cut[0]):
-                    rsrc, prec = rsrc[:-len(hex(cut[0])) - 3], cut[1]
-                    if prec < _AND:
-                        rsrc = rsrc[1:-1]
-                # no name is a product's right operand, so _MUL is as tight as a site asks
-                bare = prec >= _MUL or src == r or prec >= _demand(src, i, j)
-                deep = own + nest.get(r, rsrc.count("(")) + (not bare)
-                if deep <= _NEST:
-                    mark = marks[t] if t in marks else exprs[t]
-                    if src == r:  # t's text is now r's
-                        marks[t] = prec, cut
-                    elif mark[-1] and not i and j + len(hex(mark[-1][0])) + 3 == len(src):
-                        marks[t] = mark[-2], (mark[-1][0], prec if bare else _ATOM)  # `r & M`
-                    src = src[:i] + (rsrc if bare else f"({rsrc})") + src[j:]
-                    left[r] -= 1
-                    deepest = max(deepest, deep)
-            return src, deepest
-
+        # One walk forward: a net whose text is a copy of a name is that name
+        # in every text that reads it, and keeps no line of its own unless a
+        # K-step's table reads it. Every other net keeps its line.
+        copies: dict = {}
         for t in live:
-            src, reads = pnets[t]
-            if not once.isdisjoint(reads):
-                src, nest[t] = inline(t, src, reads, t in fixed)
-                pnets[t] = src, reads
-        commits = [(r, inline(r, src, reads, False)[0]) for r, (src, reads) in changing]
-        live = [t for t in live if left[t]]
+            pnets[t] = _renamed(pnets[t], copies)
+            if _name(pnets[t][0]):
+                copies[t] = pnets[t][0]
+        commits = [(r, _renamed(net, copies)) for r, net in changing]
+        roots = [reads for _, (_, reads) in commits] + [reads for _, reads, _ in tabs.values()]
+        live = _live(live, pnets, roots)
+        read = set().union(*roots, *[pnets[t][1] for t in live])
+        rowed = not read.isdisjoint(wide)  # whether the block iterates the wide values
         lines = [assign(t, pnets[t][0], " " * 12) for t in live if t in fixed]
         cycles = "seg" if rowed else "range(seg)"
         if step:  # K cycles per iteration, then the rest one at a time
@@ -635,7 +582,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             cycles = f"range({seg} % {k})"
         return [*lines, f"            for {tup(wide) if rowed else '_'} in {cycles}:",
                 *[assign(t, pnets[t][0], " " * 16) for t in live if t not in fixed],
-                commit(commits, " " * 16)], hoisted.intersection(count), \
+                commit([(r, src) for r, (src, _) in commits], " " * 16)], hoisted & read, \
             {h: text for h, (text, _, held) in tabs.items() if held}, rowed
 
     tail = [assign(t, nets[t][0], "    ") for t in dnets if t in cone and t not in hoisted]

@@ -3,7 +3,7 @@
 A module is ports + nets + registers + continuous assigns + child instances.
 Expressions form an operator tree whose nodes check and record their width
 when built; `children` is the generic traversal over it (`check`, run on
-every generated module, inlines its own walk). There is no implicit
+every generated module, writes its own walk). There is no implicit
 truncation or extension anywhere, so every width change is an explicit
 Slice/Concat/Repl. Registers are posedge-clocked with synchronous active-high
 reset to a constant.

@@ -1,11 +1,10 @@
 """Python text of RTL IR expressions, for the compiled simulator in `interp`.
 
-`_pysrc` (and `_net`, which also returns the reads, the precedence and the
-cut) renders an expression with constants folded in the same pass: an int
-when it is constant, else text. rst is the constant 0 during a run, so the
-top's rst folds away: a register's reset mux survives only where its
-module's rst is a net (toom's child reset `crst = rst | ld`, which folds to
-the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
+`_pysrc` (and `_net`, which also returns the reads) renders an expression
+with constants folded in the same pass: an int when it is constant, else
+text. rst is the constant 0 during a run, so the top's rst folds away: a
+register's reset mux survives only where its module's rst is a net (toom's
+child reset `crst = rst | ld`, which folds to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
 `x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...)
 drop their operator, zero Concat parts vanish, a Slice that reaches its
 base's top keeps no mask, and an Add or Sub reads an operand cut to its own
@@ -33,18 +32,15 @@ multipliers step their column register, the limbs of b side by side, with
 one shift and one mask.
 
 A text holds only the parentheses Python's operator precedence needs, since
-the parser's time grows with every pair. `_net` returns each text's
-precedence and, when it is `x & M`, its cut, so a phase that writes one
-net's text into another's brackets it only where an operator next to it
-binds more tightly (`_demand`), and writes a cut `x & M` that a sum cut
-with the same M reads as x (`_summed`).
+the parser's time grows with every pair: `_r` keeps each operand's
+precedence, and its cut when it is `x & M`, while it renders the operator
+around it. A kernel writes no net's text into another's, only a copy of a
+name into its readers, so these are the only parentheses it holds.
 
 A read that folds away is not a read, so hoisting, phases and the
 control/datapath split see only what the text reads.
 """
 from __future__ import annotations
-
-import re
 
 from .ir import Add, And, Concat, Const, Mux, Not, Ref, Repl, Shl, Slice, Sub, Xor
 
@@ -69,58 +65,6 @@ def _wrap(v: tuple, prec: int) -> str:
     if v[1] < prec:
         return f"({src})"
     return src if type(src) is str else hex(src)
-
-
-# the binary operators the renderer writes, by precedence, and a token of
-# kernel text: a name or literal, a shift, or one other character
-_BINARY = {"|": _OR, "^": _XOR, "&": _AND, "<<": _SHIFT, ">>": _SHIFT, "+": _SUM, "-": _SUM,
-           "*": _MUL}
-_TOKEN = re.compile(r"\w+|<<|>>|\S")
-# what the neighbour on the left, and the one on the right, of a text asks
-# of its precedence: a right operand binds strictly more tightly than its
-# operator, a left operand at least as tightly, and a condition or a true
-# arm is no conditional
-_LEFT = {**{op: p + 1 for op, p in _BINARY.items()}, "if": _OR}
-_RIGHT = {**_BINARY, "if": _OR, "else": _OR}
-
-
-def _demand(src: str, i: int, j: int) -> int:
-    """The precedence a text written over src[i:j], a name in src, must reach
-    to need no parentheses there: what its neighbours ask (_LEFT, _RIGHT)."""
-    need = _IF
-    if src[i - 1:i] == " ":
-        need = _LEFT.get(src[src.rfind(" ", 0, i - 1) + 1:i - 1], _IF)
-    if src[j:j + 1] == " ":
-        end = src.find(" ", j + 1)
-        right = _RIGHT.get(src[j + 1:end] if end >= 0 else src[j + 1:], _IF)
-        if right > need:
-            return right
-    return need
-
-
-def _summed(src: str, i: int, j: int, mask: int) -> bool:
-    """Whether the name src[i:j] is an operand of a sum that src cuts with
-    `& mask`: next to a + or -, in a run of operands and operators that bind
-    at least as tightly as those, which `& mask` closes on the right, before
-    an operator no tighter than & or the end of the group. (The sum is no
-    shift amount: a shift's right operand is always a literal here.)"""
-    end = src.find(" ", j + 1)
-    near = (src[src.rfind(" ", 0, i - 1) + 1:i - 1] if src[i - 1:i] == " " else "",
-            src[j + 1:end if end >= 0 else len(src)] if src[j:j + 1] == " " else "")
-    if "*" in near or "+" not in near and "-" not in near:
-        return False
-    depth, tokens = 0, (m.group() for m in _TOKEN.finditer(src, j))
-    for tok in tokens:
-        if tok in ("(", "["):
-            depth += 1
-        elif tok in (")", "]", ","):
-            if not depth:
-                return False
-            depth -= tok != ","
-        elif not depth and (tok in ("if", "else") or _BINARY.get(tok, _SUM) < _SUM):
-            return tok == "&" and next(tokens, None) == hex(mask) and next(tokens, None) in (
-                None, ")", "]", ",", "&", "^", "|", "if", "else")
-    return False
 
 
 def _truth(e, names: dict, reads: list) -> tuple:
@@ -271,17 +215,10 @@ def _r(e, names: dict, reads: list) -> tuple:
 
 
 def _net(e, names: dict) -> tuple:
-    """(folded source, reads, precedence, cut) of one expression: the flat
-    identifiers the source reads, in the order first read, as the keys of a
-    dict; the precedence of its outermost operator; and, when the source is
-    `x & M` with M a literal, the cut (M, the precedence of x), else None."""
+    """(folded source, reads) of one expression: the flat identifiers the
+    source reads, in the order first read, as the keys of a dict."""
     log: list = []
-    src, prec, cut = _r(e, names, log)
-    if prec == _AND and cut and type(cut[1]) is int:
-        cut = cut[1], cut[0][1]
-    else:
-        cut = None
-    return src, dict.fromkeys(log), prec, cut
+    return _r(e, names, log)[0], dict.fromkeys(log)
 
 
 def _field(e, drivers: dict):

@@ -392,6 +392,22 @@ def test_cli_analyze_freq_col(tmp_path, capsys):
     assert "100.000" in out
 
 
+@pytest.mark.parametrize("csv_text, args", [
+    ("", []),
+    ("label,m,cycles\nx,16,16\n", []),
+    ("label,m,n,d,freq_mhz,cycles\nx,16,,,100,16\n", ["--freq-col", "mhz"]),
+    ("label,m,n,d,freq_mhz,cycles\nx,16,,,0,16\n", []),
+    ("label,m,n,d,freq_mhz,cycles,area\nx,16,,,100,16,-5\n", []),
+    ("label,m,n,d,freq_mhz,cycles\nx,sixteen,,,100,16\n", []),
+], ids=["empty", "missing_column", "unknown_freq_col", "zero_freq", "negative_area",
+        "not_a_number"])
+def test_cli_analyze_malformed_csv_exits_2(tmp_path, capsys, csv_text, args):
+    p = tmp_path / "bad.csv"
+    p.write_text(csv_text)
+    assert main(["analyze", "--csv", str(p), *args]) == 2
+    assert capsys.readouterr().err.startswith("csv error: ")
+
+
 def test_example_config_parses():
     jobs = parse_config((ROOT / "config.example.xml").read_text())
     methods = [j.method for j in jobs]

@@ -14,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
-from polymulgen.interp import Simulator, _flatten, _merge, _order, _pysrc, compile_sim
+from polymulgen.interp import Simulator, _flatten, _merge, _order, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
                            Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor)
 from polymulgen.models import ArchKind, cycle_contract, run_model
 from polymulgen.numeric import ArithMode, oracle_mul
+from polymulgen.render import _pysrc
 
 _SPLIT = {ArchKind.SBM: 1, ArchKind.KARATSUBA2: 2, ArchKind.TOOM3: 3, ArchKind.TOOM4: 4,
           ArchKind.DIGIT_SERIAL: 1}
@@ -259,7 +260,8 @@ def test_gated_registers_exact_every_cycle():
     sched = sim.source.split("def _run(")[0]
     assert [line.strip() for line in sched.splitlines() if line.lstrip().startswith("if ")] == []
     assert _listing(sim, mod) == _normed({
-        "odd=1": ["for _", "  acc, acc2, = ((acc + a) & 0xff), ((acc2 + b) & 0xff),"]})
+        "odd=1": ["for _", "  inc = ((acc + a) & 0xff)", "  inc2 = ((acc2 + b) & 0xff)",
+                  "  acc, acc2, = inc, inc2,"]})
 
 
 def _phases(sim: Simulator) -> dict:
@@ -376,15 +378,17 @@ def test_mux_arm_gating_rule():
     for a, b in ((3, 5), (15, 15), (0, 9), (10, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    held = ["for tick, mixed,",
-            "  qacc, pacc, = ((qacc ^ a) ^ mixed), ((pacc + ((tick ^ b) ^ mixed)) & 0xff),"]
-    loads = ["for tick, mixed,", "  p1 = ((tick + b) & 0xff)",
-             "  acc, qacc, pacc, = ((p1 + p1) & 0xff), ((qacc ^ p1) ^ mixed), "
-             "((pacc + (tick {} + (tick ^ b))) & 0xff),"]
+    held = ["for tick, mixed,", "  both = (tick ^ b)", "  pick = (both ^ mixed)",
+            "  qacc, pacc, = ((qacc ^ a) ^ mixed), ((pacc + pick) & 0xff),"]
+    loads = ["for tick, mixed,", "  both = (tick ^ b)", "  pick = (({} + both) & 0xff)",
+             "  p1 = ((tick + b) & 0xff)", "  p2 = ((p1 + p1) & 0xff)",
+             "  acc, qacc, pacc, = p2, ((qacc ^ p1) ^ mixed), ((pacc + pick) & 0xff),"]
     assert _listing(sim, mod) == _normed({
         "odd=0 hi=0": held, "odd=0 hi=1": held,
-        "odd=1 hi=0": loads[:2] + [loads[2].format("- b")],
-        "odd=1 hi=1": loads[:2] + [loads[2].format("+ a")]})
+        "odd=1 hi=0": ["for tick, mixed,", "  both = (tick ^ b)", "  deep = ((tick - b) & 0xff)",
+                       loads[2].format("deep"), *loads[3:]],
+        "odd=1 hi=1": ["for tick, mixed,", "  only = ((tick + a) & 0xff)", "  both = (tick ^ b)",
+                       loads[2].format("only"), *loads[3:]]})
 
 
 def test_mux_arm_guards():
@@ -393,8 +397,8 @@ def test_mux_arm_guards():
     # racc's mux folds to its live arm: ry runs every cycle and rx never. The
     # 1-bit control register flag is the guard of two phases, each reading
     # only its own arm of fsel; ha is a datapath net that no phase binds, so
-    # hx, read once, is written into hacc's conditional in the commit, which
-    # evaluates it only when ha is 1.
+    # the commit selects hacc's arm on it, and hx, a net of its own, is
+    # evaluated every cycle.
     cnt, flag = Ref("cnt", 3), Ref("flag", 1)
     facc, hacc, racc = Ref("facc", 8), Ref("hacc", 8), Ref("racc", 8)
     tick = Ref("tick", 8)
@@ -429,11 +433,12 @@ def test_mux_arm_guards():
     for a, b in ((3, 5), (4, 9), (15, 15), (0, 0)):
         assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == \
             [model(a, b, k) for k in range(sim.latency + 4)], (a, b)
-    commit = "  facc, hacc, racc, = {}, (((hacc + tick) & 0xff) if ha else hacc), " \
-        "((racc + b) & 0xff),"
+    cycle = ["  hx = ((hacc + tick) & 0xff)", "  ry = ((racc + b) & 0xff)",
+             "  facc, hacc, racc, = {}, (hx if ha else hacc), ry,"]
     assert _listing(sim, mod) == _normed({
-        "flag=0": ["for tick,", commit.format("(facc ^ b)")],
-        "flag=1": ["for tick,", commit.format("(facc ^ ((facc + tick) & 0xff))")]})
+        "flag=0": ["for tick,", *cycle[:2], cycle[2].format("(facc ^ b)")],
+        "flag=1": ["for tick,", "  fx = ((facc + tick) & 0xff)", *cycle[:2],
+                   cycle[2].format("(facc ^ fx)")]})
     # ha, hoisted above the loop
     assert "    " + _norm("n3 = (a & 0x1)") in _norm(sim.source).splitlines()
     assert "if 0" not in sim.source
@@ -504,8 +509,7 @@ def test_gated_designs_on_corner_operands(params):
     # the designs whose interpolation, accumulate and digit-select cones run
     # in phases of their own; 521/32 and 571/32 pad b to d*n > m bits. 199/1
     # and 1024/4 XOR-reduce d = 199 and 256 digits through a chain of nets
-    # that each feed only the next: written into one text, the chain would
-    # nest d deep, past the 200 levels Python parses.
+    # that each feed only the next.
     top = generate(params)
     sim = compile_sim(top, design_library(top))
     corners = _corners(params.m)
@@ -796,7 +800,7 @@ def test_kernel_has_nothing_left_to_fold(params):
             assert not any(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult)
                            for x in (node.left, node.right)), text
         # a sum masked by M reads no operand through a cut (v & M), not even
-        # an inner sum written in from a net
+        # an inner sum
         if isinstance(node.op, ast.BitAnd) and const(node.right):
             todo = [node.left]
             while todo:
@@ -807,6 +811,13 @@ def test_kernel_has_nothing_left_to_fold(params):
                                     and const(y.right)
                                     and y.right.value == node.right.value), text
                         todo.append(y)
+    # a copy of a name is written into its readers: no phase assigns a bare name
+    run = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_run")
+    rows = next(node for node in run.body if isinstance(node, ast.For)
+                and ast.unparse(node.iter) == "rows")
+    copies = [ast.unparse(x) for x in ast.walk(rows)
+              if isinstance(x, ast.Assign) and isinstance(x.value, ast.Name)]
+    assert copies == [], copies
     if params.kind is ArchKind.DIGIT_SERIAL:
         # the load phase tests each digit's bit of the ring, once: a select
         # per digit, each reading its slice of b only when chosen
@@ -1180,19 +1191,26 @@ def test_field_shifts_match_reference_stepper(kind, m):
 def test_toom4_loop_shifts_once_and_reads_no_table():
     # the main loop's commit steps the merged column register with one shift
     # and one mask, and each of the five multi-term point multipliers adds
-    # its gated operands one by one: the loop assigns only bits of that
-    # register, each tested by several sums, and no index, and reads no
-    # table
+    # its gated operands one by one: the loop reads that register only for
+    # its bits, each tested by several gated operands, assigns no index, and
+    # reads no table
     _, loop, step = _main_loop(_sim(ArchKind.TOOM4, 25))
     assert step is None
     *cycle, commit = loop.body
     cols = _column_shifts(commit.value.elts)
     assert len(cols) == 1
     col = cols[0].left.left.id
-    for stmt in cycle:  # `s >> p & 1`, or `s >> p` for the top bit
+    bits = [stmt for stmt in cycle if col in {x.id for x in ast.walk(stmt.value)
+                                              if isinstance(x, ast.Name)}]
+    assert bits
+    for stmt in bits:  # `s >> p & 1`, or `s >> p` for the top bit
         bit = stmt.value.left if isinstance(stmt.value.op, ast.BitAnd) else stmt.value
         assert isinstance(bit.op, ast.RShift) and bit.left.id == col, ast.unparse(stmt)
         assert stmt.value is bit or stmt.value.right.value == 1, ast.unparse(stmt)
+        tests = [x for x in cycle for y in ast.walk(x.value)
+                 if isinstance(y, ast.Name) and y.id == stmt.targets[0].id]
+        assert len(tests) > 1, ast.unparse(stmt)
+    assert all(re.fullmatch(r"n\d+", stmt.targets[0].id) for stmt in cycle)
     assert not _reads_table(loop)
 
 
@@ -1227,8 +1245,7 @@ def test_gated_sums_keep_their_signs():
     # acc' = g0 - (acc + g1) - g2: the gated operand on the left of a Sub is
     # added, those on its right subtracted; in sum3 the arm of g3 reads acc,
     # so changes every cycle. The loop reads no table: each sum adds its
-    # gated operands one by one, those read once written in as conditionals
-    # (g0, which both sums read, is a net of its own)
+    # gated operands one by one, each a conditional net of its own
     acc, acc3 = Ref("acc", 8), Ref("acc3", 8)
     za, zb = _zext8(Ref("a", 4)), _zext8(Ref("b", 4))
     nets = _STEPS + (
@@ -1243,7 +1260,8 @@ def test_gated_sums_keep_their_signs():
     commit = loop.body[-1].value.elts
     assert [len([x for x in ast.walk(v) if isinstance(x, ast.Subscript)]) for v in commit] \
         == [0, 0, 0]  # sh, acc, acc3
-    assert [sum(isinstance(x, ast.IfExp) for x in ast.walk(v)) for v in commit] == [0, 2, 2]
+    assert [sum(isinstance(x, ast.IfExp) for x in ast.walk(stmt)) for stmt in loop.body] \
+        == [1] * 5 + [0, 0, 0]  # g0..g4, step, sum3, the commit
 
 
 def _field(name: str, base: Ref, lo: int) -> tuple:
@@ -1281,10 +1299,10 @@ def test_field_shifts_fire_only_on_one_base_and_displacement(parts, fires):
     assert (ast.unparse(hold_next) == "r2 << 1 & 238") == fires, ast.unparse(hold_next)
 
 
-def test_written_in_cut_keeps_its_sum_bracketed():
-    # x = t & 0xf is written into the child's b - x & 0xf without its cut;
-    # t's sum was written into x first, so what the child's sum reads is
-    # that sum, `r + a & 0x1f`, and it stays in parentheses
+def test_cut_of_a_sum_read_by_a_child_sum():
+    # x = t & 0xf, the cut of the sum t, is the child's operand a, so the
+    # child's b - x & 0xf reads it; t, x and the child's sum each keep a
+    # line of their own
     kid = _module("kid", (("c", Sub(Ref("b", 4), Ref("a", 4))),), wc=4)
     acc = Ref("acc", 4)
     top = _module("cuts", (
@@ -1299,7 +1317,9 @@ def test_written_in_cut_keeps_its_sum_bracketed():
         for b in _corners(4):
             assert [sim.run(a, b, cycles=k) for k in range(9)] == \
                 _reference_outputs(top, a, b, 8), (a, b)
-    assert "r0, = b - (r0 + a & 0x1f) & 0xf," in sim.source
+    _, loop, _ = _main_loop(sim)
+    assert [ast.unparse(stmt.value) for stmt in loop.body] == \
+        ["r0 + a & 31", "n0 & 15", "b - n1 & 15", "(n2,)"]
 
 
 def _hoisted(sim: Simulator) -> dict:
