@@ -510,7 +510,8 @@ def top_name(kind: ArchKind, m: int, mode: ArithMode = ArithMode.INTEGER,
 
 def design_library(top: RtlModule) -> dict:
     """name -> module for top and every module below it: children before
-    parents, each name once. Emission and simulation both walk this."""
+    parents, each name once. Verilog emission writes these modules out; the
+    simulator walks each module's `children` itself."""
     lib = {}
 
     def visit(mod: RtlModule):

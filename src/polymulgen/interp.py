@@ -381,10 +381,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if t not in data:
                 data.add(t)
                 todo.append(t)
-    cone = {"c"}
-    for t in reversed(order):
-        if t in cone:
-            cone |= edges[t] & nets.keys()
+    cone = {"c", *_live(order, nets, [{"c"}])}
 
     def assign(t: str, src, pad: str) -> str:
         return f"{pad}{t} = {_lit(src)}"
@@ -551,10 +548,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         live = _live(inner, pnets, [reads for _, (_, reads) in changing])
         # A net that reads only what the phase holds (the operands, the
         # registers it does not load, the hoisted nets) is evaluated on entry.
-        fixed = known.difference([r for r, _ in changing])
-        for t in live:
-            if fixed.issuperset(pnets[t][1]):
-                fixed.add(t)
+        fixed = _hoist(live, pnets, known.difference([r for r, _ in changing]))
         # a K-step fires only where it would gain even with tables for free
         step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, 0) > 1 \
             else None
@@ -600,11 +594,9 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
                 loop += [f"        {'elif' if loop else 'if'} p == {i}:", *lines]
                 needed.update(read)
                 held.update(tabs)
-        for t in reversed(dnets):  # and the hoisted nets those read
-            if t in needed and t in hoisted:
-                needed.update(edges[t])
-        run = ["def _run(a, b, rows, last):",
-               *[assign(t, nets[t][0], "    ") for t in dnets if t in hoisted and t in needed],
+        # the hoisted nets that the blocks and c's cone read, and those these read
+        hoist = _live([t for t in dnets if t in hoisted], nets, [needed])
+        run = ["def _run(a, b, rows, last):", *[assign(t, nets[t][0], "    ") for t in hoist],
                *["    " + line for line in held.values()]]
         if dregs:
             run.append(f"    {tup([r[0] for r in dregs])} = {', '.join(hex(r[1]) for r in dregs)},")

@@ -1,11 +1,12 @@
 """Python text of RTL IR expressions, for the compiled simulator in `interp`.
 
-`_pysrc` (and `_net`, which also returns the reads) renders an expression
-with constants folded in the same pass: an int when it is constant, else
-text. rst is the constant 0 during a run, so the top's rst folds away: a
-register's reset mux survives only where its module's rst is a net (toom's
-child reset `crst = rst | ld`, which folds to the bare `ld`). Constant operands fold, identities (`x & 0`, `x ^ 0`,
-`x + 0`, a Mux on a constant condition or with equal arms, `~~x`, ...)
+`_net` renders an expression with constants folded in the same pass (an
+int when it is constant, else text) and returns the reads. rst is the
+constant 0 during a run, so the top's rst folds away: a register's reset
+mux survives only where its module's rst is a net (toom's child reset
+`crst = rst | ld`, which folds to the bare `ld`). Constant operands fold,
+identities (`x & 0`, `x ^ 0`, `x + 0`, a Mux on a constant condition or
+with equal arms, `~~x`, ...)
 drop their operator, zero Concat parts vanish, a Slice that reaches its
 base's top keeps no mask, and an Add or Sub reads an operand cut to its own
 width, `x & mask`, as x, since its own mask drops the bits above. Two more
@@ -78,18 +79,14 @@ def _truth(e, names: dict, reads: list) -> tuple:
     return f"{_wrap(v, _AND)} & {hex(1 << e.lo)}", _AND, None
 
 
-def _pysrc(e, names: dict, reads: list):
-    """Python source of e with constants folded: an int when e is constant,
-    else text with only the parentheses Python's precedence needs. Appends
-    each flat identifier the text reads to `reads`; an int reads nothing."""
-    return _r(e, names, reads)[0]
-
-
 def _r(e, names: dict, reads: list) -> tuple:
-    """(value, precedence, cut) of e: the value is `_pysrc`'s, the
-    precedence that of its outermost operator, and cut, for an And text
-    `x & c` with c an int or a Not text `x ^ mask`, the pair (`_r` of x, c
-    or mask). The Add/Sub cut rule and the ~~x fold read it.
+    """(value, precedence, cut) of e. The value is the Python source of e
+    with constants folded: an int when e is constant, else text with only
+    the parentheses Python's precedence needs, each flat identifier it
+    reads appended to `reads`. The precedence is that of its outermost
+    operator, and cut, for an And text `x & c` with c an int or a Not text
+    `x ^ mask`, the pair (`_r` of x, c or mask). The Add/Sub cut rule and
+    the ~~x fold read it.
 
     An operand is written in parentheses only when its operator binds more
     loosely than its context; the right operand of `+ - & ^ |` needs a
