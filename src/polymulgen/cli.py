@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import os
 import random
 import sys
 import xml.etree.ElementTree as ET
@@ -291,17 +292,40 @@ def _write_text(path: Path, text: str) -> bytes:
     return data
 
 
+def _write_all(out: Path, texts: list) -> list:
+    """Write each (relative path, text) of `texts` under out: first each to a
+    temp name in its own directory, then, once all are written, each into
+    place with os.replace, so a failed write leaves none of them behind.
+    Returns each (relative path, bytes written)."""
+    temps, written = [], []
+    try:
+        for rel, text in texts:
+            path = out / rel
+            path.parent.mkdir(exist_ok=True)
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            temps.append((temp, path))
+            written.append((rel, _write_text(temp, text)))
+    except BaseException:
+        for temp, _ in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    for temp, path in temps:
+        os.replace(temp, path)
+    return written
+
+
 def run_batch(jobs, out_dir) -> BatchResult:
     """Generate every job into out_dir/vlog and out_dir/synth.
 
     One failing job is recorded in its result entry and does not stop the
-    others.  Reruns over the same jobs rewrite byte-identical artifacts.
+    others, and it writes none of its files (`_write_all`).  The manifest is
+    written last, the same way.  Reruns over the same jobs rewrite
+    byte-identical artifacts.
     The manifest lists one line per artifact:
     method m n mode latency_cycles path sha256.
     """
     out = Path(out_dir)
     (out / "vlog").mkdir(parents=True, exist_ok=True)
-    synth_dir_made = False
     results = []
     manifest = []
     for job in jobs:
@@ -316,10 +340,7 @@ def run_batch(jobs, out_dir) -> BatchResult:
                 texts.append((f"vlog/{tb.file_name}", tb.text))
             if job.synth is not None:
                 texts.append((f"synth/{script_name(job.synth)}", emit_synth_script(job.synth)))
-                if not synth_dir_made:
-                    (out / "synth").mkdir(exist_ok=True)
-                    synth_dir_made = True
-            written = [(rel, _write_text(out / rel, text)) for rel, text in texts]
+            written = _write_all(out, texts)
             for rel, data in written:
                 manifest.append((job.identity(), top.latency_cycles, rel,
                                  hashlib.sha256(data).hexdigest()))
@@ -331,7 +352,7 @@ def run_batch(jobs, out_dir) -> BatchResult:
     for (method, m, n, mode), latency, rel, digest in manifest:
         lines.append(f"{method} {m} {'-' if n < 0 else n} {mode} {latency} {rel} {digest}")
     manifest_path = out / "manifest"
-    _write_text(manifest_path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_all(out, [("manifest", "\n".join(lines) + ("\n" if lines else ""))])
     return BatchResult(results=tuple(results), manifest_path=str(manifest_path))
 
 

@@ -312,7 +312,11 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
 
     a is the registered (already evaluated, signed) operand; the b evaluation
     is folded into the shift-add recurrence one bit column per cycle, one
-    weighted addend per nonzero coefficient.
+    weighted addend per nonzero coefficient. Those coefficients are
+    contiguous in every Toom row (all of them, the first or the last), so the
+    column register loads one slice of b, their limbs side by side, and
+    shifts it left by one each cycle under a mask that clears bit 0 of each
+    h-bit field: every limb moves within its own field, as sbm's breg does.
     """
     b = _Builder(name, h, meta)
     a, bp = b.std_ports(wa, k * h, wc)
@@ -324,15 +328,14 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
     b.reg("sched", h + 1, 1, Mux(done, sched, Slice(b.tmp(Shl(sched, 1)), 0, h + 1)))
     asx = b.net("asx", _sext(b, a, wc))
     active = [(j, cj) for j, cj in enumerate(row) if cj]
-    cols = Ref("cols", len(active) * h)
-    nexts = []
+    w = len(active) * h
+    cols = Ref("cols", w)
+    fields = sum(((1 << h) - 2) << idx * h for idx in range(len(active)))
+    bsrc = b.net("bsrc", Mux(first, Slice(bp, active[0][0] * h, w), cols))
+    bnext = b.net("bnext", And(_shl_mod(b, bsrc, 1, w), Const(w, fields)))
     terms = []
     for idx, (j, cj) in enumerate(active):
-        limb = b.net(f"limb{j}", Slice(bp, j * h, h))
-        fld = b.net(f"fld{j}", Slice(cols, idx * h, h))
-        bit = b.net(f"bit{j}", Mux(first, Slice(limb, h - 1, 1), Slice(fld, h - 1, 1)))
-        nexts.append(b.net(f"cnx{j}", Mux(first, _shl_mod(b, limb, 1, h),
-                                          _shl_mod(b, fld, 1, h))))
+        bit = b.net(f"bit{j}", Slice(bsrc, idx * h + h - 1, 1))
         val = _cmul(b, asx, abs(cj), wc)
         terms.append((cj < 0, b.net(f"term{j}", Mux(bit, val, Const(wc, 0)))))
     cur = b.net("accsh", _shl_mod(b, acc, 1, wc))
@@ -340,8 +343,7 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
         cur = (Sub if negate else Add)(cur, term)
     step = b.net("step", cur)
     b.reg("acc", wc, 0, Mux(run, step, acc))
-    b.reg("cols", len(active) * h, 0,
-          Mux(run, Concat(tuple(reversed(nexts))), cols))
+    b.reg("cols", w, 0, Mux(run, bnext, cols))
     b.drive_c(acc)
     return b.build()
 

@@ -63,10 +63,8 @@ so far, with the same renderer. `_sched` evaluates each control net that a
 register or a row needs, and that is not a constant, on every cycle.
 
 Each expression is rendered by `render`, which folds constants in the same
-pass and, while `_flatten` looks through a module's own nets (`_look`),
-steps a register of side-by-side fields with one shift and one mask:
-toom's point multipliers shift the limbs of b in their column register
-that way.
+pass, after `_flatten` has looked through the module's own nets (`_look`)
+for a sum's operands cut to its width.
 
 A bit-serial accumulate phase steps K cycles per loop iteration, reading a
 table of gated sums as in distributed arithmetic (White, "Applications of

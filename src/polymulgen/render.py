@@ -8,8 +8,9 @@ mux survives only where its module's rst is a net (toom's child reset
 identities (`x & 0`, `x ^ 0`, `x + 0`, a Mux on a constant condition or
 with equal arms, `~~x`, ...)
 drop their operator, zero Concat parts vanish, a Slice that reaches its
-base's top keeps no mask, and an Add or Sub reads an operand cut to its own
-width, `x & mask`, as x, since its own mask drops the bits above. Two more
+base's top keeps no mask, an Add or Sub reads an operand cut to its own
+width, `x & mask`, as x, since its own mask drops the bits above, and a cut
+And-ed with a constant, `(v & m) & k`, is one mask, `v & (m & k)`. Two more
 rules spare the loops work:
 
 - a bit replicated over the other operand of an And selects it:
@@ -22,15 +23,6 @@ rules spare the loops work:
 module's own nets. An Add or Sub operand that is a net driven by
 `Slice(Ref(x), 0, w)` is read through that cut, as x, so a shift-add
 accumulator renders `(r << 1) + t & M`, masking `r << 1` once, not twice.
-A one-bit Slice of a net driven by `Slice(Ref(x), lo, w)` reads x's bit.
-A Concat whose parts are fields of one base X at one displacement s, each
-shifted left by the same k within its own width, renders as
-`((X >> s) << k) & M`, M clearing each field's low k bits: one shift for
-all the fields, as in SIMD within a register (Fisher & Dietz, "Compiling
-for SIMD Within a Register", LCPC 1998). When every part is a Mux on one
-condition, the Concat is first a Mux of two Concats. So toom's point
-multipliers step their column register, the limbs of b side by side, with
-one shift and one mask.
 
 A text holds only the parentheses Python's operator precedence needs, since
 the parser's time grows with every pair: `_r` keeps each operand's
@@ -85,8 +77,8 @@ def _r(e, names: dict, reads: list) -> tuple:
     the parentheses Python's precedence needs, each flat identifier it
     reads appended to `reads`. The precedence is that of its outermost
     operator, and cut, for an And text `x & c` with c an int or a Not text
-    `x ^ mask`, the pair (`_r` of x, c or mask). The Add/Sub cut rule and
-    the ~~x fold read it.
+    `x ^ mask`, the pair (`_r` of x, c or mask). The Add/Sub cut rule, the
+    And-mask fold and the ~~x fold read it.
 
     An operand is written in parentheses only when its operator binds more
     loosely than its context; the right operand of `+ - & ^ |` needs a
@@ -159,15 +151,6 @@ def _r(e, names: dict, reads: list) -> tuple:
         if v[1] == _XOR and v[2] and v[2][1] == mask:  # ~~x of one width is x
             return v[2][0]
         return f"{_wrap(v, _XOR)} ^ {hex(mask)}", _XOR, (v, mask)
-    if t is _Moved:
-        v = _r(e.base, names, reads)
-        if type(v[0]) is int:
-            return (v[0] >> e.s << e.k) & e.mask, _ATOM, None
-        if e.s:
-            v = f"{_wrap(v, _SHIFT)} >> {e.s}", _SHIFT, None
-        if e.k:
-            v = f"{_wrap(v, _SHIFT)} << {e.k}", _SHIFT, None
-        return f"{_wrap(v, _AND)} & {hex(e.mask)}", _AND, (v, e.mask)
     if t not in (Add, Sub, And, Xor):
         raise TypeError(f"unknown expression node {e!r}")
     mark = len(reads)
@@ -193,6 +176,12 @@ def _r(e, names: dict, reads: list) -> tuple:
             return 0, _ATOM, None
         if xv == mask or yv == mask:
             return y if xv == mask else x
+        if type(yv) is int and x[1] == _AND and x[2]:  # (v & m) & k is v & (m & k)
+            x, yv = x[2][0], x[2][1] & yv
+            if not yv:
+                del reads[mark:]
+                return 0, _ATOM, None
+            y = yv, _ATOM, None
         return (f"{_wrap(x, _AND)} & {_wrap(y, _SHIFT)}", _AND,
                 (x, yv) if type(yv) is int else None)
     if yv == 0:
@@ -218,76 +207,15 @@ def _net(e, names: dict) -> tuple:
     return _r(e, names, log)[0], dict.fromkeys(log)
 
 
-def _field(e, drivers: dict):
-    """The driver of the module's net that e reads, or e itself."""
-    return drivers.get(e.name, e) if type(e) is Ref else e
-
-
-def _shifted(p, drivers: dict):
-    """(X, lo, k) when the Concat part p is a field Slice(Ref(X), lo, w)
-    shifted left by k within its own width, Slice(Shl(field, k), 0, w), or the
-    field itself (k = 0), looking through the module's nets; else None."""
-    p, k = _field(p, drivers), 0
-    if type(p) is Slice and p.lo == 0 and type(q := _field(p.base, drivers)) is Shl:
-        w, k, p = p.width, q.amount, _field(q.base, drivers)
-        if p.width != w:
-            return None
-    if type(p) is Slice and type(p.base) is Ref:
-        return p.base, p.lo, k
-    return None
-
-
-def _fields(parts, width: int, drivers: dict):
-    """The Concat of `parts`, `width` bits, when they are fields of one base X
-    at one displacement s, each shifted left by the same k within its own
-    width: `((X >> s) << k) & M`, M clearing each field's low k bits. Parts
-    that are all Muxes on one condition make a Mux of two such Concats. None
-    when neither applies."""
-    top = _field(parts[0], drivers)
-    if type(top) is Mux:
-        parts = [_field(p, drivers) for p in parts]
-        if not all(type(p) is Mux and p.cond == top.cond for p in parts):
-            return None
-        x, y = [p.t for p in parts], [p.f for p in parts]
-        fx, fy = _fields(x, width, drivers), _fields(y, width, drivers)
-        if fx is fy is None:
-            return None
-        return Mux(top.cond, fx or Concat(tuple(x)), fy or Concat(tuple(y)))
-    if type(top) is not Slice:
-        return None
-    base, offset, mask = None, width, 0
-    for p in parts:  # most significant first
-        offset -= p.width
-        got = _shifted(p, drivers)
-        if got is None or base is not None and got != (base, offset + s, k):
-            return None
-        base, lo, k = got
-        s = lo - offset
-        mask |= ((1 << p.width) - 1) >> k << (offset + k)
-    return _Moved(base, s, k, mask, width) if mask else Const(width, 0)
-
-
-class _Moved:
-    """`((base >> s) << k) & mask`, `width` bits: `_fields`'s Concat of
-    shifted fields, as `_r` renders it."""
-
-    __slots__ = ("base", "s", "k", "mask", "width")
-
-    def __init__(self, base: Ref, s: int, k: int, mask: int, width: int):
-        self.base, self.s, self.k, self.mask, self.width = base, s, k, mask, width
-
-
-_LOOKED = {Mux, Add, Sub, Slice, Concat}  # the nodes _look may rewrite
+_LOOKED = {Mux, Add, Sub}  # the nodes _look may rewrite
 
 
 def _look(e, drivers: dict):
     """e as the renderer reads it, looking through the module's own nets
     (`drivers` maps each to its driver): an Add or Sub operand that is a net
     driven by `Slice(Ref(x), 0, w)` is that Slice, so the sum reads x and its
-    own mask drops the bits above w; a one-bit Slice of a net driven by
-    `Slice(Ref(x), lo, w)` is a Slice of x; and a Concat of shifted fields is
-    `_fields`'s shift and mask. The walk follows Mux arms and Add/Sub chains
-    from the root; it keeps each node it does not change."""
+    own mask drops the bits above w. The walk follows Mux arms and Add/Sub
+    chains from the root; it keeps each node it does not change."""
     t = type(e)
     if t not in _LOOKED:
         return e
@@ -305,14 +233,6 @@ def _look(e, drivers: dict):
         elif type(d := drivers.get(y.name)) is Slice and not d.lo and type(d.base) is Ref:
             y = d
         return e if x is e.a and y is e.b else t(x, y)
-    if t is Slice and e.width == 1 and type(e.base) is Ref:
-        f = drivers.get(e.base.name)
-        if type(f) is Slice and type(f.base) is Ref:
-            return Slice(f.base, f.lo + e.lo, 1)
-        return e
-    if t is Concat and type(e.parts[0]) not in (Const, Repl):  # _zext, _sext and _asr do
-        return _fields(e.parts, e.width, drivers) or e
-    return e
 
 
 def _through(e, names, opened) -> tuple:
@@ -330,18 +250,20 @@ def _through(e, names, opened) -> tuple:
 def _column(e, names, opened):
     """(s, m) when e is the identifier s shifted left by one within its width
     and cut with the mask m: Slice(Shl(s, 1), 0, w), m all of s's bits but
-    bit 0, or `_fields`'s `s << 1 & m` of the side-by-side fields of s, m
-    clearing each field's bit 0; else None."""
+    bit 0, or that And-ed with a constant k, m & k (toom's column register,
+    the limbs of b side by side, clears bit 0 of each limb's field); else
+    None."""
     e, names = _through(e, names, opened)
-    if type(e) is _Moved:
-        if not e.s and e.k == 1 and e.base.width == e.width:
-            return names[e.base.name], e.mask
-    elif type(e) is Slice and not e.lo:
+    mask = (1 << e.width) - 2
+    if type(e) is And and type(k := _r(e.b, names, [])[0]) is int:
+        e, names = _through(e.a, names, opened)
+        mask &= k
+    if type(e) is Slice and not e.lo:
         x, names = _through(e.base, names, opened)
         if type(x) is Shl and x.amount == 1:
             y, names = _through(x.base, names, opened)
             if type(y) is Ref and y.width == e.width:
-                return names[y.name], (1 << e.width) - 2
+                return names[y.name], mask
     return None
 
 

@@ -225,6 +225,27 @@ def test_run_batch_output_tree(tmp_path):
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest
 
 
+def test_run_batch_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    # the first job's second write fails: neither of its files is put in
+    # place, no temp file is left, and the manifest lists only the other job
+    tb, synth, _, _ = _tree_jobs()
+    calls, write = [], cli._write_text
+
+    def failing(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return write(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", failing)
+    batch = run_batch([tb, synth], tmp_path)
+    assert [r.error for r in batch.results] == ["OSError: disk full", None]
+    assert _tree(tmp_path) == ["manifest", "synth", "synth/mul_km2_16_genus.tcl", "vlog",
+                               "vlog/mul_km2_16.v"]
+    assert [line.split()[5] for line in (tmp_path / "manifest").read_text().splitlines()] \
+        == ["synth/mul_km2_16_genus.tcl", "vlog/mul_km2_16.v"]
+
+
 def test_cli_model(capsys):
     assert main(["model", "--method", "sbm", "--m", "8", "--a", "AB", "--b", "CD"]) == 0
     out = capsys.readouterr().out
@@ -427,7 +448,7 @@ def test_example_config_manifest_is_unchanged(tmp_path):
     manifest = (tmp_path / "manifest").read_bytes()
     assert len(manifest.splitlines()) == 15
     assert hashlib.sha256(manifest).hexdigest() == (
-        "5f27989ef9e0e0f97fd36ee812dd9fb3d9d9f5fe6cd6b88fe394eee7c2f1ac11"
+        "66e506ce8a9c5f13addf97fbfca86168a0ed5c0b164e73f8a75d1878d072d3fb"
     )
 
 

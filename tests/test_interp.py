@@ -698,7 +698,7 @@ def _trees(draw, width: int, depth: int = 4):
     mask = (1 << width) - 1
     leaves = ["const", "ref"] + (["rst"] if width == 1 else [])
     kinds = leaves + (["slice", "concat", "repl", "add", "sub", "and", "xor", "not",
-                       "mux", "shl"] if depth else [])
+                       "mux", "shl", "cut"] if depth else [])
     kind = draw(st.sampled_from(kinds))
     sub = functools.partial(_trees, depth=depth - 1)
     if kind == "const":
@@ -728,6 +728,12 @@ def _trees(draw, width: int, depth: int = 4):
     if kind == "shl":
         amount = draw(st.integers(0, width - 1))
         return Shl(draw(sub(width - amount)), amount)
+    if kind == "cut":  # a cut And-ed with a constant, (v & m) & k
+        x, y = draw(sub(width + 1)), draw(sub(width))
+        top = Slice(x, 1, width)
+        cut = draw(st.sampled_from([Slice(x, 0, width), Add(y, top), Sub(top, y),
+                                    And(y, Const(width, mask >> 1))]))
+        return And(cut, Const(width, draw(st.integers(0, mask))))
     return Concat((draw(sub(width)),))  # a concat of one bit
 
 
@@ -763,6 +769,8 @@ _X = {f"{v}{w}": f"{v}{w}" for v in "xy" for w in range(1, 25)}
 @example(Not(Xor(Ref("x4", 4), Const(4, 7))), random.Random(22))  # 7 is not the mask: no ~~ fold
 @example(Add(Xor(Ref("x4", 4), Slice(Ref("y8", 8), 0, 4)), Ref("x4", 4)),
          random.Random(23))  # x ^ (y & 0xf) is not a cut
+@example(And(Slice(Shl(Ref("x4", 4), 1), 0, 4), Const(4, 0xA)), random.Random(25))  # x << 1 & 0xa
+@example(And(And(Ref("x4", 4), Const(4, 0xC)), Const(4, 3)), random.Random(26))  # 0, x4 not read
 def test_folding_matches_reference_property(e, rng):
     # The folded source evaluates to the reference value, and the identifiers it
     # records as read are exactly the names the text reads.
@@ -777,6 +785,7 @@ def test_folding_matches_reference_property(e, rng):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(1, 8).flatmap(_trees))
+@example(And(Slice(Xor(Ref("x8", 8), Ref("y8", 8)), 0, 4), Const(4, 6)))  # (x ^ y) & 0x6
 def test_rendered_parentheses_are_minimal_property(e):
     # Only the parentheses Python's precedence needs: no more than ast.unparse
     # writes for the same program (the folding property checks the value).
@@ -1162,18 +1171,28 @@ def _reads_table(node) -> bool:
     return any(isinstance(x, ast.Subscript) for x in ast.walk(node))
 
 
-def _column_shifts(values: list) -> list:
-    """The commit values `r << 1 & M` that step side-by-side fields: M has
-    a hole besides bit 0."""
-    shifts = [v for v in values if isinstance(v, ast.BinOp) and isinstance(v.op, ast.BitAnd)
-              and isinstance(v.left, ast.BinOp) and isinstance(v.left.op, ast.LShift)
-              and isinstance(v.left.left, ast.Name) and isinstance(v.right, ast.Constant)]
-    return [v for v in shifts if bin(v.right.value).count("0") > 2]  # a mask with holes
+def _column_shifts(loop) -> list:
+    """The registers the cycle loop's commit steps as side-by-side fields:
+    `r << 1`, cut with a mask that has a hole besides bit 0, each name read
+    through the loop's own line for it."""
+    *cycle, commit = loop.body
+    lines = {stmt.targets[0].id: stmt.value for stmt in cycle}
+
+    def line(v):
+        return lines.get(v.id, v) if isinstance(v, ast.Name) else v
+
+    out = []
+    for r, v in zip(commit.targets[0].elts, map(line, commit.value.elts)):
+        if isinstance(v, ast.BinOp) and isinstance(v.op, ast.BitAnd) \
+                and isinstance(v.right, ast.Constant) and bin(v.right.value).count("0") > 2 \
+                and ast.unparse(line(v.left)) == f"{r.id} << 1":
+            out.append(r.id)
+    return out
 
 
 @pytest.mark.parametrize("kind, m", [(ArchKind.TOOM3, 13), (ArchKind.TOOM4, 25)],
                          ids=["toom3_13", "toom4_25"])
-def test_field_shifts_match_reference_stepper(kind, m):
+def test_column_register_masks_match_reference_stepper(kind, m):
     # below the K-step's widths the point multipliers' loop steps the merged
     # column register, the limbs of b side by side, with one shift and one
     # mask and adds each gated operand on its own: at m and at m - 1 it
@@ -1181,7 +1200,7 @@ def test_field_shifts_match_reference_stepper(kind, m):
     top = generate(GenParams(kind, m))
     sim = compile_sim(top, design_library(top))
     _, loop, step = _main_loop(sim)
-    assert step is None and len(_column_shifts(loop.body[-1].value.elts)) == 1
+    assert step is None and len(_column_shifts(loop)) == 1
     assert not _reads_table(loop)
     assert not _reads_table(_main_loop(_sim(kind, m - 1))[1])
     step = _stepper(top)
@@ -1192,20 +1211,21 @@ def test_field_shifts_match_reference_stepper(kind, m):
 
 
 def test_toom4_loop_shifts_once_and_reads_no_table():
-    # the main loop's commit steps the merged column register with one shift
-    # and one mask, and each of the five multi-term point multipliers adds
-    # its gated operands one by one: the loop reads that register only for
-    # its bits, each tested by several gated operands, assigns no index, and
-    # reads no table
+    # the main loop steps the merged column register with one shift and one
+    # mask, and each of the five multi-term point multipliers adds its gated
+    # operands one by one: the loop reads that register once for the shift
+    # and otherwise only for its bits, each tested by several gated operands,
+    # assigns no index, and reads no table
     _, loop, step = _main_loop(_sim(ArchKind.TOOM4, 25))
     assert step is None
-    *cycle, commit = loop.body
-    cols = _column_shifts(commit.value.elts)
+    cols = _column_shifts(loop)
     assert len(cols) == 1
-    col = cols[0].left.left.id
-    bits = [stmt for stmt in cycle if col in {x.id for x in ast.walk(stmt.value)
-                                              if isinstance(x, ast.Name)}]
-    assert bits
+    col = cols[0]
+    *cycle, _ = loop.body
+    reads = [stmt for stmt in cycle if col in {x.id for x in ast.walk(stmt.value)
+                                               if isinstance(x, ast.Name)}]
+    bits = [stmt for stmt in reads if ast.unparse(stmt.value) != f"{col} << 1"]
+    assert len(reads) - len(bits) == 1 and bits
     for stmt in bits:  # `s >> p & 1`, or `s >> p` for the top bit
         bit = stmt.value.left if isinstance(stmt.value.op, ast.BitAnd) else stmt.value
         assert isinstance(bit.op, ast.RShift) and bit.left.id == col, ast.unparse(stmt)
@@ -1264,41 +1284,6 @@ def test_gated_sums_keep_their_signs():
         == [0, 0, 0]  # sh, acc, acc3
     assert [sum(isinstance(x, ast.IfExp) for x in ast.walk(stmt)) for stmt in loop.body] \
         == [1] * 5 + [0, 0, 0]  # g0..g4, step, sum3, the commit
-
-
-def _field(name: str, base: Ref, lo: int) -> tuple:
-    return name, Slice(base, lo, 4)
-
-
-def _shifted_field(name: str, field: str) -> tuple:
-    return name, Slice(Shl(Ref(field, 4), 1), 0, 4)
-
-
-@pytest.mark.parametrize("parts, fires", [
-    (("s1", "s0"), True),  # fields of hold at 4 and 0: one shift, one mask
-    (("s0", "s1"), False),  # the halves swapped: unequal displacements
-    (("s2", "s0"), False),  # fields of two bases
-    (("m1", "m0"), True),  # Muxes on one condition
-    (("m1", "n0"), False),  # Muxes on two conditions, which differ on the fifth edge
-], ids=["one_base", "unequal_displacements", "two_bases", "one_condition", "two_conditions"])
-def test_field_shifts_fire_only_on_one_base_and_displacement(parts, fires):
-    hold, other = Ref("hold", 8), Ref("other", 8)
-    nets = _STEPS + (
-        _field("f0", hold, 0), _field("f1", hold, 4), _field("f2", other, 4),
-        _shifted_field("s0", "f0"), _shifted_field("s1", "f1"), _shifted_field("s2", "f2"),
-        ("m0", Mux(_FIRST, Slice(Ref("b", 4), 0, 4), Ref("s0", 4))),
-        ("m1", Mux(_FIRST, Ref("a", 4), Ref("s1", 4))),
-        ("n0", Mux(Slice(Ref("sched", 9), 4, 1), Ref("a", 4), Ref("s0", 4))),
-        ("c", Xor(hold, other)))
-    loaded = Concat((Ref("a", 4), Ref("b", 4)))
-    regs = _SCHED + (
-        RegDef("hold", 8, 0x5A, Mux(_FIRST, loaded, Concat(tuple(Ref(p, 4) for p in parts)))),
-        RegDef("other", 8, 0xC3, Mux(_FIRST, Xor(loaded, Const(8, 0xFF)), Slice(
-            Shl(other, 3), 0, 8))))
-    sim = _checked(regs, nets)
-    _, loop, _ = _main_loop(sim)
-    hold_next = loop.body[-1].value.elts[1]
-    assert (ast.unparse(hold_next) == "r2 << 1 & 238") == fires, ast.unparse(hold_next)
 
 
 def test_cut_of_a_sum_read_by_a_child_sum():
@@ -1372,8 +1357,9 @@ def _serial(variant: str) -> Simulator:
     `ring` gates a AND a 4-bit control ring, a wide row value; `low` tests
     bit 1 of sh. The chain variants subtract a second gated operand,
     (2a if bit 51 of sh else 0), and change one thing more: `chain` none;
-    `fields` shifts sh as 26 fields of 4 bits, each emptied after four
-    cycles, and `narrow` as 52 fields of 2 bits, narrower than K;
+    `fields` shifts sh as 26 fields of 4 bits, a mask clearing bit 0 of
+    each, so each is emptied after four cycles, and `narrow` as 52 fields
+    of 2 bits, narrower than K;
     `ungated` adds a; `changing_term` gates acc as the second v; `low_term`
     tests bit 1 of sh for it."""
     loop, w = 100, 104
@@ -1391,8 +1377,7 @@ def _serial(variant: str) -> Simulator:
             step = Add(step, za)
     shift = Slice(Shl(sh, 1), 0, w)
     if size := {"fields": 4, "narrow": 2}.get(variant):
-        shift = Concat(tuple(Slice(Shl(Slice(sh, lo, size), 1), 0, size)
-                             for lo in range(w - size, -1, -size)))
+        shift = And(shift, Const(w, sum(((1 << size) - 2) << lo for lo in range(0, w, size))))
     regs = (RegDef("sched", loop + 2, 1, Mux(done, sched, Slice(Shl(sched, 1), 0, loop + 2))),
             RegDef("ring", 4, 1, Concat((Slice(ring, 0, 3), Slice(ring, 3, 1)))),
             RegDef("sh", w, 0, Mux(first, Concat((Ref("b", 4),) * (w // 4)), shift)),

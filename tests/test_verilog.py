@@ -53,13 +53,13 @@ def test_golden_sbm_8():
     ("wrapper", 16, "integer", 16,
      "9967b32da3f24b45770474f7958444a3bd8be8d2b336c1f5bb2bb9e7b93747a8"),
     ("toom3", 6, "integer", None,
-     "2dfbc626e9d2af1db46cbac1798a28c971a37958b15b2fce56da6abc4815f38d"),
+     "2cb0998c5e5b76719ca801dd49510bef946e84bfcd177eaa4d2925c20a2f1b41"),
     ("toom4", 8, "integer", None,
-     "fbb962ff55b6597d3566bea08f27e389061c62ff094bb9a0cc749971a95007bf"),
+     "defd3399f47188c96375b5e41fc02fe382c867467429fd78e7d3f4ec0c125776"),
     ("toom3", 163, "integer", None,  # the limb width does not divide m
-     "e2ada97fc79cd0fee3a4a0c5cf45feb888f4f87b2e3c077d7f57dc83ee709c43"),
+     "de6cc9595c7ef64bc7290c41e72b61404936ec261386f2d27a9466cea57b837d"),
     ("toom4", 163, "integer", None,
-     "40d515c63c31d69ad91e53b345be70846b5247fbcf60c8f3d920cdf453e0a58d"),
+     "fb65de84ada8a5e1bcee3398cd2f43436bdb09ea54a20d84411675bbe5003344"),
     ("sbm", 4, "integer", None,
      "485eb771666acf3e47d72a1c972d0721885db58907df98085d01b0b17afb5aeb"),
 ])
