@@ -317,6 +317,7 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
     column register loads one slice of b, their limbs side by side, and
     shifts it left by one each cycle under a mask that clears bit 0 of each
     h-bit field: every limb moves within its own field, as sbm's breg does.
+    A single limb (points 0 and inf) needs no mask: the shift clears bit 0.
     """
     b = _Builder(name, h, meta)
     a, bp = b.std_ports(wa, k * h, wc)
@@ -332,7 +333,8 @@ def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
     cols = Ref("cols", w)
     fields = sum(((1 << h) - 2) << idx * h for idx in range(len(active)))
     bsrc = b.net("bsrc", Mux(first, Slice(bp, active[0][0] * h, w), cols))
-    bnext = b.net("bnext", And(_shl_mod(b, bsrc, 1, w), Const(w, fields)))
+    shifted = _shl_mod(b, bsrc, 1, w)
+    bnext = b.net("bnext", shifted if len(active) == 1 else And(shifted, Const(w, fields)))
     terms = []
     for idx, (j, cj) in enumerate(active):
         bit = b.net(f"bit{j}", Slice(bsrc, idx * h + h - 1, 1))

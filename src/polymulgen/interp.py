@@ -66,27 +66,35 @@ Each expression is rendered by `render`, which folds constants in the same
 pass, after `_flatten` has looked through the module's own nets (`_look`)
 for a sum's operands cut to its width.
 
-A bit-serial accumulate phase steps K cycles per loop iteration, reading a
-table of gated sums as in distributed arithmetic (White, "Applications of
-Distributed Arithmetic to Digital Signal Processing: A Tutorial Review",
-IEEE ASSP Magazine 1989), as the digit-serial form consumes n bits of b per
-cycle. Where every register a phase changes is a column register,
-`s << 1 & M`, or an accumulator, `r << 1` plus a signed Add/Sub (or an Xor)
-chain of operands gated by a bit p_i >= K - 1 of a column register, each v_i
-fixed for the phase, and the loop reads no wide row value, the block first
-runs `for _ in range(seg // K)` with `s << K & M'` and `(r << K) + h_i[ix_i]
-... & M`: ix_i is the K bits of s from p_i down, shared by the operands
-that read them, and h_i the 2^K subset sums of v_i << j, j < K (`_sums`),
-built in the hoist when v_i reads only a/b, else on entry, and shared by
-operands equal up to a left shift (`h[ix] << k`). The one-cycle loop runs
-the `seg % K` cycles left, and every cycle of a phase that does not step,
-adding each gated operand on its own, so `run(a, b, cycles=k)` stays exact
-for every k. These tables are the only ones a kernel reads. `render._serial`
-matches the shapes, and `_steps` picks K from the phase's longest run in the
-schedule in which the simulator first meets it, its runs and its tables: sbm
-steps from m = 88 (K = 6 at m = 1024), karatsuba2 from m = 173, the wrapper
-from m = 89 with n = m and from four digits with n = 32, toom3 from m = 241
-and toom4 from 321.
+A bit-serial accumulate phase steps K cycles per loop iteration, as the
+digit-serial form consumes n bits of b per cycle. Where every register a
+phase changes is a column register, `s << 1 & M`, or an accumulator,
+`r << 1` plus a signed Add/Sub (or an Xor) chain of operands gated by a bit
+p_i of a column register, each v_i fixed for the phase, and the loop reads
+no wide row value, the block first runs `for _ in range(seg // K)` with
+`s << K & M'`; ix_i, the K bits of s from p_i down, is computed once per
+iteration for the operands that read it. Over K cycles an integer
+accumulator adds v_i * ix_i, so it steps as
+`(r << K) + x * (ix_1 + (ix_2 << k) - ...) ... & M`, one product per
+distinct x for the operands v_i = +-x << k, and K is as large as the run
+and the column registers allow: bits p_i - K + 1..p_i must reach p_i
+through the one-cycle mask (`_reach`). Python has no carry-less multiply,
+so a gf2 accumulator reads a table of gated XORs instead, as in distributed
+arithmetic (White, "Applications of Distributed Arithmetic to Digital Signal
+Processing: A Tutorial Review", IEEE ASSP Magazine 1989):
+`(r << K ^ h_i[ix_i] ...) & M`,
+h_i the 2^K XORs of the subsets of v_i << j, j < K (`_sums`), built in the
+hoist when v_i reads only a/b, else on entry, and shared by operands equal
+up to a left shift (`h[ix] << k`). These tables are the only ones a kernel
+reads. The one-cycle loop runs the `seg % K` cycles left, and every cycle
+of a phase that does not step, adding each gated operand on its own, so
+`run(a, b, cycles=k)` stays exact for every k. `render._serial` matches the
+shapes, and `_steps` picks K from the phase's longest run in the schedule
+in which the simulator first meets it, its runs and, for gf2, its tables:
+an integer phase run once per transaction steps from a run of 27 cycles
+(sbm from m = 28, karatsuba2 from 53, toom3 from 82, toom4 from 109), and
+gf2 sbm from m = 88 (K = 6 at m = 1024), karatsuba2 from m = 173 and the
+wrapper from m = 89 with n = m and from four digits with n = 32.
 
 A transaction is: registers at reset values (the one-cycle rst pulse), then
 `latency_cycles` posedges with rst low and a/b held stable, then read c.
@@ -99,60 +107,91 @@ from itertools import groupby
 from operator import itemgetter
 
 from .ir import Const, Mux, Ref, RtlModule, ref_nodes
-from .render import _lit, _look, _name, _net, _r, _serial
+from .render import _AND, _ATOM, _MUL, _SHIFT, _SUM, _lit, _look, _name, _net, _r, _serial, _wrap
 
 # a flat net or register identifier in kernel text, where no other token
 # (a, b, c, hex and decimal literals, operators, if/else) holds an n or an r
 _IDENT = re.compile(r"([nr][0-9]+)")
-# what compiling a K-step's table and loop costs, in cycles of the loop it
-# replaces (`_steps`)
-_TEXT = 48
+# what compiling a K-step's loop costs, in cycles of the loop it replaces
+# (`_steps`): with tables of sums, and with one product per operand
+_TEXT, _PRODUCT = 48, 24
 
 
-def _steps(span: int, runs: int, built: float) -> int:
+def _steps(span: int, runs: int, built: float | None, reach: int = 0) -> int:
     """How many cycles K a bit-serial accumulate phase steps per loop
     iteration, when it runs `runs` times per transaction for at most `span`
-    cycles in a row and builds `built` tables per transaction for each of
-    its gated operands (a table built in the hoist once, one built on entry
-    `runs` times). Counted in cycles of the one-cycle loop, a cycle adding
-    each gated operand once: each iteration saves K - 1, each run sets up
-    one more loop (about 2), and a table of 2^K sums costs about 2^K gated
-    sums. K is the one with the largest gain, or 1 (no K-step) unless the
-    gain also repays compiling the text of the tables and the loops (_TEXT
-    cycles).
+    cycles in a row. Counted in cycles of the one-cycle loop, a cycle adding
+    each gated operand once: each iteration saves K - 1 and each run sets up
+    one more loop (about 2). K is 1 (no K-step) unless the gain also repays
+    compiling the loop's text.
 
-    The break-even, measured on a 2-core Xeon (the K-step against the
-    one-cycle loop, compile time and time per vector each best of 40): the
-    K-step's compile time is repaid after about 80 vectors for sbm at
-    m = 32, 31 at m = 64, 11 at m = 96 and 4 at m = 128; after 11 and 14
-    for karatsuba2 at m = 163 and 192; after 9 for the wrapper at m = n = 96
-    and 15 at 128/32. _TEXT puts the threshold near 16 vectors: sbm steps
-    from m = 88 (K = 3) and six cycles at a time at m = 1024, karatsuba2
-    from m = 173, the wrapper with n = m from m = 89, with n = 32 from four
-    digits and with n = 8 from 28.
+    An integer step (`built` None) multiplies and builds nothing: K is as
+    large as the run and the column registers (`reach`) allow,
+    min(span, reach), and it fires when that K gains _PRODUCT cycles, so a
+    phase that runs once per transaction steps from a run of 27 cycles: sbm
+    from m = 28 (K = 1023 at m = 1024), karatsuba2 from m = 53, toom3 from
+    m = 82 and toom4 from m = 109 (K = h - 1), the wrapper with n = m from
+    m = 29 and with n = 16 from three digits. Measured on a 2-core Xeon (the
+    step against the one-cycle loop, compile time and time per vector each
+    best of 40, in process), the step adds 0.1 ms of compile time for sbm
+    and the wrapper, 0.2 for karatsuba2, 0.3 for toom3 and 0.4-0.5 for
+    toom4, and repays it after about 27 vectors for sbm at m = 28, 12 at
+    m = 48 and 9 at 64; 15 for karatsuba2 at m = 53 and 10 at 64; 8 for
+    toom3 at m = 82 and toom4 at m = 109; 22 for the wrapper at m = n = 29
+    and 13-15 at 64/8 and 64/16. Below the threshold it would repay after
+    19-22 vectors (toom3 and toom4 at m = 64) and 30-47 (karatsuba2 at
+    m = 32, sbm at 16). Over the benchmark's 67 small integer designs,
+    compile plus 16 vectors each summed to 130.7-133.7 ms for thresholds
+    from 12 to 48 cycles, and to 140.4 ms with no integer step.
 
-    Toom's point multipliers (tables built on entry, about 5 for 11 gated
-    operands in toom3 and 10 for 22 in toom4) step from m = 241 (toom3,
-    K = 4) and m = 321 (toom4, K = 4), five at a time at m = 1024. Measured
-    the same way (best of 60), against a one-cycle loop that adds each gated
-    operand on its own, the K-step repays after about 6 vectors for toom3 at
-    m = 241 and 1-2 at 1024, and after 6 for toom4 at m = 321 and 1 at 1024.
-    Below the threshold it would repay after 5-22 vectors (toom3 at m =
-    160-240) and 5-12 (toom4 at 240-320): its compile time is 0.3-0.9 ms
-    dearer there, and compile plus 16 vectors moves by less than 0.6 ms
-    either way."""
+    A gf2 step has no carry-less multiply to use: it reads tables of the 2^K
+    XORs of gated operands (`_sums`), and `built` is the tables it builds
+    per transaction for each of its gated operands (a table built in the
+    hoist once, one built on entry `runs` times), each costing about 2^K
+    gated sums. K is the one in 2..7 with the largest gain, which must also
+    repay compiling the tables and the loops (_TEXT cycles). Measured the
+    same way when integer steps read tables too, a table step repaid its
+    compile time after about 80 vectors for sbm at m = 32, 31 at m = 64,
+    11 at m = 96 and 4 at m = 128; after 11 and 14 for karatsuba2 at
+    m = 163 and 192; after 9 for the wrapper at m = n = 96 and 15 at
+    128/32. _TEXT puts the threshold near 16 vectors: gf2 sbm steps from
+    m = 88 (K = 3) and six cycles at a time at m = 1024, karatsuba2 from
+    m = 173, the wrapper with n = m from m = 89, with n = 32 from four
+    digits and with n = 8 from 28."""
     def gain(k: int) -> float:
-        return runs * (span // k * (k - 1) - 2) - 2 ** k * built
+        return runs * (span // k * (k - 1) - 2) - 2 ** k * (built or 0)
+    if built is None:
+        k = min(span, reach)
+        return k if k > 1 and gain(k) >= _PRODUCT else 1
     if runs * (span - 2) < _TEXT:  # no K gains that much
         return 1
     k = max(range(2, 8), key=gain)
     return k if gain(k) >= _TEXT else 1
 
 
+def _reach(mask: int, p: int) -> int:
+    """The most cycles K a K-step can take through bit p of a column
+    register whose one-cycle shift is `s << 1 & mask`: bits p - K + 1..p
+    reach p when bits p - K + 2..p of mask are set, and p >= K - 1."""
+    return p + 1 - max((~mask & (2 << p) - 1).bit_length() - 1, 0)
+
+
+def _kept(mask: int, k: int) -> int:
+    """The mask of K one-cycle shifts `s << 1 & mask`: the bits of mask whose
+    k - 1 bits below are set too."""
+    n = 1
+    while n < k:
+        step = min(n, k - n)
+        mask &= mask << step
+        n += step
+    return mask
+
+
 def _sums(v: int, k: int, xor: int) -> list:
-    """The table a K-step reads (`_steps`), built with the design's own
-    operator: the 2^k sums, or XORs, of the subsets of v << j, j < k, entry
-    i holding those at the set bits of i."""
+    """The table a gf2 K-step reads (`_steps`): the 2^k XORs (`xor` set)
+    or sums of the subsets of v << j, j < k, entry i holding those at the
+    set bits of i. Entry i of the sums is v * i, the product an integer
+    K-step reads instead."""
     t = [0]
     for _ in range(k):
         t += [x ^ v for x in t] if xor else [x + v for x in t]
@@ -457,15 +496,17 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         """The K-step of a bit-serial accumulate phase (`_serial`) that runs
         `runs` times per transaction, at most `span` cycles in a row: (K, the
         lines of an iteration, the tables it reads as {name: (its line, its
-        reads, whether it is built in the hoist)}), or None. Each gated
-        operand's v must be fixed for the phase and its tested bit p must see
-        K bits of its column register: bits p - K + 1..p, moved up to p one
-        cycle at a time by the one-cycle shift's mask. K comes from `_steps`.
-        A column register steps as `s << K & M`, M clearing each field's low
-        K bits; an accumulator adds, or subtracts, `h[ix] << k` for each gated
-        v = x << k: ix is the K bits of s from p down, shared by every operand
-        that reads them, and h the 2^K sums of the subsets of x << j, j < K,
-        built with the design's own operator, shared by every operand of x."""
+        reads, whether it is built in the hoist)}, the nets its products
+        read), or None. Each gated operand's v must be fixed for the phase
+        and its tested bit p must see K bits of its column register: bits
+        p - K + 1..p, moved up to p one cycle at a time by the one-cycle
+        shift's mask (`_reach`). K comes from `_steps`. A column register
+        steps as `s << K & M`, M clearing each field's low K bits. For each
+        gated v = x << k, ix is the K bits of s from p down, shared by every
+        operand that reads them. An integer accumulator adds one product per
+        x, `x * (ix + (ix' << k) - ...)`, signed as its operands are; a gf2
+        one XORs `h[ix] << k`, h the 2^K XORs of the subsets of x << j,
+        j < K (`_sums`), shared by every operand of x."""
         def opened(v):
             return (exprs[v][0], _Bound(exprs[v][1], rep, bound)) if v in nets else None
 
@@ -474,50 +515,61 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         if shapes is None:
             return None
         cols, accs = shapes
-        terms, built = [], {}  # built: (x's text, XOR or not) -> (its reads, whether hoisted)
+        # built: (x's text, XOR or not) -> (its reads, whether hoisted); x: -> `_r` of x
+        terms, built, xs = [], {}, {}
         for r, xor, gated in accs:
             for neg, s, p, x, shift, names in gated:
                 log: list = []
-                key = _lit(_r(x, names, log)[0]), int(xor)
+                key = _lit((v := _r(x, names, log))[0]), int(xor)
                 if not fixed.issuperset(log):
                     return None
-                built[key] = log, hoisted.issuperset(log)
+                built[key], xs[key] = (log, hoisted.issuperset(log)), v
                 terms.append((r, neg, s, p, key, shift))
-        k = _steps(span, runs, sum(1 if held else runs for _, held in built.values()) / len(terms))
-        ones = (1 << k - 1) - 1  # bits p - K + 2..p of a one-cycle mask
-        if k == 1 or any(p < k - 1 or cols[s] >> p - k + 2 & ones != ones
-                         for _, _, s, p, _, _ in terms):
+        if any(xor for _, xor, _ in accs):
+            k = _steps(span, runs, sum(1 if held else runs for _, held in built.values())
+                       / len(terms))
+        else:
+            k = _steps(span, runs, None, min(_reach(cols[s], p) for _, _, s, p, _, _ in terms))
+        if k == 1 or any(_reach(cols[s], p) < k for _, _, s, p, _, _ in terms):
             return None
-        step = {}
-        for s, mask in cols.items():
-            for _ in range(k - 1):
-                mask &= mask << 1
-            step[s] = f"{s} << {k} & {hex(mask & (1 << widths[s]) - 1)}"
+        step = {s: f"{s} << {k} & {hex(_kept(mask, k) & (1 << widths[s]) - 1)}"
+                for s, mask in cols.items()}
         shared = Counter((s, p) for _, _, s, p, _, _ in terms)
         index, lines, tabs, sums = {}, [], {}, {r: [] for r, _, _ in accs}
+        products: dict = {r: {} for r, xor, _ in accs if not xor}  # x -> [(negated, ix, k)]
         for r, neg, s, p, key, shift in terms:
             if (s, p) not in index:
-                ix = f"{s} >> {p - k + 1}" if p - k + 1 else s
+                ix = (f"{s} >> {p - k + 1}", _SHIFT) if p - k + 1 else (s, _ATOM)
                 if p != widths[s] - 1:  # below s's top bit
-                    ix = f"{ix} & {hex((1 << k) - 1)}"
+                    ix = f"{_wrap(ix, _AND)} & {hex((1 << k) - 1)}", _AND
                 if shared[s, p] > 1:  # computed once per iteration
-                    lines.append(f"j{len(lines)} = {ix}")
-                    ix = f"j{len(lines) - 1}"
+                    lines.append(f"j{len(lines)} = {ix[0]}")
+                    ix = f"j{len(lines) - 1}", _ATOM
                 index[s, p] = ix
+            if not key[1]:
+                products[r].setdefault(key, []).append((neg, index[s, p], shift))
+                continue
             text = f"_sums({key[0]}, {k}, {key[1]})"
             h = named.setdefault(text, f"h{len(named)}")
             tabs[h] = f"{h} = {text}", *built[key]
-            read = f"{h}[{index[s, p]}]"
-            if key[1]:  # << binds more tightly than ^, and less than + and -
-                sums[r].append(f" ^ {read} << {shift}" if shift else f" ^ {read}")
-            else:
-                read = f"({read} << {shift})" if shift else read
-                sums[r].append(f" {'-' if neg else '+'} {read}")
+            read = f"{h}[{index[s, p][0]}]"  # << binds more tightly than ^
+            sums[r].append(f" ^ {read} << {shift}" if shift else f" ^ {read}")
+        for r, by_x in products.items():
+            for key, ops in by_x.items():
+                neg = all(o[0] for o in ops)  # subtract the product, else lead with an addend
+                parts = [(o != neg, (f"{_wrap(ix, _SHIFT)} << {shift}", _SHIFT) if shift else ix)
+                         for o, ix, shift in sorted(ops, key=itemgetter(0))]
+                factor = parts[0][1] if len(parts) == 1 else (_wrap(parts[0][1], _SUM) + "".join(
+                    f" {'-' if o else '+'} {_wrap(t, _MUL)}" for o, t in parts[1:]), _SUM)
+                sums[r].append(f" {'-' if neg else '+'} {_wrap(xs[key], _MUL)} * "
+                               f"{_wrap(factor, _ATOM)}")
         for r, xor, _ in accs:
             mask = hex((1 << widths[r]) - 1)
             step[r] = (f"({r} << {k}{''.join(sums[r])}) & {mask}" if xor else
                        f"({r} << {k}){''.join(sums[r])} & {mask}")
-        return k, lines + [commit([(r, step[r]) for r, _ in changing], "")], tabs
+        read = dict.fromkeys(t for by_x in products.values() for key in by_x
+                             for t in built[key][0])
+        return k, lines + [commit([(r, step[r]) for r, _ in changing], "")], tabs, read
 
     def phase(values: tuple, span: int, runs: int) -> tuple:
         """(lines, the hoisted nets read, the K-step's tables built in the
@@ -547,10 +599,10 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         # A net that reads only what the phase holds (the operands, the
         # registers it does not load, the hoisted nets) is evaluated on entry.
         fixed = _hoist(live, pnets, known.difference([r for r, _ in changing]))
-        # a K-step fires only where it would gain even with tables for free
-        step = stepped(changing, fixed, bound, span, runs) if _steps(span, runs, 0) > 1 \
-            else None
-        tabs = step[2] if step else {}
+        # a K-step fires only where one step of its whole run would gain
+        step = stepped(changing, fixed, bound, span, runs) \
+            if _steps(span, runs, None, span) > 1 else None
+        k, body, tabs, products = step or (1, [], {}, {})
         # One walk forward: a net whose text is a copy of a name is that name
         # in every text that reads it, and keeps no line of its own unless a
         # K-step's table reads it. Every other net keeps its line.
@@ -560,17 +612,20 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if _name(pnets[t][0]):
                 copies[t] = pnets[t][0]
         commits = [(r, _renamed(net, copies)) for r, net in changing]
+        if products:  # read by the K-step's commit, its last line
+            body[-1], products = _renamed((body[-1], products), copies)
         roots = [reads for _, (_, reads) in commits] + [reads for _, reads, _ in tabs.values()]
+        roots.append(products)
         live = _live(live, pnets, roots)
         read = set().union(*roots, *[pnets[t][1] for t in live])
         rowed = not read.isdisjoint(wide)  # whether the block iterates the wide values
         lines = [assign(t, pnets[t][0], " " * 12) for t in live if t in fixed]
         cycles = "seg" if rowed else "range(seg)"
         if step:  # K cycles per iteration, then the rest one at a time
-            k, seg = step[0], "len(seg)" if rowed else "seg"
+            seg = "len(seg)" if rowed else "seg"
             lines += [" " * 12 + line for line, _, held in tabs.values() if not held]
             lines.append(f"            for _ in range({seg} // {k}):")
-            lines += [" " * 16 + line for line in step[1]]
+            lines += [" " * 16 + line for line in body]
             cycles = f"range({seg} % {k})"
         return [*lines, f"            for {tup(wide) if rowed else '_'} in {cycles}:",
                 *[assign(t, pnets[t][0], " " * 16) for t in live if t not in fixed],

@@ -448,7 +448,7 @@ def test_example_config_manifest_is_unchanged(tmp_path):
     manifest = (tmp_path / "manifest").read_bytes()
     assert len(manifest.splitlines()) == 15
     assert hashlib.sha256(manifest).hexdigest() == (
-        "66e506ce8a9c5f13addf97fbfca86168a0ed5c0b164e73f8a75d1878d072d3fb"
+        "a6d8a550bdeff2db692acdf3d0b8d91ee1089caca4d13e0035e121c6a270a274"
     )
 
 

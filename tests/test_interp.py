@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
-from polymulgen.interp import Simulator, _flatten, _merge, _order, compile_sim
+from polymulgen.interp import Simulator, _flatten, _merge, _order, _sums, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
                            Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor)
 from polymulgen.models import ArchKind, cycle_contract, run_model
@@ -1132,7 +1132,7 @@ def test_phase_loops_hold_no_invariant_work(params, count, longest):
         for stmt in (step.body if step else []) + loop.body:
             assert not _SIGN_EXTEND.search(ast.unparse(stmt))
     _, loop, step = _main_loop(sim)
-    for commit in [loop.body[-1]] + (step.body if step else []):
+    for commit in [loop.body[-1]] + (step.body[-1:] if step else []):  # after a K-step's indices
         assert len(commit.targets[0].elts) == longest
 
 
@@ -1318,24 +1318,38 @@ def _hoisted(sim: Simulator) -> dict:
             if isinstance(t, ast.Name)}
 
 
-# the smallest widths at which the main loop steps K cycles per iteration:
-# sbm from m = 88, karatsuba2 from m = 173 (cores of 88 bits), the wrapper
-# with 32-bit digits from four digits, m = 97, toom3 from m = 241 and toom4
-# from m = 321 (point multipliers of 81 bits)
-_FIRST_STEPPED = [(ArchKind.SBM, 88, None), (ArchKind.KARATSUBA2, 173, None),
+# the smallest widths at which the main loop steps K cycles per iteration.
+# An integer step multiplies, and a phase run once per transaction steps from
+# a run of 27 cycles: sbm from m = 28, karatsuba2 from m = 53, toom3 from
+# m = 82 and toom4 from m = 109; the wrapper with 16-bit digits from three
+# digits, m = 33. A gf2 step reads tables: sbm from m = 88, karatsuba2 from
+# m = 173 (cores of 88 bits) and the wrapper with 32-bit digits from four
+# digits, m = 97.
+_FIRST_STEPPED = [(ArchKind.SBM, 28, None, ArithMode.INTEGER),
+                  (ArchKind.KARATSUBA2, 53, None, ArithMode.INTEGER),
+                  (ArchKind.DIGIT_SERIAL, 33, 16, ArithMode.INTEGER),
+                  (ArchKind.TOOM3, 82, None, ArithMode.INTEGER),
+                  (ArchKind.TOOM4, 109, None, ArithMode.INTEGER),
+                  (ArchKind.SBM, 88, None, ArithMode.CARRYLESS),
+                  (ArchKind.KARATSUBA2, 173, None, ArithMode.CARRYLESS),
+                  (ArchKind.DIGIT_SERIAL, 97, 32, ArithMode.CARRYLESS)]
+# where the integer step read tables, from m and m - 1 on: it fires at both
+_TABLE_STEPPED = [(ArchKind.SBM, 88, None), (ArchKind.KARATSUBA2, 173, None),
                   (ArchKind.DIGIT_SERIAL, 97, 32), (ArchKind.TOOM3, 241, None),
                   (ArchKind.TOOM4, 321, None)]
+_K_STEP_CASES = [(GenParams(kind, m - below, mode, n), not below)
+                 for kind, m, n, mode in _FIRST_STEPPED for below in (0, 1)] + \
+    [(GenParams(kind, m - below, ArithMode.INTEGER, n), True)
+     for kind, m, n in _TABLE_STEPPED for below in (0, 1)]
 
 
-@pytest.mark.parametrize("params, fires", [
-    (GenParams(kind, m - below, mode, n), not below)
-    for kind, m, n in _FIRST_STEPPED for mode in _modes(kind) for below in (0, 1)],
-    ids=[f"{kind.name}_{mode.name}_{m - below}"
-         for kind, m, _ in _FIRST_STEPPED for mode in _modes(kind) for below in (0, 1)])
+@pytest.mark.parametrize("params, fires", _K_STEP_CASES,
+                         ids=[f"{p.kind.name}_{p.mode.name}_{p.m}" for p, _ in _K_STEP_CASES])
 def test_k_step_matches_reference_stepper(params, fires):
     # at the smallest width at which the K-step fires, and one bit below,
-    # where it must not: every cycle count, so each remainder seg % K of the
-    # main phase runs, against the hierarchical IR stepped one cycle at a time
+    # where it must not, and at the integer widths where it first read
+    # tables: every cycle count, so each remainder seg % K of the main phase
+    # runs, against the hierarchical IR stepped one cycle at a time
     top = generate(params)
     sim = compile_sim(top, design_library(top))
     assert (_main_loop(sim)[2] is not None) == fires
@@ -1359,9 +1373,8 @@ def _serial(variant: str) -> Simulator:
     (2a if bit 51 of sh else 0), and change one thing more: `chain` none;
     `fields` shifts sh as 26 fields of 4 bits, a mask clearing bit 0 of
     each, so each is emptied after four cycles, and `narrow` as 52 fields
-    of 2 bits, narrower than K;
-    `ungated` adds a; `changing_term` gates acc as the second v; `low_term`
-    tests bit 1 of sh for it."""
+    of 2 bits; `ungated` adds a; `changing_term` gates acc as the second v;
+    `low_term` tests bit 1 of sh for it."""
     loop, w = 100, 104
     sched, sh, acc = Ref("sched", loop + 2), Ref("sh", w), Ref("acc", 12)
     first, done, ring = Ref("first", 1), Ref("done", 1), Ref("ring", 4)
@@ -1399,18 +1412,36 @@ def _zext(e, width: int):
     return Concat((Const(width - e.width, 0), e))
 
 
-@pytest.mark.parametrize("variant", ["fires", "read", "changing", "ring", "low", "chain",
-                                     "fields", "narrow", "ungated", "changing_term",
-                                     "low_term"])
-def test_k_step_fires_only_on_bit_serial_accumulate_phases(variant):
+_VARIANTS = [("fires", 100), ("read", None), ("changing", None), ("ring", None), ("low", 2),
+             ("chain", 52), ("fields", 4), ("narrow", 2), ("ungated", None),
+             ("changing_term", None), ("low_term", 2)]
+
+
+@pytest.mark.parametrize("variant, k", _VARIANTS, ids=[v for v, _ in _VARIANTS])
+def test_k_step_fires_only_on_bit_serial_accumulate_phases(variant, k):
     # the rule fires only where every register the loop changes is a column
     # register or an accumulator of fixed, gated values, and the loop reads
-    # no wide row value; a tested bit below K - 1 would index below bit 0
+    # no wide row value. K is the loop's 100 cycles, or fewer where the bits
+    # below a tested bit p reach it in fewer: p + 1 cycles (bit 51 in
+    # `chain`, bit 1 in `low` and `low_term`) or a field's width (`fields`,
+    # `narrow`). `_serial` has checked every variant against the reference
+    # stepper at every cycle count, so each remainder seg % K has run.
     _, _, step = _main_loop(_serial(variant))
-    assert (step is not None) == (variant in ("fires", "chain", "fields"))
-    if variant in ("chain", "fields"):  # a and a << 1 read one table
-        reads = [x for x in ast.walk(step) if isinstance(x, ast.Subscript)]
-        assert len(reads) == 2 and len({x.value.id for x in reads}) == 1
+    assert (step is not None) == (k is not None)
+    if step:
+        assert ast.unparse(step.iter) == f"range(seg // {k})" and not _reads_table(step)
+        products = [x for x in ast.walk(step) if isinstance(x, ast.BinOp)
+                    and isinstance(x.op, ast.Mult)]
+        # a and a << 1 take one product, with the signs of their operands
+        assert [ast.unparse(x.left) for x in products] == ["a"], ast.unparse(step)
+        assert len(_addends(products[0].right)) == (1 if variant in ("fires", "low") else 2)
+
+
+def _addends(e) -> list:
+    """The terms of the Add/Sub tree e, each read past a left shift."""
+    if isinstance(e, ast.BinOp) and isinstance(e.op, (ast.Add, ast.Sub)):
+        return _addends(e.left) + _addends(e.right)
+    return [e.left if isinstance(e, ast.BinOp) and isinstance(e.op, ast.LShift) else e]
 
 
 def _column_read(ix, cols: list) -> bool:
@@ -1424,51 +1455,67 @@ def _column_read(ix, cols: list) -> bool:
 
 
 @pytest.mark.parametrize("params, k, cols, operands, hoisted", [
-    (GenParams(ArchKind.SBM, 1024), 6, 1, [1], True),
-    (GenParams(ArchKind.KARATSUBA2, 1024), 5, 3, [1, 1, 1], True),
+    (GenParams(ArchKind.SBM, 1024), 1023, 1, [1], True),
+    (GenParams(ArchKind.KARATSUBA2, 1024), 512, 3, [1, 1, 1], True),
     (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3, [1, 1, 1], True),
-    (GenParams(ArchKind.TOOM3, 1024), 5, 3, [1, 1, 3, 3, 3], False),
-    (GenParams(ArchKind.TOOM3, 539), 5, 3, [1, 1, 3, 3, 3], False),
-    (GenParams(ArchKind.TOOM4, 1024), 5, 3, [1, 1, 4, 4, 4, 4, 4], False)],
+    (GenParams(ArchKind.TOOM3, 1024), 341, 3, [1, 1, 3, 3, 3], False),
+    (GenParams(ArchKind.TOOM3, 539), 179, 3, [1, 1, 3, 3, 3], False),
+    (GenParams(ArchKind.TOOM4, 1024), 255, 3, [1, 1, 4, 4, 4, 4, 4], False)],
     ids=["sbm", "karatsuba2", "karatsuba2_gf2", "toom3", "toom3_539", "toom4"])
 def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands, hoisted):
     # the main loop runs seg // K iterations of K cycles, then the seg % K
     # cycles left; in an iteration each column register steps with one
     # shift and one mask, and each accumulator with one shift of itself and
-    # one read per gated operand of a table of `_sums`. Where the operands
-    # are fixed for the transaction (`hoisted`) each table is built in the
-    # hoist and read as it is, at `s >> n` of a column register s. Toom's
-    # multi-term point multipliers build theirs on entry, read those of
-    # operands equal up to a left shift as `h[ix] << k`, index the merged
-    # column register with one shift and a mask below its top bit, and
-    # compute the index of bits that several operands read once. The seg % K
-    # cycles left read no table, even where, as at toom3 m = 539, four are
-    # left.
+    # its gated operands, each indexed by one shift (and a mask below its
+    # top bit) of a column register s, an index that several operands read
+    # computed once. An integer step multiplies: K is the main phase's
+    # whole run, which the column registers' bits cover (m - 1 cycles for
+    # sbm, m / 2 for karatsuba2's cores, h - 1 for toom's point
+    # multipliers), and an accumulator adds one product per distinct
+    # operand x, `x * (ix + (ix' << k) - ...)`, x reading only the operands
+    # and nets computed in the hoist, or, where the operands are not fixed
+    # for the transaction (not `hoisted`), on entry. A gf2 step reads a table of `_sums` per gated operand, built
+    # in the hoist and read as `h[s >> n]`. The seg % K cycles left read no
+    # table.
     sim = _sim(params.kind, params.m, params.mode)
     entry, loop, step = _main_loop(sim)
     assert (ast.unparse(step.iter), ast.unparse(loop.iter)) == \
         (f"range(seg // {k})", f"range(seg % {k})")
+    gf2 = params.mode is ArithMode.CARRYLESS
+    assert gf2 or k == max(span for span, _ in sim._spans.values())
     *index, commit = step.body
     assert not (hoisted and index)
     shared = {stmt.targets[0].id: stmt.value for stmt in index}
-    tables = _hoisted(sim) if hoisted else \
+    bound = _hoisted(sim) if hoisted else \
         {**_hoisted(sim), **{stmt.targets[0].id: stmt for stmt in entry}}
     targets = [t.id for t in commit.targets[0].elts]
-    reads = {}
+    reads, products = {}, []
     for target, value in zip(targets, commit.value.elts):
         shifts = [x for x in ast.walk(value) if isinstance(x, ast.BinOp)
                   and isinstance(x.op, ast.LShift)]
         own = [x.right.value for x in shifts if ast.unparse(x.left) == target]
         assert own == [k], ast.unparse(value)
-        shifted = [x for x in shifts if isinstance(x.left, ast.Subscript)]
-        assert len(shifts) == 1 + len(shifted) and not (hoisted and shifted), ast.unparse(value)
-        reads[target] = [x for x in ast.walk(value) if isinstance(x, ast.Subscript)]
+        if gf2:
+            shifted = [x for x in shifts if isinstance(x.left, ast.Subscript)]
+            assert len(shifts) == 1 + len(shifted) and not (hoisted and shifted), \
+                ast.unparse(value)
+            tables = [x for x in ast.walk(value) if isinstance(x, ast.Subscript)]
+            for read in tables:
+                assert ast.unparse(bound[read.value.id].value).startswith("_sums(")
+            reads[target] = [read.slice for read in tables]
+            continue
+        mul = [x for x in ast.walk(value) if isinstance(x, ast.BinOp)
+               and isinstance(x.op, ast.Mult)]
+        assert len({ast.unparse(x.left) for x in mul}) == len(mul), ast.unparse(value)
+        products += mul
+        reads[target] = [ix for x in mul for ix in _addends(x.right)]
     col = [t for t in targets if not reads[t]]
     assert len(col) == cols
     assert sorted(len(r) for r in reads.values() if r) == operands
-    for read in [x for r in reads.values() for x in r]:
-        assert ast.unparse(tables[read.value.id].value).startswith("_sums(")
-        ix = read.slice
+    for x in products:  # x reads only operands and nets bound before the loop
+        assert {n.id for n in ast.walk(x.left) if isinstance(n, ast.Name)} <= \
+            {"a", "b", *bound}, ast.unparse(x)
+    for ix in [x for r in reads.values() for x in r]:
         if hoisted:
             assert isinstance(ix, ast.BinOp) and isinstance(ix.op, ast.RShift)
             assert isinstance(ix.left, ast.Name) and ix.left.id in col
@@ -1477,40 +1524,62 @@ def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands,
             assert _column_read(shared.get(ix.id, ix) if isinstance(ix, ast.Name) else ix, col)
     assert len(shared) == len({ast.unparse(v) for v in shared.values()})
     assert all(_column_read(v, col) for v in shared.values())
+    assert gf2 or not _reads_table(step)
     assert not _reads_table(loop)
 
 
-@pytest.mark.parametrize("kind, m", [
-    (ArchKind.SBM, 88), (ArchKind.KARATSUBA2, 192), (ArchKind.TOOM3, 13), (ArchKind.TOOM3, 163),
-    (ArchKind.TOOM3, 241), (ArchKind.TOOM4, 25), (ArchKind.TOOM4, 192), (ArchKind.TOOM4, 321)],
+@pytest.mark.parametrize("kind, m, mode", [
+    (ArchKind.SBM, 88, ArithMode.INTEGER), (ArchKind.KARATSUBA2, 192, ArithMode.INTEGER),
+    (ArchKind.TOOM3, 13, ArithMode.INTEGER), (ArchKind.TOOM3, 163, ArithMode.INTEGER),
+    (ArchKind.TOOM3, 241, ArithMode.INTEGER), (ArchKind.TOOM4, 25, ArithMode.INTEGER),
+    (ArchKind.TOOM4, 192, ArithMode.INTEGER), (ArchKind.TOOM4, 321, ArithMode.INTEGER),
+    (ArchKind.SBM, 88, ArithMode.CARRYLESS), (ArchKind.KARATSUBA2, 192, ArithMode.CARRYLESS)],
     ids=["sbm_88", "karatsuba2_192", "toom3_13", "toom3_163", "toom3_241", "toom4_25",
-         "toom4_192", "toom4_321"])
-def test_every_table_read_is_a_k_step_sum(kind, m):
+         "toom4_192", "toom4_321", "sbm_gf2_88", "karatsuba2_gf2_192"])
+def test_every_table_read_is_a_k_step_sum(kind, m, mode):
     # the K-step's tables are the only ones a kernel reads: every subscript
     # in `_run` indexes a name bound to `_sums(...)`, above the loops or on
-    # entry to a block
-    run = next(f for f in ast.parse(_sim(kind, m).source).body
+    # entry to a block. Only gf2 steps read them: an integer kernel holds no
+    # subscript and names no `_sums`.
+    source = _sim(kind, m, mode).source
+    run = next(f for f in ast.parse(source).body
                if isinstance(f, ast.FunctionDef) and f.name == "_run")
     bound = {t.id: stmt.value for stmt in ast.walk(run) if isinstance(stmt, ast.Assign)
              for t in ast.walk(stmt.targets[0]) if isinstance(t, ast.Name)}
-    for read in [x for x in ast.walk(run) if isinstance(x, ast.Subscript)]:
+    reads = [x for x in ast.walk(run) if isinstance(x, ast.Subscript)]
+    for read in reads:
         assert ast.unparse(bound[read.value.id]).startswith("_sums("), ast.unparse(read)
+    if mode is ArithMode.INTEGER:
+        assert not reads and "_sums" not in source
+    else:
+        assert reads
+
+
+def test_integer_sums_are_products():
+    # entry i of an integer table of sums is v * i, which an integer K-step
+    # reads as a product instead
+    for v in (0, 1, 0xb, (1 << 70) - 1, 1 << 69):
+        for k in range(1, 8):
+            assert _sums(v, k, 0) == [v * i for i in range(1 << k)], (v, k)
 
 
 @st.composite
 def _stepped_designs(draw):
-    """(kind, m, n, mode): sbm, karatsuba2 or the wrapper, from just below
-    the width at which its main loop steps K cycles per iteration up to 256
-    bits, the wrapper with a digit width whose loop may fire; or toom3 or
-    toom4 from just below that width up to 400 bits."""
-    kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL,
-                                 ArchKind.TOOM3, ArchKind.TOOM4]))
-    if kind in (ArchKind.TOOM3, ArchKind.TOOM4):
-        m = draw(st.integers(238 if kind is ArchKind.TOOM3 else 318, 400))
-        return kind, m, None, ArithMode.INTEGER
-    m = draw(st.integers({ArchKind.SBM: 86, ArchKind.KARATSUBA2: 170}.get(kind, 92), 256))
+    """(kind, m, n, mode) from just below the width at which the main loop
+    steps K cycles per iteration: integer sbm, karatsuba2, the wrapper,
+    toom3 or toom4 up to 1024 bits, or gf2 sbm, karatsuba2 or the wrapper
+    up to 256 bits; the wrapper with a digit width whose loop may fire."""
+    mode = draw(st.sampled_from(list(ArithMode)))
+    if mode is ArithMode.INTEGER:
+        kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL,
+                                     ArchKind.TOOM3, ArchKind.TOOM4]))
+        m = draw(st.integers({ArchKind.SBM: 26, ArchKind.KARATSUBA2: 50, ArchKind.TOOM3: 79,
+                              ArchKind.TOOM4: 106}.get(kind, 30), 1024))
+    else:
+        kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL]))
+        m = draw(st.integers({ArchKind.SBM: 86, ArchKind.KARATSUBA2: 170}.get(kind, 92), 256))
     n = draw(st.sampled_from([16, 32, m])) if kind is ArchKind.DIGIT_SERIAL else None
-    return kind, m, n, draw(st.sampled_from(list(ArithMode)))
+    return kind, m, n, mode
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

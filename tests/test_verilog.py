@@ -53,13 +53,13 @@ def test_golden_sbm_8():
     ("wrapper", 16, "integer", 16,
      "9967b32da3f24b45770474f7958444a3bd8be8d2b336c1f5bb2bb9e7b93747a8"),
     ("toom3", 6, "integer", None,
-     "2cb0998c5e5b76719ca801dd49510bef946e84bfcd177eaa4d2925c20a2f1b41"),
+     "e197e26f12c2b467c67b3c631b7bff029f4482320bcd9edda8b67cf16ff642f8"),
     ("toom4", 8, "integer", None,
-     "defd3399f47188c96375b5e41fc02fe382c867467429fd78e7d3f4ec0c125776"),
+     "9ff330bed4fa525c6524c671ec5c849da77ace9ead9e9cb3d219d9a8026da79a"),
     ("toom3", 163, "integer", None,  # the limb width does not divide m
-     "de6cc9595c7ef64bc7290c41e72b61404936ec261386f2d27a9466cea57b837d"),
+     "70109f3c88c1e642ed9dfe8b48d58c61b82cf52c6327e5e84a4c144e2029ed6b"),
     ("toom4", 163, "integer", None,
-     "fb65de84ada8a5e1bcee3398cd2f43436bdb09ea54a20d84411675bbe5003344"),
+     "50751ea52942b9e30ce6ad657265895a63fbeca2dcc45c776cfad99ce4edce3c"),
     ("sbm", 4, "integer", None,
      "485eb771666acf3e47d72a1c972d0721885db58907df98085d01b0b17afb5aeb"),
 ])
