@@ -31,14 +31,16 @@ design compiles into two functions:
 - `_run(a, b, rows, last)` runs one transaction of the datapath. The guards
   are the row values one bit wide; a phase is one tuple of their values, and
   `rows` is the schedule grouped into maximal runs of equal guards: (phase,
-  segment) pairs, a segment holding the run's wider values (the wrapper's
-  digit ring) where the phase's block reads them, else the run's length.
-  `_run` has three parts:
+  segment) pairs, a segment listing, where the phase's block reads the wider
+  values (the wrapper's digit ring) through tables, each row's position among
+  those the schedule gives the phase, where it reads them otherwise the
+  values themselves, else holding the run's length. `_run` has three parts:
   - hoist: nets that read only the operands a/b, constants and other such
     nets are computed once, above every loop. A datapath net that is a copy
     of a name is that name: every text reads the name instead;
   - phases: `for p, seg in rows:` dispatches to one block per phase, which
-    steps it with `for <wider values> in seg:` (or `range(seg)`). A block
+    steps it with `for i in seg:` (or `for <wider values> in seg:`, or
+    `range(seg)`). A block
     is the datapath with the phase's guards bound as constants: every net
     and register whose text reads a guard, or a net that folds to a
     constant under them, is rendered again through the same folder, so an
@@ -50,16 +52,31 @@ design compiles into two functions:
     once on entry to the block, so toom's held point operands are
     sign-extended once per phase, not once per cycle. Every other live net
     keeps a line of its own, except a copy of a name, which is written into
-    each text that reads it;
+    each text that reads it. A block reads the wider values through tables:
+    its nets that read them, and otherwise only the hoisted nets and one
+    another (the wrapper's digit select, d masked digits of b XOR-reduced),
+    are rendered again through the same folder with each value the
+    schedule gives the phase bound, and each entry must fold to one text
+    that reads only the hoisted nets, for the wrapper one slice of b. A net
+    of that cone that the rest of the block reads reads `h[i]`, h the table
+    of its entries that the hoist builds once per transaction, so a load
+    cycle costs one lookup, not the 2d lines of the select. A net's entries
+    are kept as its value with the wider values at 0 and the positions where
+    it may differ, and a net that copies its input where only that input
+    differs takes the input's positions over, so tabulating an XOR chain
+    takes O(d) renders, not O(d^2). A block whose cone does not fold, or
+    whose other nets or commit read the values, keeps its lines and iterates
+    the values themselves;
   - output cone: c's cone is evaluated once, after the loops, from the final
     state and `last`, so `run(a, b, cycles=k)` returns what c shows after k
     posedges for every k.
 
 A Simulator runs `_sched` for the latency and renders `_run` over the phases
 those rows meet when it is built. A run of another length groups its own rows
-once and keeps them; when they meet a guard tuple no block has yet (a run past
-the latency may), `_run` is rendered and compiled again over every phase met
-so far, with the same renderer. `_sched` evaluates each control net that a
+once and keeps them; when they meet a guard tuple no block has yet, or a wider
+value that a block's tables lack (a run past the latency may meet either),
+`_run` is rendered and compiled again over every phase met so far, with the
+same renderer. `_sched` evaluates each control net that a
 register or a row needs, and that is not a constant, on every cycle.
 
 Each expression is rendered by `render`, which folds constants in the same
@@ -103,11 +120,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .ir import Const, Mux, Ref, RtlModule, ref_nodes
-from .render import _AND, _ATOM, _MUL, _SHIFT, _SUM, _lit, _look, _name, _net, _r, _serial, _wrap
+from .render import (_AND, _ATOM, _MUL, _SHIFT, _SUM, _bits, _lit, _look, _name, _net, _r, _serial,
+                     _wrap)
 
 # a flat net or register identifier in kernel text, where no other token
 # (a, b, c, hex and decimal literals, operators, if/else) holds an n or an r
@@ -399,11 +417,13 @@ class _Bound:
 def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep: dict) -> tuple:
     """The kernel of a flat netlist that drives c, its nets in dependency
     `order`: (source of `_sched(cycles)`, the guards that lead each row,
-    `runner`). `runner(phases)` returns the source of `_run(a, b, rows,
-    last)` with one block per phase, a tuple of the guards' values each, and
-    the phases whose blocks iterate the wider values that follow the guards
-    in a row; a phase renders a text again from `exprs`, seen through the
-    merge's `rep`, with the guards bound."""
+    `runner`). `runner(phases)` takes each phase as (a tuple of the guards'
+    values, (its longest run, its runs), the wider values that follow the
+    guards in its rows, in the order met) and returns the source of `_run(a,
+    b, rows, last)` with one block per phase, and what the segment of each
+    phase whose block reads the wider values lists (`phase`); a phase renders
+    a text again from `exprs`, seen through the merge's `rep`, with the
+    guards bound."""
     edges = {t: reads.keys() for t, (_, reads) in nets.items()}
     edges.update((r, reads.keys()) for r, _, (_, reads) in regs)
     # What a or b reaches is the datapath; the rest, the control state, runs
@@ -571,14 +591,138 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
                              for t in built[key][0])
         return k, lines + [commit([(r, step[r]) for r, _ in changing], "")], tabs, read
 
-    def phase(values: tuple, span: int, runs: int) -> tuple:
-        """(lines, the hoisted nets read, the K-step's tables built in the
-        hoist, whether it iterates the wide row values) of the block that
-        runs the phase in which the guards hold `values`, or ([], (), {},
-        False) when no register changes in it. `span`, the phase's longest
-        run, and `runs`, its runs per transaction, only pick its K
-        (`_steps`). A block that iterates the wide values takes the list of
-        them as its segment, any other its length."""
+    def tabled(live: dict, pnets: dict, env: dict, copies: dict, roots: list, met: tuple) -> dict:
+        """The tables that take the place of a block's ring cone, {net: (the
+        table's name, its line, its reads)}, or {} where the block would still
+        read a wide row value. The cone is the nets of `live` that read a wide
+        value or a net of the cone, and otherwise only the hoist's names, and
+        whose every entry folds to one text that reads only those. An entry
+        is the net rendered through the phase's folder (`_net` with `_Bound`,
+        `env` holding the phase's bindings and `copies` its copies) with the
+        wide values of one position of `met` bound, and the nets of the cone
+        it reads bound where they are constants and renamed where they are
+        copies. Each net of the cone that the rest of the block (`roots` and
+        the other nets of `live`) reads gets a table of one entry per
+        position, built in the hoist.
+
+        A net's entries are kept as those it takes with the wide values at 0
+        and the positions where they may differ: where a bit it reads of a
+        wide value (`_bits`) is set, or a net of the cone it reads differs. A
+        net that is the only reader of such a net, and copies it where only
+        that net differs, takes its positions over, so an XOR chain of d
+        digit selects costs O(d), not O(d^2)."""
+        # ring: a net of the cone -> (its links, each an identifier its expression
+        # reads and the net of the cone it stands for, its names, whether it
+        # reads a wide value)
+        ring, inside = {}, hoisted | set(wide)
+        users = Counter(chain.from_iterable(roots))
+        users.update(chain.from_iterable(pnets[t][1] for t in live))
+        where: dict = {}  # (i, bit) -> the positions at which wide value i has that bit set
+        for p, values in enumerate(met):
+            for i, v in enumerate(values):
+                while v > 0:
+                    bit = v.bit_length() - 1
+                    where.setdefault((i, bit), []).append(p)
+                    v ^= 1 << bit
+        base, diff, ints = {}, {}, set()  # ints: the nets whose diff holds a constant
+        zeros = [0] * len(wide)
+        views: dict = {}  # an instance's names -> (them as the entries bind them, unbound)
+
+        def entry(t: str, p, loose: str = ""):
+            """t at position p (None: the wide values at 0), the nets of the
+            cone it reads bound where they are constants, `loose` not: an
+            int, (text, reads) reading only the hoist's names, the name of
+            the net of the cone it copies when that is `loose`, or None."""
+            links, names, direct = ring[t]
+            for u, x in links:
+                v = base[x] if p is None else diff[x].get(p, base[x])
+                env[u] = v if x != loose and type(v) is int else x
+            if direct:
+                env.update(zip(wide, zeros if p is None else met[p]))
+            text, reads = _net(exprs[t][0], names)
+            if type(text) is int:
+                return text
+            if reads.keys() <= hoisted:
+                return text, reads
+            if text in ring and text in reads:  # a copy
+                return text if text == loose else base[text] if p is None \
+                    else diff[text].get(p, base[text])
+            return None
+
+        for t in live:
+            reads = pnets[t][1]
+            if not reads.keys() <= inside:
+                continue
+            ins = [u for u in reads if u in ring]
+            direct = not reads.keys().isdisjoint(wide)
+            if not ins and not direct:  # it reads only the hoist's names
+                continue
+            e, names = exprs[t]
+            if id(names) not in views:
+                views[id(names)] = _Bound(names, rep, env), _Bound(names, rep, {})
+            ring[t] = ([(u, x) for u in edges[t] if (x := copies.get(u, u)) in ring] if ins else (),
+                       views[id(names)][0], direct)
+            todo: set = set()
+            for i, w in enumerate(wide) if direct else ():
+                mask = _bits(e, views[id(names)][1], w)
+                if mask < 0:
+                    todo.update(range(len(met)))
+                while mask > 0:
+                    bit = mask.bit_length() - 1
+                    todo.update(where.get((i, bit), ()))
+                    mask ^= 1 << bit
+            # Where only big differs, and never as a constant, t copies it,
+            # so t takes big's positions over; and then with big at its base
+            # t is big's base too.
+            big = ins[0] if ins else ""
+            for u in ins[1:]:
+                if len(diff[u]) > len(diff[big]):
+                    big = u
+            took = big and big not in ints and users[big] == 1 and entry(t, None, big) == big
+            for u in ins:
+                if u != big or not took:
+                    todo.update(diff[u])
+            own: dict = {}
+            for p in todo:
+                if (v := entry(t, p)) is None:
+                    break
+                own[p] = v
+            else:
+                base[t] = base[big] if took else entry(t, None)
+                if base[t] is not None:
+                    d = diff[t] = diff[big] if took else {}
+                    for p, v in own.items():
+                        if v != base[t]:
+                            d[p] = v
+                            if type(v) is int:
+                                ints.add(t)
+                        else:
+                            d.pop(p, None)
+                    inside.add(t)
+                    continue
+            del ring[t]
+        out = set().union(*roots, *[pnets[t][1] for t in live if t not in ring])
+        if not out.isdisjoint(wide):
+            return {}
+        tables = {}
+        for f in [t for t in ring if t in out]:
+            got = [diff[f].get(p, base[f]) for p in range(len(met))]
+            text = f"({', '.join(hex(v) if type(v) is int else v[0] for v in got)},)"
+            h = named.setdefault(text, f"h{len(named)}")
+            tables[f] = h, f"{h} = {text}", dict.fromkeys(
+                r for v in got if type(v) is not int for r in v[1])
+        return tables
+
+    def phase(values: tuple, span: int, runs: int, met: tuple) -> tuple:
+        """(lines, the hoisted nets read, the tables built in the hoist, what
+        its segment lists) of the block that runs the phase in which the
+        guards hold `values`, or ([], (), {}, None) when no register changes
+        in it. `span`, the phase's longest run, and `runs`, its runs per
+        transaction, only pick its K (`_steps`); `met` is the wide row values
+        the schedule gives it so far, in the order first met. A block that
+        reads the wide values through tables (`tabled`) takes the list of
+        their positions in `met` as its segment (True), one that reads them
+        otherwise the list of them (False), any other its length (None)."""
         bound = dict(zip(guards, values))
         binds = bound.keys()
         pnets = dict(nets)
@@ -594,7 +738,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if net[0] != r:
                 changing.append((r, net))
         if not changing:
-            return [], (), {}, False
+            return [], (), {}, None
         live = _live(inner, pnets, [reads for _, (_, reads) in changing])
         # A net that reads only what the phase holds (the operands, the
         # registers it does not load, the hoisted nets) is evaluated on entry.
@@ -618,31 +762,41 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
         roots.append(products)
         live = _live(live, pnets, roots)
         read = set().union(*roots, *[pnets[t][1] for t in live])
-        rowed = not read.isdisjoint(wide)  # whether the block iterates the wide values
+        rowed = None if read.isdisjoint(wide) else False
+        if rowed is False and met and (got := tabled(live, pnets, {**bound, **copies}, copies,
+                                                      roots, met)):
+            for t, (h, line, reads) in got.items():  # t reads its entry for the row
+                pnets[t] = f"{h}[i]", reads
+                tabs[h] = line, reads, True
+            live = _live(live, pnets, roots)
+            read = set().union(*roots, *[pnets[t][1] for t in live])
+            rowed = True
         lines = [assign(t, pnets[t][0], " " * 12) for t in live if t in fixed]
-        cycles = "seg" if rowed else "range(seg)"
+        cycles = "range(seg)" if rowed is None else "seg"
         if step:  # K cycles per iteration, then the rest one at a time
-            seg = "len(seg)" if rowed else "seg"
+            seg = "seg" if rowed is None else "len(seg)"
             lines += [" " * 12 + line for line, _, held in tabs.values() if not held]
             lines.append(f"            for _ in range({seg} // {k}):")
             lines += [" " * 16 + line for line in body]
             cycles = f"range({seg} % {k})"
-        return [*lines, f"            for {tup(wide) if rowed else '_'} in {cycles}:",
+        target = "_" if rowed is None else "i" if rowed else tup(wide)
+        return [*lines, f"            for {target} in {cycles}:",
                 *[assign(t, pnets[t][0], " " * 16) for t in live if t not in fixed],
                 commit([(r, src) for r, (src, _) in commits], " " * 16)], hoisted & read, \
             {h: text for h, (text, _, held) in tabs.items() if held}, rowed
 
     tail = [assign(t, nets[t][0], "    ") for t in dnets if t in cone and t not in hoisted]
-    blocks: dict = {}  # guard values -> phase(values)
+    blocks: dict = {}  # guard values -> (met, phase(values, ..., met))
 
     def runner(phases: list) -> tuple:
-        loop, needed, held, rowed = [], set(cone), {}, set()
-        for i, (values, (span, runs)) in enumerate(phases):
-            if values not in blocks:
-                blocks[values] = phase(values, span, runs)
-            lines, read, tabs, iterates = blocks[values]
-            if iterates:
-                rowed.add(values)
+        loop, needed, held, rowed = [], set(cone), {}, {}
+        for i, (values, (span, runs), met) in enumerate(phases):
+            # a block that reads tables holds entries for the positions it met
+            if values not in blocks or blocks[values][1][3] and blocks[values][0] != met:
+                blocks[values] = met, phase(values, span, runs, met)
+            lines, read, tabs, lists = blocks[values][1]
+            if lists is not None:
+                rowed[values] = lists
             if lines:
                 loop += [f"        {'elif' if loop else 'if'} p == {i}:", *lines]
                 needed.update(read)
@@ -703,17 +857,21 @@ class Simulator:
         # which `_steps` picks the phase's K
         self._spans: dict = {}
         self._plans: dict = {}  # cycles -> (the rows grouped into phases, last)
+        self._met: dict = {}  # guard values -> {wide row values: position}, in the order met
+        self._rowed: dict = {}  # guard values -> what `_run`'s block lists (`_kernel`'s phase)
         self._plan(self.latency)
 
     def _plan(self, cycles: int) -> tuple:
         """The rows of a run of `cycles` grouped into phases, as `_run` takes
-        them, and last: each run of a phase as the list of its rows' wider
-        values where the phase's block iterates them, else as its length.
-        Meeting a phase for the first time renders and compiles `_run` again,
+        them, and last: each run of a phase as the list of its rows'
+        positions among the wide values the phase met where its block reads
+        them through tables, the list of the values where it reads them
+        otherwise, else as its length. Meeting a phase for the first time, or
+        a wide value a block's tables lack, renders and compiles `_run` again,
         over every phase met so far."""
         rows, last = self._sched(cycles)
-        width, phases, known = len(self._guards), self._phases, self._spans
-        segments, spans, start = [], {}, 0
+        width, phases, known, met = len(self._guards), self._phases, self._spans, self._met
+        segments, spans, start, grew = [], {}, 0, False
         for values, segment in groupby(rows, itemgetter(slice(0, width))):
             n = sum(1 for _ in segment)
             if values not in known:  # the longest run, and how many
@@ -721,15 +879,29 @@ class Simulator:
                 spans[values] = max(span, n), runs + 1
             segments.append((phases.setdefault(values, len(phases)), values, start, n))
             start += n
-        if self._run is None or spans:
+        if rows and len(rows[0]) > width:  # the rows hold wide values
+            for _, values, i, n in segments:
+                seen = met.setdefault(values, {})
+                for row, _ in groupby(rows[i:i + n]):  # the wide values change seldom
+                    if row[width:] not in seen:
+                        seen[row[width:]] = len(seen)
+                        grew = grew or self._rowed.get(values) is True
+        if self._run is None or spans or grew:
             self._spans.update(spans)
-            run, self._rowed = self._runner(list(self._spans.items()))
+            rowed = self._rowed
+            run, self._rowed = self._runner([(values, shape, tuple(met.get(values, ())))
+                                             for values, shape in self._spans.items()])
+            if any(self._rowed.get(values) != lists for values, lists in rowed.items()):
+                self._plans.clear()  # a block lists other values than those plans hold
             ns: dict = {"_sums": _sums}
             exec(run, ns)
             self._run, self._source = ns["_run"], self._sched_source + "\n" + run
-        rowed = self._rowed
-        plan = [(p, [row[width:] for row in rows[i:i + n]] if values in rowed else n)
-                for p, values, i, n in segments]
+        plan = []
+        for p, values, i, n in segments:
+            lists = self._rowed.get(values)
+            if lists is not None:
+                n = [met[values][row[width:]] if lists else row[width:] for row in rows[i:i + n]]
+            plan.append((p, n))
         self._plans[cycles] = plan, last
         return plan, last
 

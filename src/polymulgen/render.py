@@ -14,8 +14,8 @@ And-ed with a constant, `(v & m) & k`, is one mask, `v & (m & k)`. Two more
 rules spare the loops work:
 
 - a bit replicated over the other operand of an And selects it:
-  `And(Repl(n, x), y)` with x one bit wide is `y if x else 0x0`, so the
-  wrapper's digit select slices b for the chosen digit only;
+  `And(Repl(n, x), y)` with x one bit wide is `y if x else 0x0`, so with
+  the digit ring bound the wrapper's digit select folds to one slice of b;
 - a bit read only for its truth (a Mux condition, the x above) below its
   base's top is tested with one AND, `v & 2^lo`, not `v >> lo & 0x1`.
 
@@ -31,11 +31,13 @@ around it. A kernel writes no net's text into another's, only a copy of a
 name into its readers, so these are the only parentheses it holds.
 
 A read that folds away is not a read, so hoisting, phases and the
-control/datapath split see only what the text reads.
+control/datapath split see only what the text reads. `_bits` gives the bits
+of an identifier that an expression reads, so that a table of a net's values
+over the digit ring renders the net again only where a bit it reads changes.
 """
 from __future__ import annotations
 
-from .ir import Add, And, Concat, Const, Mux, Not, Ref, Repl, Shl, Slice, Sub, Xor
+from .ir import Add, And, Concat, Const, Mux, Not, Ref, Repl, Shl, Slice, Sub, Xor, children
 
 # Python's operator precedence, loosest first, for the operators the
 # renderer writes; an identifier or a literal is an atom
@@ -233,6 +235,24 @@ def _look(e, drivers: dict):
         elif type(d := drivers.get(y.name)) is Slice and not d.lo and type(d.base) is Ref:
             y = d
         return e if x is e.a and y is e.b else t(x, y)
+
+
+def _bits(e, names, ident: str) -> int:
+    """The bits of the identifier `ident` that e reads, as a mask: a Slice of
+    it reads the slice's bits, and any other read of it every bit (-1)."""
+    mask, todo = 0, [e]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is Slice and type(e.base) is Ref:
+            if names[e.base.name] == ident:
+                mask |= (1 << e.width) - 1 << e.lo
+        elif t is Ref:
+            if names[e.name] == ident:
+                return -1
+        else:
+            todo += children(e)
+    return mask
 
 
 def _through(e, names, opened) -> tuple:

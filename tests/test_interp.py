@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
 from polymulgen.interp import Simulator, _flatten, _merge, _order, _sums, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
-                           Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor)
+                           Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor, children)
 from polymulgen.models import ArchKind, cycle_contract, run_model
 from polymulgen.numeric import ArithMode, oracle_mul
 from polymulgen.render import _net
@@ -518,25 +518,36 @@ def test_gated_designs_on_corner_operands(params):
             assert sim.run(a, b) == oracle_mul(a, b, params.mode), (hex(a), hex(b))
 
 
-def test_wrapper_digit_select_runs_once_per_window():
-    # The digit select (d masked digits of b, XOR-reduced) is read only when
-    # the core loads a digit: only the phase of that cycle, which lasts one
-    # cycle per window, holds it, so the work of the phases that run longer
-    # does not grow with d.
-    def work(n, m=1024) -> tuple:
-        """(the expression nodes of each phase's cycle that runs more than one
-        cycle in a row, those of the phases that never do)"""
+def _tables(sim: Simulator) -> dict:
+    """The tuple tables `_run` builds above its loop over the rows, by name,
+    each as the list of its entries, parsed."""
+    return {t: stmt.value.elts for t, stmt in _hoisted(sim).items()
+            if isinstance(stmt.targets[0], ast.Name) and isinstance(stmt.value, ast.Tuple)}
+
+
+def test_wrapper_digit_select_reads_one_table():
+    # The digit select (d masked digits of b, XOR-reduced) folds, for each
+    # value the digit ring takes, to one slice of b: the hoist builds one
+    # table of those d slices per transaction, and the cycle that loads a
+    # digit reads its entry. The load block holds no per-digit conditional,
+    # and its work does not grow with d.
+    def load(n, m=1024) -> int:
+        """The expression nodes of the load block, which must read the
+        digit's position from its segment and nothing else of the ring."""
         sim = _sim(ArchKind.DIGIT_SERIAL, m, n=n)
-        runs: dict = {}
-        for i, segment in sim._plans[sim.latency][0]:
-            runs[i] = max(runs.get(i, 0), segment if type(segment) is int else len(segment))
-        long, short = [], []
-        for values, (_, loop, _) in _phases(sim).items():
-            size = sum(1 for stmt in loop.body for _ in ast.walk(stmt))
-            (long if runs[sim._phases[values]] > 1 else short).append(size)
-        return sorted(long), max(short)
-    assert work(64)[0] == work(8)[0] == work(32, m=521)[0]
-    assert work(64)[1] > 4 * max(work(64)[0])  # 16 digits selected on the load cycle alone
+        plan = sim._plans[sim.latency][0]
+        listed = {i for i, segment in plan if type(segment) is not int}
+        (values,) = [values for values, i in sim._phases.items() if i in listed]
+        entry, loop, step = _phases(sim)[values]
+        assert step is None and ast.unparse(loop.target) == "i"
+        reads = [x for stmt in entry + loop.body for x in ast.walk(stmt)
+                 if isinstance(x, ast.Name) and x.id == "i"]
+        (table,) = _tables(sim)
+        assert [ast.unparse(x) for stmt in loop.body for x in ast.walk(stmt)
+                if isinstance(x, ast.Subscript)] == [f"{table}[i]"] and len(reads) == 1
+        assert len(_tables(sim)[table]) == -(-m // n)
+        return sum(1 for stmt in entry + [loop] for _ in ast.walk(stmt))
+    assert load(64) == load(8) == load(32, m=521) == load(2)
 
 
 def test_plan_lists_row_values_only_where_a_block_reads_them():
@@ -689,6 +700,28 @@ def test_reference_stepper_is_independent():
         code = todo.pop()
         assert shared.isdisjoint(code.co_names), (code.co_name, shared & set(code.co_names))
         todo += [c for c in code.co_consts if type(c) is type(code)]
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(ArchKind.DIGIT_SERIAL, m, mode, n) for m in (13, 64) for n in (1, 2, 3)
+    for mode in ArithMode] + [GenParams(ArchKind.DIGIT_SERIAL, 163, n=2)],
+    ids=lambda p: f"{p.m}_{p.n}_{p.mode.name}")
+def test_digit_tables_match_reference_stepper(params):
+    # The wrappers with small digits read their digit select from a table of
+    # one entry per value of the digit ring. Past the latency the ring
+    # reaches values the latency's tables lack, so those runs render `_run`
+    # again; every cycle count up to three past the latency matches the
+    # reference stepper.
+    top = generate(params)
+    sim, step = compile_sim(top, design_library(top)), _stepper(top)
+    digits = -(-params.m // params.n)
+    assert sum(map(len, _tables(sim).values())) == digits
+    for a in _corners(params.m):
+        for b in _corners(params.m):
+            want = step(a, b, sim.latency + 3)
+            assert [sim.run(a, b, cycles=k) for k in range(sim.latency + 4)] == want, (a, b)
+    # the ring's value 0, after the last digit, has an entry of its own now
+    assert sum(map(len, _tables(sim).values())) == digits + 1
 
 
 @st.composite
@@ -890,15 +923,18 @@ def test_kernel_has_nothing_left_to_fold(params):
               if isinstance(x, ast.Assign) and isinstance(x.value, ast.Name)]
     assert copies == [], copies
     if params.kind is ArchKind.DIGIT_SERIAL:
-        # the load phase tests each digit's bit of the ring, once: a select
-        # per digit, each reading its slice of b only when chosen
+        # no phase tests the digit ring: the hoist's one table holds one
+        # entry per digit, each a slice of b and nothing else
         ring = {t.id for _, loop, _ in _phases(sim).values() for t in ast.walk(loop.target)
                 if isinstance(t, ast.Name)}
-        selects = [sum(isinstance(x, ast.IfExp) and {n.id for n in ast.walk(x.test)
-                                                      if isinstance(n, ast.Name)} <= ring
-                       for stmt in entry + [loop, step] if stmt for x in ast.walk(stmt))
-                   for entry, loop, step in _phases(sim).values()]
-        assert max(selects) == -(-params.m // params.n), selects
+        assert not [x for entry, loop, step in _phases(sim).values() for stmt in entry + [loop]
+                    for x in ast.walk(stmt) if isinstance(x, ast.IfExp)
+                    and {n.id for n in ast.walk(x.test) if isinstance(n, ast.Name)} & ring]
+        (entries,) = _tables(sim).values()
+        assert len(entries) == -(-params.m // params.n)
+        for x in entries:
+            assert {n.id for n in ast.walk(x) if isinstance(n, ast.Name)} == {"b"}, ast.unparse(x)
+            assert not any(isinstance(y, ast.IfExp) for y in ast.walk(x)), ast.unparse(x)
 
 
 def _flat_merge(top: RtlModule) -> tuple:
@@ -1308,6 +1344,53 @@ def test_cut_of_a_sum_read_by_a_child_sum():
         ["r0 + a & 31", "n0 & 15", "b - n1 & 15", "(n2,)"]
 
 
+def _benchmark_designs() -> list:
+    """The 93 designs the benchmark verifies (`perfbench/workloads.py`): the
+    acceptance matrix, gf2 sbm and karatsuba2 at each of its widths, and the
+    eight wide designs."""
+    out = []
+    for m in (8, 16, 24, 32, 48, 64, 128, 163, 192):
+        out += [GenParams(kind, m) for kind in (ArchKind.SBM, ArchKind.KARATSUBA2,
+                                                ArchKind.TOOM3, ArchKind.TOOM4)]
+        out += [GenParams(ArchKind.DIGIT_SERIAL, m, n=n)
+                for n in sorted({n for n in (2, 8, 32, m) if n <= m})]
+        out += [GenParams(kind, m, ArithMode.CARRYLESS)
+                for kind in (ArchKind.SBM, ArchKind.KARATSUBA2)]
+    out += [GenParams(kind, 1024) for kind in (ArchKind.SBM, ArchKind.KARATSUBA2,
+                                               ArchKind.TOOM3, ArchKind.TOOM4)]
+    return out + [GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS),
+                  GenParams(ArchKind.DIGIT_SERIAL, 1024, n=64),
+                  GenParams(ArchKind.DIGIT_SERIAL, 521, n=32),
+                  GenParams(ArchKind.DIGIT_SERIAL, 571, ArithMode.CARRYLESS, n=32)]
+
+
+def test_no_benchmark_design_binds_a_cut_to_a_child_sum():
+    # `_look` reads a sum's operand through a net driven by Slice(Ref(x), 0,
+    # w) only within one module, so a cut bound to a child's port that a sum
+    # in the child reads keeps its own mask beside the sum's (the test
+    # above). No benchmark design binds one, so that mask costs none of them.
+    designs = _benchmark_designs()
+    assert len(set(designs)) == 93
+    for params in designs:
+        for mod in design_library(generate(params)).values():
+            cuts = {a.target for a in mod.assigns if type(a.expr) is Slice
+                    and not a.expr.lo and type(a.expr.base) is Ref}
+            kids = {kid.name: kid for kid in mod.children}
+            for inst in mod.instances:
+                kid = kids[inst.module_name]
+                todo = [a.expr for a in kid.assigns] + [r.next for r in kid.regs]
+                todo += [e for i in kid.instances for _, e in i.bindings]
+                summed = set()
+                while todo:
+                    e = todo.pop()
+                    if type(e) in (Add, Sub):
+                        summed.update(x.name for x in (e.a, e.b) if type(x) is Ref)
+                    todo += children(e)
+                for port, e in inst.bindings:
+                    assert not (type(e) is Ref and e.name in cuts and port in summed), \
+                        (params, mod.name, inst.name, port)
+
+
 def _hoisted(sim: Simulator) -> dict:
     """The names `_run` assigns above its loop over the rows, each with its
     statement, parsed."""
@@ -1566,9 +1649,10 @@ def test_integer_sums_are_products():
 @st.composite
 def _stepped_designs(draw):
     """(kind, m, n, mode) from just below the width at which the main loop
-    steps K cycles per iteration: integer sbm, karatsuba2, the wrapper,
-    toom3 or toom4 up to 1024 bits, or gf2 sbm, karatsuba2 or the wrapper
-    up to 256 bits; the wrapper with a digit width whose loop may fire."""
+    steps K cycles per iteration up to 1024 bits: integer sbm, karatsuba2,
+    the wrapper, toom3 or toom4, or gf2 sbm, karatsuba2 or the wrapper; the
+    wrapper with a digit width whose loop may fire, or with two-bit digits,
+    whose digit select reads a table of up to 512 entries."""
     mode = draw(st.sampled_from(list(ArithMode)))
     if mode is ArithMode.INTEGER:
         kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL,
@@ -1577,8 +1661,8 @@ def _stepped_designs(draw):
                               ArchKind.TOOM4: 106}.get(kind, 30), 1024))
     else:
         kind = draw(st.sampled_from([ArchKind.SBM, ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL]))
-        m = draw(st.integers({ArchKind.SBM: 86, ArchKind.KARATSUBA2: 170}.get(kind, 92), 256))
-    n = draw(st.sampled_from([16, 32, m])) if kind is ArchKind.DIGIT_SERIAL else None
+        m = draw(st.integers({ArchKind.SBM: 86, ArchKind.KARATSUBA2: 170}.get(kind, 92), 1024))
+    n = draw(st.sampled_from([2, 16, 32, m])) if kind is ArchKind.DIGIT_SERIAL else None
     return kind, m, n, mode
 
 
