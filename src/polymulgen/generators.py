@@ -140,9 +140,9 @@ def _asr(b: _Builder, e, k: int):
     return Concat((Repl(k, msb), Slice(base, k, base.width - k)))
 
 
-def _or1(x, y):
+def _or(*bits):
     # 1-bit OR via De Morgan; the IR keeps its operator set minimal.
-    return Not(And(Not(x), Not(y)))
+    return Not(functools.reduce(And, [Not(x) for x in bits]))
 
 
 def _shl_mod(b: _Builder, e, k: int, width: int):
@@ -308,56 +308,47 @@ def _eval_expr(b: _Builder, limbs: list, row: tuple, width: int):
 
 def _toom_child(name: str, h: int, k: int, wa: int, wc: int, row: tuple,
                 meta: tuple) -> RtlModule:
-    """Column-serial point multiplier: c = a * sum(c_j * b_j) in h cycles.
+    """Column-serial point multiplier: c = a * sum(c_j * b_j) over h cycles.
 
     a is the registered (already evaluated, signed) operand; the b evaluation
     is folded into the shift-add recurrence one bit column per cycle, one
-    weighted addend per nonzero coefficient. Those coefficients are
-    contiguous in every Toom row (all of them, the first or the last), so the
-    column register loads one slice of b, their limbs side by side, and
-    shifts it left by one each cycle under a mask that clears bit 0 of each
-    h-bit field: every limb moves within its own field, as sbm's breg does.
-    A single limb (points 0 and inf) needs no mask: the shift clears bit 0.
+    weighted addend per nonzero coefficient. b is the top's column register,
+    the k limbs side by side, each shifted left by one within its h-bit field
+    per cycle, so limb j's column is bit j*h+h-1. The top holds the child in
+    reset outside its h multiply cycles, so the accumulator has no schedule
+    of its own: it steps on every cycle.
     """
     b = _Builder(name, h, meta)
     a, bp = b.std_ports(wa, k * h, wc)
-    sched = Ref("sched", h + 1)
     acc = Ref("acc", wc)
-    first = b.net("first", Slice(sched, 0, 1))
-    done = b.net("done", Slice(sched, h, 1))
-    run = b.net("run", Not(done))
-    b.reg("sched", h + 1, 1, Mux(done, sched, Slice(b.tmp(Shl(sched, 1)), 0, h + 1)))
     asx = b.net("asx", _sext(b, a, wc))
-    active = [(j, cj) for j, cj in enumerate(row) if cj]
-    w = len(active) * h
-    cols = Ref("cols", w)
-    fields = sum(((1 << h) - 2) << idx * h for idx in range(len(active)))
-    bsrc = b.net("bsrc", Mux(first, Slice(bp, active[0][0] * h, w), cols))
-    shifted = _shl_mod(b, bsrc, 1, w)
-    bnext = b.net("bnext", shifted if len(active) == 1 else And(shifted, Const(w, fields)))
-    terms = []
-    for idx, (j, cj) in enumerate(active):
-        bit = b.net(f"bit{j}", Slice(bsrc, idx * h + h - 1, 1))
-        val = _cmul(b, asx, abs(cj), wc)
-        terms.append((cj < 0, b.net(f"term{j}", Mux(bit, val, Const(wc, 0)))))
     cur = b.net("accsh", _shl_mod(b, acc, 1, wc))
-    for negate, term in terms:
-        cur = (Sub if negate else Add)(cur, term)
-    step = b.net("step", cur)
-    b.reg("acc", wc, 0, Mux(run, step, acc))
-    b.reg("cols", w, 0, Mux(run, bnext, cols))
+    for j, cj in enumerate(row):
+        if cj:
+            bit = b.net(f"bit{j}", Slice(bp, j * h + h - 1, 1))
+            term = b.net(f"term{j}", Mux(bit, _cmul(b, asx, abs(cj), wc), Const(wc, 0)))
+            cur = (Sub if cj < 0 else Add)(cur, term)
+    b.reg("acc", wc, 0, b.net("step", cur))
     b.drive_c(acc)
     return b.build()
 
 
-def _toom_frame(kind: ArchKind, m: int, points: tuple, interpolate, margin: int):
-    """Shared Toom plumbing: top module, padding, schedule, evaluation regs,
-    children, and interpolation on a signed window of W = 2h + margin bits
-    (tests/test_models.py::test_toom_windows_hold_every_value proves that
-    every value fits); k-way over 2k-1 points.
+def _toom_frame(kind: ArchKind, m: int, points: tuple, interpolate, margin: int,
+                stages: tuple):
+    """Shared Toom plumbing: top module, padding, schedule, column register,
+    evaluation regs, children, and interpolation on a signed window of
+    W = 2h + margin bits (tests/test_models.py::test_toom_windows_hold_every_value
+    proves that every value fits); k-way over 2k-1 points.
 
-    Returns (builder, limb width h, child modules, coefficient refs,
-    schedule register).
+    The one column register holds the k limbs of b side by side: it loads
+    them on the cycle after ld (`first`) and shifts each left by one within
+    its h-bit field per cycle, and every point multiplier reads it through
+    its b port. The multipliers run on the h cycles from `first` and are
+    held in reset on ld and on the result cycles after them, one per name
+    of `stages`, whose bits are returned.
+
+    Returns (builder, limb width h, child modules, coefficient refs, the
+    result stages' bits).
     """
     b, a, bp = _top(kind, m)
     k = (len(points) + 1) // 2
@@ -369,9 +360,17 @@ def _toom_frame(kind: ArchKind, m: int, points: tuple, interpolate, margin: int)
     limbs = [b.net(f"al{j}", Slice(apad, j * h, h)) for j in range(k)]
     sched = Ref("sched", lat + 1)
     ld = b.net("ld", Slice(sched, 0, 1))
+    # a net, not an inline Slice of sched: the simulator's datapath then
+    # reads a one-bit guard, not the schedule as a wide row value, so the
+    # multiply loop's K-step can fire
+    first = b.net("first", Slice(sched, 1, 1))
+    fins = [b.net(name, Slice(sched, h + 1 + i, 1)) for i, name in enumerate(stages)]
     done = b.net("done", Slice(sched, lat, 1))
     b.reg("sched", lat + 1, 1, Mux(done, sched, Slice(b.tmp(Shl(sched, 1)), 0, lat + 1)))
-    crst = b.net("crst", _or1(Ref("rst", 1), ld))
+    bsrc = b.net("bsrc", Mux(first, bpad, Ref("cols", k * h)))
+    fields = sum(((1 << h) - 2) << j * h for j in range(k))
+    b.reg("cols", k * h, 0, And(_shl_mod(b, bsrc, 1, k * h), Const(k * h, fields)))
+    crst = b.net("crst", _or(Ref("rst", 1), ld, *fins, done))
     children = []
     wrefs = []
     for i, row in enumerate(rows):
@@ -382,7 +381,7 @@ def _toom_frame(kind: ArchKind, m: int, points: tuple, interpolate, margin: int)
         child = _toom_child(f"{b.name}_pp{i}", h, k, wa, wc, row, b.meta)
         children.append(child)
         wn = b.out_net(f"w{i}", wc)
-        b.inst(f"u_pp{i}", child, evr, bpad, crst, wn)
+        b.inst(f"u_pp{i}", child, evr, bsrc, crst, wn)
         wrefs.append(wn)
     W = 2 * h + margin
     window = types.SimpleNamespace(add=Add, sub=Sub, net=b.net,
@@ -390,7 +389,7 @@ def _toom_frame(kind: ArchKind, m: int, points: tuple, interpolate, margin: int)
                                    asr=functools.partial(_asr, b),
                                    div=lambda e, c: {3: _div3, 5: _div5}[c](b, e, W))
     v = [b.net(f"vs{i}", _sext(b, wn, W)) for i, wn in enumerate(wrefs)]
-    return b, h, children, interpolate(window, v), sched
+    return b, h, children, interpolate(window, v), fins
 
 
 def _recombine(b: _Builder, coeffs: list, h: int, wu: int, width: int):
@@ -403,9 +402,8 @@ def _recombine(b: _Builder, coeffs: list, h: int, wu: int, width: int):
 
 
 def gen_toom3(m: int) -> RtlModule:
-    b, h, children, coeffs, sched = _toom_frame(ArchKind.TOOM3, m, TOOM3_POINTS,
-                                                toom3_interpolate, 8)
-    fin = b.net("fin", Slice(sched, b.latency - 1, 1))
+    b, h, children, coeffs, (fin,) = _toom_frame(ArchKind.TOOM3, m, TOOM3_POINTS,
+                                                 toom3_interpolate, 8, ("fin",))
     recomb = _recombine(b, coeffs, h, 2 * h + 2, 2 * m)
     cres = b.reg("cres", 2 * m, 0, Mux(fin, recomb, Ref("cres", 2 * m)))
     b.drive_c(cres)
@@ -413,11 +411,9 @@ def gen_toom3(m: int) -> RtlModule:
 
 
 def gen_toom4(m: int) -> RtlModule:
-    b, h, children, coeffs, sched = _toom_frame(ArchKind.TOOM4, m, TOOM4_POINTS,
-                                                toom4_interpolate, 14)
     # Two result stages: coefficient registers, then the recombined product.
-    fin1 = b.net("fin1", Slice(sched, b.latency - 2, 1))
-    fin2 = b.net("fin2", Slice(sched, b.latency - 1, 1))
+    b, h, children, coeffs, (fin1, fin2) = _toom_frame(ArchKind.TOOM4, m, TOOM4_POINTS,
+                                                       toom4_interpolate, 14, ("fin1", "fin2"))
     wu = 2 * h + 2
     crefs = []
     for i, cref in enumerate(coeffs):
@@ -487,7 +483,7 @@ def gen_digit_serial(m: int, n: int, mode: ArithMode = ArithMode.INTEGER) -> Rtl
     shr = dighot if d == 1 else Mux(upd, Concat((Const(1, 0), Slice(dighot, 1, d - 1))),
                                     dighot)
     b.reg("dighot", d, 1 << (d - 1), shr)
-    b.reg("done", 1, 0, _or1(done, And(wend, Slice(dighot, 0, 1))))
+    b.reg("done", 1, 0, _or(done, And(wend, Slice(dighot, 0, 1))))
     b.drive_c(acc)
     return b.build(children=(core,))
 

@@ -6,11 +6,11 @@ port bound to a parent net reuses that net's identifier. Nets are ordered by
 one iterative depth-first search over their reads, which also names the nets
 of a combinational loop.
 
-Sibling instances repeat state: karatsuba2's three cores and toom's point
-multipliers each step their own copy of one schedule, and several of toom's
-shift registers hold the same operand limb. Once the undriven-net and loop
-checks have passed on the whole netlist, a merge keeps one representative per class of equivalent
-registers and nets (register correspondence, van Eijk 2000): registers of
+Sibling instances repeat state: karatsuba2's three cores each step their own
+copy of one schedule, and toom's point multipliers test the same bits of the
+top's one column register. Once the undriven-net and loop checks have passed
+on the whole netlist, a merge keeps one representative per class of
+equivalent registers and nets (register correspondence, van Eijk 2000): registers of
 equal width and reset are assumed equal, and a class splits while its
 members' next-state texts differ with every identifier renamed to its
 representative. Nets are hash-consed in dependency order on (width, renamed
@@ -166,13 +166,13 @@ def _steps(span: int, runs: int, built: float | None, reach: int = 0) -> int:
     XORs of gated operands (`_sums`), and `built` is the tables it builds
     per transaction for each of its gated operands (a table built in the
     hoist once, one built on entry `runs` times), each costing about 2^K
-    gated sums. K is the one in 2..7 with the largest gain, which must also
-    repay compiling the tables and the loops (_TEXT cycles). Measured the
-    same way when integer steps read tables too, a table step repaid its
-    compile time after about 80 vectors for sbm at m = 32, 31 at m = 64,
-    11 at m = 96 and 4 at m = 128; after 11 and 14 for karatsuba2 at
-    m = 163 and 192; after 9 for the wrapper at m = n = 96 and 15 at
-    128/32. _TEXT puts the threshold near 16 vectors: gf2 sbm steps from
+    XORs. K is the one in 2..7 with the largest gain, which must also repay
+    compiling the tables and the loops (_TEXT cycles). Measured the same
+    way, before integer steps multiplied and read such tables too, a table
+    step repaid its compile time after about 80 vectors for sbm at m = 32,
+    31 at m = 64, 11 at m = 96 and 4 at m = 128; after 11 and 14 for
+    karatsuba2 at m = 163 and 192; after 9 for the wrapper at m = n = 96
+    and 15 at 128/32. _TEXT puts the threshold near 16 vectors: gf2 sbm steps from
     m = 88 (K = 3) and six cycles at a time at m = 1024, karatsuba2 from
     m = 173, the wrapper with n = m from m = 89, with n = 32 from four
     digits and with n = 8 from 28."""
@@ -205,14 +205,13 @@ def _kept(mask: int, k: int) -> int:
     return mask
 
 
-def _sums(v: int, k: int, xor: int) -> list:
-    """The table a gf2 K-step reads (`_steps`): the 2^k XORs (`xor` set)
-    or sums of the subsets of v << j, j < k, entry i holding those at the
-    set bits of i. Entry i of the sums is v * i, the product an integer
-    K-step reads instead."""
+def _sums(v: int, k: int) -> list:
+    """The table a gf2 K-step reads (`_steps`): the 2^k XORs of the subsets
+    of v << j, j < k, entry i holding the XOR of those at the set bits of
+    i."""
     t = [0]
     for _ in range(k):
-        t += [x ^ v for x in t] if xor else [x + v for x in t]
+        t += [x ^ v for x in t]
         v <<= 1
     return t
 
@@ -569,7 +568,7 @@ def _kernel(nets: dict, regs: list, order: list, widths: dict, exprs: dict, rep:
             if not key[1]:
                 products[r].setdefault(key, []).append((neg, index[s, p], shift))
                 continue
-            text = f"_sums({key[0]}, {k}, {key[1]})"
+            text = f"_sums({key[0]}, {k})"
             h = named.setdefault(text, f"h{len(named)}")
             tabs[h] = f"{h} = {text}", *built[key]
             read = f"{h}[{index[s, p][0]}]"  # << binds more tightly than ^

@@ -3,8 +3,9 @@
 `_net` renders an expression with constants folded in the same pass (an
 int when it is constant, else text) and returns the reads. rst is the
 constant 0 during a run, so the top's rst folds away: a register's reset
-mux survives only where its module's rst is a net (toom's child reset
-`crst = rst | ld`, which folds to the bare `ld`). Constant operands fold,
+mux survives only where its module's rst is a net (toom3's child reset
+`crst = rst | ld | fin | done`, which folds to the OR of the schedule bits
+that hold the point multipliers in reset). Constant operands fold,
 identities (`x & 0`, `x ^ 0`, `x + 0`, a Mux on a constant condition or
 with equal arms, `~~x`, ...)
 drop their operator, zero Concat parts vanish, a Slice that reaches its

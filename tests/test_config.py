@@ -452,9 +452,9 @@ sbm 163 - gf2 163 vlog/tb_mul_sbm_cl_163.v 1fb8f6ab8ddc150033d4b46f98a9a18f16c77
 sbm 192 - integer 192 synth/mul_sbm_192_genus.tcl df69860d86a22aec66edce2e6e61de08ab37c2ea258cfa526e669956cce9b6dc
 sbm 192 - integer 192 vlog/mul_sbm_192.v 262fad07add12c29576e2c83411971df77029e391f4b02799709639ff79ed80f
 toom3 192 - integer 66 synth/mul_tc3_192_genus.tcl 8e36be848b1fce5ab1df13b32c91bb21f9ff47894cba085dbd4da35fa41ac6ba
-toom3 192 - integer 66 vlog/mul_tc3_192.v 72dd77b9c02f630062768a7cded172db4ecb50e6c35babebad227f4e5a4be24a
+toom3 192 - integer 66 vlog/mul_tc3_192.v 0153243cd7d5b1891c6b30dd8c585768e940e8de3f8148a69d2a753a54c841d1
 toom4 192 - integer 51 synth/mul_tc4_192_genus.tcl 70cbbd0fa42908c48efb63f196c6311dcb55bb0f1fb4f174575131fa6bb58dcb
-toom4 192 - integer 51 vlog/mul_tc4_192.v 312f5126a66e00affd40f23e3ec98738de7e6c0965ffebdcf23ef1394c6a2998
+toom4 192 - integer 51 vlog/mul_tc4_192.v da101456822947a65e92077d41cbdaa36892bb03b424baca6ba0663b23ff6035
 wrapper 521 32 integer 544 synth/mul_serial_521_32_genus.tcl b0df9fe6bd3d76cfff68d90a16b08c28bf497ee18e22319471ca9f5210a2abc0
 wrapper 521 32 integer 544 vlog/mul_serial_521_32.v 4a52ffe77155d90cbd1616a784cf9f5e7a47b0bdaa7c9a8187796abd3102d137
 wrapper 1024 64 integer 1024 synth/mul_serial_1024_64_genus.tcl 6429e665d94569b8c695333c050bbb7647194bde11612bd541620397fa530b1f

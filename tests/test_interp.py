@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polymulgen.generators import GenParams, design_library, gen_karatsuba2, gen_sbm, generate
-from polymulgen.interp import Simulator, _flatten, _merge, _order, _sums, compile_sim
+from polymulgen.interp import Simulator, _flatten, _merge, _order, compile_sim
 from polymulgen.ir import (Add, And, Assign, Concat, Const, Instance, Mux, Net, Not, Port,
                            Ref, RegDef, Repl, RtlModule, Shl, Slice, Sub, Xor, children)
 from polymulgen.models import ArchKind, cycle_contract, run_model
@@ -953,10 +953,11 @@ def _flat_merge(top: RtlModule) -> tuple:
     GenParams(kind, 64, mode, 8 if kind.arch.needs_digit else None)
     for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
 def test_kernel_has_nothing_left_to_merge(params):
-    # Sibling instances (karatsuba2's three cores, toom's point multipliers)
-    # step equal schedules and shift equal operand limbs: the merge keeps one
-    # copy of each, so no two registers of equal width and reset have the
-    # same next-state text and no two nets of equal width the same text.
+    # Sibling instances step equal schedules (karatsuba2's three cores) and
+    # test equal bits of one column register (toom's point multipliers): the
+    # merge keeps one copy of each, so no two registers of equal width and
+    # reset have the same next-state text and no two nets of equal width the
+    # same text.
     top = generate(params)
     nets, regs, order, rep, widths = _flat_merge(top)
     assert set(order) == nets.keys() and rep.keys().isdisjoint(order)
@@ -972,46 +973,62 @@ def test_kernel_has_nothing_left_to_merge(params):
     rows = sim._sched(1)[0][0]  # the control values the datapath reads on a cycle
     if params.kind is ArchKind.KARATSUBA2:  # one schedule for the three cores: load, then run
         assert (len(rows), len(sim._phases)) == (2, 2)
-    if params.kind is ArchKind.TOOM4:  # one first bit and one run bit for all seven
-        assert len(rows) == 6
+    if params.kind is ArchKind.TOOM4:  # ld, first, the children's reset and the two result bits
+        assert len(rows) == 5
+
+
+@pytest.mark.parametrize("kind, bits", [(ArchKind.TOOM3, {64: 577, 1024: 8577}),
+                                        (ArchKind.TOOM4, {64: 849, 1024: 12369})],
+                         ids=["toom3", "toom4"])
+def test_toom_keeps_no_register_to_merge(kind, bits):
+    # Toom makes each piece of state once: the top's one schedule and one
+    # column register serve every point multiplier, which keeps only its
+    # accumulator. So the merge maps no register to another, and the
+    # register bits summed over the instance tree (schedule, column register,
+    # point operands, accumulators, result stages) are pinned.
+    for m in (8, 13, 64):
+        rep = _flat_merge(generate(GenParams(kind, m)))[3]
+        assert [t for t in rep if t[0] == "r"] == [], m
+    assert {m: sum(w for t, w in _flat_widths(generate(GenParams(kind, m))).items()
+                   if t[0] == "r") for m in bits} == bits
 
 
 @pytest.mark.parametrize("kind", [ArchKind.TOOM3, ArchKind.TOOM4])
 def test_toom_child_reset_is_the_ld_bit(kind):
-    # crst = rst | ld renders as the bare ld bit, and every register of every
-    # point multiplier commits its reset value when it is high: the control
-    # registers in the schedule's commit, the others in the commit of the
-    # datapath's phase in which the crst guard is 1
+    # The point multipliers keep no schedule of their own, only their
+    # accumulators: the schedule steps the top's counter alone. The top holds
+    # them in reset outside their h multiply cycles, crst = rst | ld | the
+    # result bits | done, which reads ld and the bits after the multiply
+    # cycles, and every point multiplier's register commits its reset value,
+    # 0, in every phase in which the crst guard is 1: on ld and on each result
+    # cycle.
     top = generate(GenParams(kind, 64))
     origin: dict = {}
     _flatten(top, {**{p.name: p.name for p in top.ports}, "rst": 0}, origin, {}, [], {}, {})
     ident = {name: t for t, (mod, name) in origin.items() if mod is top}
     crst = ident["crst"]
     sim = compile_sim(top, design_library(top))
-    sched, run = sim.source.split("def _run(")
-    assert f"        {crst} = {ident['ld']}\n" in sched
-    resets = {hex(r.reset) for child in top.children for r in child.regs}
-
-    def children(targets) -> list:  # the top's registers are r0 .. r<len(top.regs) - 1>
-        return [t for t in targets if int(t[1:]) >= len(top.regs)]
-
-    # a child register merged into its twin leaves the kernel: count those that survive
-    survivors = set(children(re.findall(r"\br\d+\b", sim.source)))
-    commit = [line for line in sched.splitlines() if re.match(r" {8}r\d+, ", line)]
-    assert len(commit) == 1
-    targets, values = commit[0].split(" = ")
-    held = children(targets.strip().rstrip(",").split(", "))
-    assert commit[0].count(f" if {crst} else ") == len(held)
-    assert set(re.findall(rf"\b(0x[0-9a-f]+) if {crst} else ", values)) <= resets
-    loads = [(entry, loop) for values, (entry, loop, _) in _phases(sim).items()
-             if values[sim._guards.index(crst)] == 1]
-    assert len(loads) == 1
-    load = loads[0][1].body[-1]  # the commit of the phase's cycle
-    cleared = {t.id: ast.get_source_segment(sim.source, v)
-               for t, v in zip(load.targets[0].elts, load.value.elts)}
-    loaded = children(cleared)
-    assert loaded and all(cleared[r] in resets for r in loaded)
-    assert set(held) | set(loaded) == survivors and not set(held) & set(loaded)
+    sched = next(f for f in ast.parse(sim.source).body
+                 if isinstance(f, ast.FunctionDef) and f.name == "_sched")
+    lines = {stmt.targets[0].id: stmt.value for stmt in ast.walk(sched)
+             if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)}
+    stages = ["fin"] if kind is ArchKind.TOOM3 else ["fin1", "fin2"]
+    assert {n.id for n in ast.walk(lines[crst]) if isinstance(n, ast.Name)} == \
+        {ident[name] for name in ["ld", *stages, "done"]}
+    # the top's registers are r0 .. r<len(top.regs) - 1>, each child's follow
+    commit = next(stmt for stmt in sched.body if isinstance(stmt, ast.For)).body[-1]
+    assert [t.id for t in commit.targets[0].elts] == \
+        [f"r{[r.name for r in top.regs].index('sched')}"]
+    assert [(len(child.regs), child.regs[0].reset) for child in top.children] == \
+        [(1, 0)] * len(top.children)
+    kids = {f"r{i}" for i in range(len(top.regs), len(top.regs) + len(top.children))}
+    cleared = [loop.body[-1] for values, (_, loop, _) in _phases(sim).items()
+               if values[sim._guards.index(crst)] == 1]
+    assert len(cleared) == 1 + len(stages)
+    for stmt in cleared:  # the commit of the phase's cycle
+        commits = {t.id: v for t, v in zip(stmt.targets[0].elts, stmt.value.elts)}
+        assert kids <= commits.keys()
+        assert all(isinstance(commits[r], ast.Constant) and commits[r].value == 0 for r in kids)
 
 
 def _control(top: RtlModule) -> set:
@@ -1149,24 +1166,31 @@ _SIGN_EXTEND = re.compile(r"(r\d+) \| \(\1 >> \d+\) \* \d+ << \d+")
 
 @pytest.mark.parametrize("params, count, longest", [
     (GenParams(ArchKind.SBM, 64), 2, 2), (GenParams(ArchKind.KARATSUBA2, 64), 2, 6),
-    (GenParams(ArchKind.TOOM3, 64), 4, 8), (GenParams(ArchKind.TOOM4, 64), 5, 10),
+    (GenParams(ArchKind.TOOM3, 64), 4, 6), (GenParams(ArchKind.TOOM4, 64), 5, 8),
     (GenParams(ArchKind.DIGIT_SERIAL, 64, n=8), 3, 2)],
     ids=["sbm", "karatsuba2", "toom3", "toom4", "wrapper64_8"])
 def test_phase_loops_hold_no_invariant_work(params, count, longest):
     # A phase is a distinct tuple of the 1-bit control values: load, then run
     # for one schedule (karatsuba2's three cores share it), plus toom's first
     # multiply cycle and its interpolation cycle (toom4 recomposes on one
-    # more) and the wrapper's last cycle of a window. Toom's point operands are loaded on
-    # the ld cycle and held while the point multipliers run, so their sign
-    # extension is evaluated once on entry to a phase, never in a cycle
-    # loop, and the commit of the longest phase holds only the registers
-    # that change in it.
-    sim = _sim(params.kind, params.m, params.mode, params.n)
+    # more) and the wrapper's last cycle of a window. A cycle loop
+    # sign-extends only a register its phase changes: toom's point operands,
+    # eva<i>, are loaded on the ld cycle and held while the point multipliers
+    # run, so their sign extension is evaluated once on entry to a phase,
+    # never in a cycle loop, while the interpolation cycle sign-extends the
+    # point products it clears. The commit of the longest phase holds only
+    # the registers that change in it: toom's column register and its point
+    # multipliers' accumulators.
+    top = generate(params)
+    sim = compile_sim(top, design_library(top))
+    operands = {f"r{i}" for i, r in enumerate(top.regs) if r.name.startswith("eva")}
     phases = _phases(sim)
     assert len(phases) == len(sim._phases) == count
     for _, loop, step in phases.values():
+        changed = {t.id for t in loop.body[-1].targets[0].elts}
         for stmt in (step.body if step else []) + loop.body:
-            assert not _SIGN_EXTEND.search(ast.unparse(stmt))
+            for r in _SIGN_EXTEND.findall(ast.unparse(stmt)):
+                assert r in changed and r not in operands, ast.unparse(stmt)
     _, loop, step = _main_loop(sim)
     for commit in [loop.body[-1]] + (step.body[-1:] if step else []):  # after a K-step's indices
         assert len(commit.targets[0].elts) == longest
@@ -1541,9 +1565,9 @@ def _column_read(ix, cols: list) -> bool:
     (GenParams(ArchKind.SBM, 1024), 1023, 1, [1], True),
     (GenParams(ArchKind.KARATSUBA2, 1024), 512, 3, [1, 1, 1], True),
     (GenParams(ArchKind.KARATSUBA2, 1024, ArithMode.CARRYLESS), 5, 3, [1, 1, 1], True),
-    (GenParams(ArchKind.TOOM3, 1024), 341, 3, [1, 1, 3, 3, 3], False),
-    (GenParams(ArchKind.TOOM3, 539), 179, 3, [1, 1, 3, 3, 3], False),
-    (GenParams(ArchKind.TOOM4, 1024), 255, 3, [1, 1, 4, 4, 4, 4, 4], False)],
+    (GenParams(ArchKind.TOOM3, 1024), 341, 1, [1, 1, 3, 3, 3], False),
+    (GenParams(ArchKind.TOOM3, 539), 179, 1, [1, 1, 3, 3, 3], False),
+    (GenParams(ArchKind.TOOM4, 1024), 255, 1, [1, 1, 4, 4, 4, 4, 4], False)],
     ids=["sbm", "karatsuba2", "karatsuba2_gf2", "toom3", "toom3_539", "toom4"])
 def test_bit_serial_loop_steps_k_cycles_per_iteration(params, k, cols, operands, hoisted):
     # the main loop runs seg // K iterations of K cycles, then the seg % K
@@ -1636,14 +1660,6 @@ def test_every_table_read_is_a_k_step_sum(kind, m, mode):
         assert not reads and "_sums" not in source
     else:
         assert reads
-
-
-def test_integer_sums_are_products():
-    # entry i of an integer table of sums is v * i, which an integer K-step
-    # reads as a product instead
-    for v in (0, 1, 0xb, (1 << 70) - 1, 1 << 69):
-        for k in range(1, 8):
-            assert _sums(v, k, 0) == [v * i for i in range(1 << k)], (v, k)
 
 
 @st.composite

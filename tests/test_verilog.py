@@ -53,13 +53,13 @@ def test_golden_sbm_8():
     ("wrapper", 16, "integer", 16,
      "9967b32da3f24b45770474f7958444a3bd8be8d2b336c1f5bb2bb9e7b93747a8"),
     ("toom3", 6, "integer", None,
-     "e197e26f12c2b467c67b3c631b7bff029f4482320bcd9edda8b67cf16ff642f8"),
+     "81d47b92a267f4f8221aef0067a7b72fbb013939484faf6848ac300aef8f0782"),
     ("toom4", 8, "integer", None,
-     "9ff330bed4fa525c6524c671ec5c849da77ace9ead9e9cb3d219d9a8026da79a"),
+     "a4e2570031bc7d2845c0bf9c93605aed828806d8c436347c0bc2b833789b1082"),
     ("toom3", 163, "integer", None,  # the limb width does not divide m
-     "70109f3c88c1e642ed9dfe8b48d58c61b82cf52c6327e5e84a4c144e2029ed6b"),
+     "a5b9af83d10c2bb497f086c241ae84178e66fb154ae1cf8885ad99ff06852a3e"),
     ("toom4", 163, "integer", None,
-     "50751ea52942b9e30ce6ad657265895a63fbeca2dcc45c776cfad99ce4edce3c"),
+     "423e5b9f0f53c125f8ae168ee639602364ff51ca5b405aa0163c97a75fa2d6a6"),
     ("sbm", 4, "integer", None,
      "485eb771666acf3e47d72a1c972d0721885db58907df98085d01b0b17afb5aeb"),
 ])
