@@ -53,6 +53,7 @@ class _Builder:
         self._assigns: list = []
         self._insts: list = []
         self._ntmp = 0
+        self._made: dict = {}  # (Ref name, shift, width) -> the net `ref` made for it
 
     def std_ports(self, wa: int, wb: int, wc: int):
         self._ports = [Port("clk", "in", 1), Port("rst", "in", 1),
@@ -70,8 +71,21 @@ class _Builder:
         return self.net(f"t{self._ntmp}", expr)
 
     def ref(self, expr) -> Ref:
-        """Materialize an expression as a net unless it already is a Ref."""
-        return expr if isinstance(expr, Ref) else self.tmp(expr)
+        """Materialize an expression as a net unless it already is a Ref. A
+        zero extension or left shift of a Ref reuses the net made for the
+        same one before."""
+        if isinstance(expr, Ref):
+            return expr
+        if type(expr) is Shl and type(expr.base) is Ref:
+            key = expr.base.name, expr.amount, expr.width
+        elif (type(expr) is Concat and len(expr.parts) == 2 and type(expr.parts[1]) is Ref
+              and type(expr.parts[0]) is Const and expr.parts[0].value == 0):
+            key = expr.parts[1].name, 0, expr.width
+        else:
+            return self.tmp(expr)
+        if key not in self._made:
+            self._made[key] = self.tmp(expr)
+        return self._made[key]
 
     def reg(self, name: str, width: int, reset: int, nxt) -> Ref:
         self._regs.append(RegDef(name, width, reset, nxt))

@@ -6,17 +6,16 @@ port bound to a parent net reuses that net's identifier. Nets are ordered by
 one iterative depth-first search over their reads, which also names the nets
 of a combinational loop.
 
-Sibling instances repeat state: karatsuba2's three cores each step their own
-copy of one schedule, and toom's point multipliers test the same bits of the
-top's one column register. Once the undriven-net and loop checks have passed
-on the whole netlist, a merge keeps one representative per class of
-equivalent registers and nets (register correspondence, van Eijk 2000): registers of
-equal width and reset are assumed equal, and a class splits while its
-members' next-state texts differ with every identifier renamed to its
-representative. Nets are hash-consed in dependency order on (width, renamed
-text), so a net that renders like an earlier one of its width is that net.
-Everything after sees only the representatives, and no net that neither c
-nor a register reads.
+Toom's point multipliers test the same bits of the top's one column
+register. Once the undriven-net and loop checks have passed on the whole
+netlist, a merge hash-conses the nets in one pass over their dependency
+order on (width, text with each identifier renamed to its representative),
+so a net that renders like an earlier one of its width is that net.
+Registers are never merged: the state sibling instances repeat,
+karatsuba2's three core schedules and the wrapper's phring (its core's
+ring), is control state, which `_sched` steps once per plan. Everything
+after sees only the representatives, and no net that neither c nor a
+register reads.
 
 The flat netlist then splits in two. What the operands a/b reach, over net
 drivers and register next-states, is the datapath. The rest is the control
@@ -331,67 +330,20 @@ def _hoist(order: list, nets: dict, known: set) -> set:
 
 
 def _merge(nets: dict, regs: list, order: list, widths: dict) -> tuple:
-    """(nets, regs, order, rep) with one representative per class of
-    equivalent registers and nets, rep taking each merged identifier to its
-    class's. Every text and its reads are renamed to the representatives.
-
-    Register correspondence: the greatest partition of the registers in which
-    the members of a class have equal widths, equal resets and equal
-    next-state texts once every identifier is renamed to its class's
-    representative. It starts from the classes of equal (width, reset) and
-    splits them until none splits. In each round the nets are hash-consed in
-    `order`: a net keyed like an earlier one by (width, renamed text) is an
-    alias of it. The representative is the first member in `order` or in
-    register order; c is never merged."""
-    pieces: dict = {}  # text -> text.split at its identifiers, on first use
-
-    def renamed(src: str) -> str:
-        """src with each identifier renamed to its representative."""
-        if src not in pieces:
-            pieces[src] = _IDENT.split(src)
-        parts = pieces[src][:]
-        parts[1::2] = [rep.get(i, i) for i in parts[1::2]]
-        return "".join(parts)
-
-    classes: dict = {}
-    for reg in regs:
-        classes.setdefault((widths[reg[0]], reg[1]), []).append(reg)
-    classes = list(classes.values())
-    hashed = [(t, widths[t], *nets[t]) for t in order if t != "c"]
-    while True:
-        rep = {r[0]: cls[0][0] for cls in classes for r in cls[1:]}  # each merged identifier
-        merged = rep.keys()
-        text: dict = {}  # the renamed text of each net and register that reads a merged one
-        first: dict = {}
-        for t, width, src, reads in hashed:
-            if not merged.isdisjoint(reads):
-                src = text[t] = renamed(src)
-            if (f := first.setdefault((width, src), t)) != t:
-                rep[t] = f
-        split = [cls for cls in classes if len(cls) == 1]
-        for cls in classes:
-            if len(cls) > 1:
-                by_text: dict = {}
-                for reg in cls:
-                    r, _, (src, reads) = reg
-                    if not merged.isdisjoint(reads):
-                        src = text[r] = renamed(src)
-                    by_text.setdefault(src, []).append(reg)
-                split.extend(by_text.values())
-        if len(split) == len(classes):
-            break
-        classes = split
-    if not rep:
-        return nets, regs, order, rep
-
-    def rename(t: str, net: tuple) -> tuple:
-        src, reads = net
-        if merged.isdisjoint(reads):
-            return net
-        return text[t] if t in text else renamed(src), dict.fromkeys(rep.get(i, i) for i in reads)
-
-    return ({t: rename(t, net) for t, net in nets.items() if t not in rep},
-            [(r, reset, rename(r, net)) for r, reset, net in regs if r not in rep],
+    """(nets, regs, order, rep) with the nets hash-consed in one pass over
+    `order`: a net whose width and text, each identifier renamed to its
+    representative, match an earlier net's is that net, and rep takes it
+    there. Every text and its reads are renamed to the representatives;
+    registers and c are never merged."""
+    rep: dict = {}
+    first: dict = {}
+    kept: dict = {}  # each net renamed
+    for t in order:
+        net = kept[t] = _renamed(nets[t], rep)
+        if t != "c" and (f := first.setdefault((widths[t], net[0]), t)) != t:
+            rep[t] = f
+    return ({t: kept[t] for t in nets if t not in rep},
+            [(r, reset, _renamed(net, rep)) for r, reset, net in regs],
             [t for t in order if t not in rep], rep)
 
 

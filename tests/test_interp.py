@@ -953,11 +953,11 @@ def _flat_merge(top: RtlModule) -> tuple:
     GenParams(kind, 64, mode, 8 if kind.arch.needs_digit else None)
     for kind in ArchKind for mode in _modes(kind)], ids=lambda p: f"{p.kind.name}_{p.mode.name}")
 def test_kernel_has_nothing_left_to_merge(params):
-    # Sibling instances step equal schedules (karatsuba2's three cores) and
-    # test equal bits of one column register (toom's point multipliers): the
-    # merge keeps one copy of each, so no two registers of equal width and
-    # reset have the same next-state text and no two nets of equal width the
-    # same text.
+    # Sibling instances test equal bits of one column register (toom's point
+    # multipliers): the merge keeps one net of each text, so no two nets of
+    # equal width have the same text. No two registers of equal width and
+    # reset have the same next-state text either: each of karatsuba2's three
+    # cores steps its own copy of one schedule, which reads itself.
     top = generate(params)
     nets, regs, order, rep, widths = _flat_merge(top)
     assert set(order) == nets.keys() and rep.keys().isdisjoint(order)
@@ -971,8 +971,8 @@ def test_kernel_has_nothing_left_to_merge(params):
 
     sim = compile_sim(top, design_library(top))
     rows = sim._sched(1)[0][0]  # the control values the datapath reads on a cycle
-    if params.kind is ArchKind.KARATSUBA2:  # one schedule for the three cores: load, then run
-        assert (len(rows), len(sim._phases)) == (2, 2)
+    if params.kind is ArchKind.KARATSUBA2:  # each core's load and run bits; load, then run
+        assert (len(rows), len(sim._phases)) == (6, 2)
     if params.kind is ArchKind.TOOM4:  # ld, first, the children's reset and the two result bits
         assert len(rows) == 5
 
@@ -991,6 +991,29 @@ def test_toom_keeps_no_register_to_merge(kind, bits):
         assert [t for t in rep if t[0] == "r"] == [], m
     assert {m: sum(w for t, w in _flat_widths(generate(GenParams(kind, m))).items()
                    if t[0] == "r") for m in bits} == bits
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(kind, m, mode, n) for kind in (ArchKind.KARATSUBA2, ArchKind.DIGIT_SERIAL)
+    for mode in _modes(kind) for m in (8, 13, 64)
+    for n in (sorted({2, 8, m}) if kind.arch.needs_digit else (None,))],
+    ids=lambda p: f"{p.kind.name}_{p.mode.name}_{p.m}_{p.n}")
+def test_control_twins_are_not_merged(params):
+    # karatsuba2's three cores step equal schedules and the wrapper's phring
+    # equals its core's ring, but all of it is control state, which `_sched`
+    # steps once per plan: the merge maps no register, and the datapath
+    # still meets karatsuba2's two phases and steps its run K cycles at a time.
+    top = generate(params)
+    rep = _flat_merge(top)[3]
+    assert [t for t in rep if t[0] == "r"] == []
+    sim = compile_sim(top, design_library(top))
+    for a in _corners(params.m):
+        for b in _corners(params.m):
+            assert sim.run(a, b) == oracle_mul(a, b, params.mode), (a, b)
+    if params.kind is ArchKind.KARATSUBA2 and params.m == 64:
+        assert len(sim._phases) == 2
+        if params.mode is ArithMode.INTEGER:
+            assert "range(seg //" in sim.source
 
 
 @pytest.mark.parametrize("kind", [ArchKind.TOOM3, ArchKind.TOOM4])
@@ -1107,8 +1130,9 @@ def _count(name: str, reset: int = 0) -> RegDef:
 
 
 def test_merge_twin_counters():
-    # (a) two identical counters are one register
-    assert _regs(_merged((_count("p"), _count("q")))) == {"r0"}
+    # (a) two identical counters stay two registers: the merge hash-conses
+    # nets only
+    assert _regs(_merged((_count("p"), _count("q")))) == {"r0", "r1"}
 
 
 def test_merge_keeps_unequal_resets_apart():
@@ -1117,19 +1141,17 @@ def test_merge_keeps_unequal_resets_apart():
 
 
 def test_merge_finds_twin_pairs_that_read_each_other():
-    # (c) x1 and y1 read each other, and x2 and y2 the same way: neither of a
-    # pair can be keyed before the other, so hashing in one pass merges
-    # nothing, while the optimistic fixpoint merges x2 into x1 and y2 into y1
+    # (c) x1 and y1 read each other, and x2 and y2 the same way: the pairs
+    # step alike, and all four registers stay
     def pair(x, y):
         return (RegDef(x, 4, 1, Add(Ref(y, 4), Const(4, 3))),
                 RegDef(y, 4, 1, Xor(Ref(x, 4), Ref("a", 4))))
-    assert _regs(_merged(pair("x1", "y1") + pair("x2", "y2"))) == {"r0", "r1"}
+    assert _regs(_merged(pair("x1", "y1") + pair("x2", "y2"))) == {f"r{i}" for i in range(4)}
 
 
 def test_merge_splits_up_a_shift_chain():
     # (d) two three-stage shift chains whose first stages load different
-    # operands: the split of the first stages propagates up both chains,
-    # so nothing merges
+    # operands: nothing merges
     def chain(name, first):
         return (RegDef(f"{name}0", 4, 0, first), RegDef(f"{name}1", 4, 0, Ref(f"{name}0", 4)),
                 RegDef(f"{name}2", 4, 0, Ref(f"{name}1", 4)))

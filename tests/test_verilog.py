@@ -55,11 +55,11 @@ def test_golden_sbm_8():
     ("toom3", 6, "integer", None,
      "81d47b92a267f4f8221aef0067a7b72fbb013939484faf6848ac300aef8f0782"),
     ("toom4", 8, "integer", None,
-     "a4e2570031bc7d2845c0bf9c93605aed828806d8c436347c0bc2b833789b1082"),
+     "8ee93f805eca766603744c885243b4d9f957ce9df4d49e25654292eecee1a0e9"),
     ("toom3", 163, "integer", None,  # the limb width does not divide m
      "a5b9af83d10c2bb497f086c241ae84178e66fb154ae1cf8885ad99ff06852a3e"),
     ("toom4", 163, "integer", None,
-     "423e5b9f0f53c125f8ae168ee639602364ff51ca5b405aa0163c97a75fa2d6a6"),
+     "b0ad6bb5d5f7422f83e056cc432dd92605a8c1b26eb6029597800a52a768d08b"),
     ("sbm", 4, "integer", None,
      "485eb771666acf3e47d72a1c972d0721885db58907df98085d01b0b17afb5aeb"),
 ])
